@@ -23,10 +23,10 @@ from .energy import (EnergyReport, Nonlinearity, benjamin_ono_type,
                      constraint_value, derivative_consistency, double_well,
                      energy, polynomial_nonlinearity, potential_integral,
                      power_constraint, seminorm_sq_fourier,
-                     seminorm_sq_realspace)
+                     seminorm_sq_offdiag, seminorm_sq_realspace)
 from .rearrange import (RearrangementReport, detect_translate,
                         polya_szego_check, rearrange_periodic,
-                        riesz_circle_check, seminorm_sq_offdiag)
+                        riesz_circle_check)
 from .minimize import (MinimizeConfig, MinimizeResult, SymmetryDiagnostics,
                        max_principle_probe, minimize, project_constraint,
                        symmetry_diagnostics)

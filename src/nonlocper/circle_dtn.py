@@ -37,28 +37,25 @@ def dtn_multiplier(u: PeriodicFunction) -> PeriodicFunction:
 DEFAULT_DELTA_SEQ = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
 
-def poisson_extension(u: PeriodicFunction, radius: float,
-                      quad_size: int | None = None) -> np.ndarray:
+def poisson_extension(u: PeriodicFunction, radius: float) -> np.ndarray:
     """Harmonic extension sampled at radius*e^{i theta_j}, computed by
-    trapezoid quadrature of the Poisson kernel (a circular convolution)."""
+    trapezoid quadrature of the Poisson kernel (a circular convolution) on
+    M >= N nodes; M follows from the radius (error ~ radius^M) and N."""
     _require_circle(u)
     if not 0 <= radius < 1:
         raise DomainError("extension radius must lie in [0, 1)")
-    delta = 1.0 - radius
-    if quad_size is None:
-        # periodic trapezoid error ~ radius^M: need M*delta large
-        quad_size = 1 << max(10, math.ceil(math.log2(40.0 / delta)))
-    if quad_size > 1 << 22:
+    n = u.grid.size
+    m = max(n, 1 << max(10, math.ceil(math.log2(40.0 / (1.0 - radius)))))
+    if m > 1 << 22:
         raise StepSizeError("radius too close to 1 for stable quadrature")
-    m = quad_size
-    phi = -math.pi + 2.0 * math.pi * np.arange(m) / m
-    uq = u.eval(phi)
+    uq = u.refine(m)
+    phi = uq.grid.nodes
     # P(r, t) = (1 - r^2) / (2 pi (1 - 2 r cos t + r^2)) at distances t
     pk = (1.0 - radius**2) / (2.0 * math.pi * (1.0 - 2.0 * radius * np.cos(phi)
                                                + radius**2))
     conv = np.real(np.fft.ifft(np.fft.fft(np.roll(pk, -(m // 2)))
-                               * np.fft.fft(uq))) * (2.0 * math.pi / m)
-    return conv[:: m // u.grid.size]
+                               * np.fft.fft(uq.samples))) * (2.0 * math.pi / m)
+    return conv[:: m // n]
 
 
 def dtn_poisson(u: PeriodicFunction,
@@ -137,11 +134,10 @@ def energy_identity_check(u: PeriodicFunction, n_radial: int = 64) -> dict:
     absk = np.abs(k).astype(float)
     # u_D(r, theta) = sum_k u_k r^{|k|} e^{ik theta}
     e_disk = 0.0
-    phase = np.exp(1j * np.outer(theta, k))
     for r, w in zip(rr, ww):
         radial = r ** np.maximum(absk - 1.0, 0.0)
-        dr = np.real(phase @ (c * absk * radial))
-        dtheta_over_r = np.real(phase @ (c * 1j * k * radial))
+        dr = PeriodicFunction.from_coeffs(grid, c * absk * radial).samples
+        dtheta_over_r = PeriodicFunction.from_coeffs(grid, c * 1j * k * radial).samples
         e_disk += w * r * (2.0 * math.pi / n) * float(np.sum(dr**2 + dtheta_over_r**2))
     e_disk *= 0.5
 

@@ -293,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--constraint", type=float)
         p.add_argument("--x0", type=float)
         p.add_argument("--seed", type=int)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--max-iters", type=int, dest="max_iters")
     return parser
 
@@ -329,8 +328,6 @@ def merge_config(args: argparse.Namespace) -> dict:
         val = getattr(args, key)
         if val is not None:
             config[key] = val
-    if args.jobs != 1:
-        config["jobs"] = args.jobs
     return config
 
 

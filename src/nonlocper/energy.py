@@ -119,6 +119,25 @@ def seminorm_sq_fourier(sym: SymbolTable, u: PeriodicFunction) -> float:
     return bilinear_fourier(sym, u, u)
 
 
+def seminorm_sq_offdiag(kbar_at_cells: np.ndarray, u: PeriodicFunction) -> float:
+    """(1/2) h^2 sum_{i != j} (u_i - u_j)^2 Kbar(x_i - x_j).
+
+    kbar_at_cells holds Kbar(d h) for d = 1..N-1.  Dropping the (divergent
+    or arbitrary) diagonal makes the rearrangement comparison exact at grid
+    level: the sum splits into sum_i u_i^2 (invariant) times a distance
+    weight (index-independent) minus the circular cross-correlation term.
+    """
+    n = u.grid.size
+    h = u.grid.spacing
+    if kbar_at_cells.shape != (n - 1,):
+        raise ValueError("need Kbar at the N-1 nonzero cell distances")
+    # circular autocorrelation A_d = sum_i u_i u_{i+d}
+    acf = np.real(np.fft.ifft(np.abs(np.fft.fft(u.samples)) ** 2))
+    s2 = float(np.sum(u.samples**2))
+    return h * h * (s2 * float(np.sum(kbar_at_cells))
+                    - float(np.sum(kbar_at_cells * acf[1:])))
+
+
 def seminorm_sq_realspace(wk: WrappedKernel, u: PeriodicFunction,
                           diagonal_correction: bool = True) -> float:
     """[u]_K^2 by the double trapezoid sum over one period square,
@@ -128,14 +147,9 @@ def seminorm_sq_realspace(wk: WrappedKernel, u: PeriodicFunction,
     with the diagonal strip |x - y| < h restored by the local model
     |u(x)-u(y)|^2 ~ u'(x)^2 (x-y)^2 integrated against Kbar over the cell
     (plus the matching trapezoid edge corrections)."""
-    grid = u.grid
-    h = grid.spacing
-    n = grid.size
-    kbar = wk.grid_values(h * np.arange(1, n))  # distances d = 1..N-1 cells
-    s2 = float(np.sum(u.samples**2))
-    # circular autocorrelation A_d = sum_i u_i u_{i+d}
-    acf = np.real(np.fft.ifft(np.abs(np.fft.fft(u.samples)) ** 2))
-    off_diag = h * h * (s2 * float(np.sum(kbar)) - float(np.sum(kbar * acf[1:])))
+    h = u.grid.spacing
+    kbar = wk.grid_values(h * np.arange(1, u.grid.size))  # distances d = 1..N-1 cells
+    off_diag = seminorm_sq_offdiag(kbar, u)
     if not diagonal_correction:
         return off_diag
     # diagonal strip: model g(z) = u'(x)^2 z^2 Kbar(z); the missing piece is

@@ -4,13 +4,14 @@ Conventions: the grid covers one period [-L, L) with N (a power of two)
 equispaced nodes.  Fourier coefficients follow the integral normalization
 u_k = (1/2L) int u(x) exp(-i pi k x / L) dx, so a real function satisfies
 u_{-k} = conj(u_k).  Coefficients are stored in numpy fft order; the
-Nyquist coefficient is forced real and, for off-grid evaluation and
-shifts, is treated as a pure cosine split evenly between +-N/2.
+Nyquist coefficient is forced real and, for off-grid evaluation, refinement
+and shifts, is treated as a pure cosine split evenly between +-N/2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,11 +42,12 @@ class PeriodicGrid:
         L, n = self.half_period, self.size
         return -L + 2.0 * L * np.arange(n) / n
 
-    @property
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
-        """Integer mode numbers in fft order."""
-        n = self.size
-        return np.fft.fftfreq(n, d=1.0 / n).astype(int)
+        """Integer mode numbers in fft order (cached, read-only)."""
+        k = np.fft.fftfreq(self.size, d=1.0 / self.size).astype(int)
+        k.setflags(write=False)
+        return k
 
     def frequencies(self) -> np.ndarray:
         """Physical frequencies pi*k/L for k = 0..N/2."""
@@ -115,6 +117,21 @@ class PeriodicFunction:
         # taking the real part renders the one-sided Nyquist mode as a cosine
         out = np.real(phases @ c)
         return float(out[0]) if scalar else out
+
+    def refine(self, m: int) -> "PeriodicFunction":
+        """The same interpolant sampled on the m-node grid of this period
+        (m a multiple of N), by a zero-padded inverse FFT."""
+        n = self.grid.size
+        if m % n:
+            raise DomainError(f"refined size {m} is not a multiple of {n}")
+        if m == n:
+            return self
+        half = np.zeros(m // 2 + 1, dtype=complex)
+        half[: n // 2 + 1] = self.coeffs()[: n // 2 + 1]
+        half[n // 2] *= 0.5  # Nyquist cosine, split evenly between +-N/2
+        half *= np.power(-1.0, np.arange(m // 2 + 1))  # nodes start at -L
+        return PeriodicFunction(PeriodicGrid(self.grid.half_period, m),
+                                np.fft.irfft(half, m) * m)
 
     def shift(self, z: float) -> "PeriodicFunction":
         """Spectral translation: result(x) = self(x - z)."""

@@ -308,7 +308,6 @@ class WrappedKernel:
     k_direct: int
     breakpoints: tuple = ()  # fold points in (0, L) where Kbar may jump
     _remainder: object = field(default=None, repr=False, compare=False)
-    _fine_t: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def L(self) -> float:
@@ -408,7 +407,6 @@ def wrap_kernel(kernel: Kernel, L: float, tol: float = 1e-10,
     k_max = _tail_k_max(kernel, L, tol)
     breakpoints = ()
     spline = None
-    t_fine = np.linspace(0.0, L, n_fine)
     if kernel.support is not None:
         # Kbar(t) jumps wherever |t + 2kL| crosses the support edge; within
         # (0, L) all such t coincide with the folded support radius
@@ -417,12 +415,13 @@ def wrap_kernel(kernel: Kernel, L: float, tol: float = 1e-10,
         if 0.0 < folded < L:
             breakpoints = (folded,)
     else:
+        t_fine = np.linspace(0.0, L, n_fine)
         rem = _wrap_remainder_exact(kernel, L, t_fine, k_direct)
         spline = interpolate.CubicSpline(t_fine, rem)
     return WrappedKernel(kernel=kernel, half_period=L, tail_tol=tol,
                          k_max=k_max, k_direct=k_direct,
                          breakpoints=breakpoints,
-                         _remainder=spline, _fine_t=t_fine)
+                         _remainder=spline)
 
 
 def _tail_k_max(kernel: Kernel, L: float, tol: float) -> int:

@@ -84,7 +84,7 @@ class SymmetryDiagnostics:
                 "degenerate": self.degenerate}
 
 
-def symmetry_diagnostics(u: PeriodicFunction, refine: int = 8) -> SymmetryDiagnostics:
+def symmetry_diagnostics(u: PeriodicFunction) -> SymmetryDiagnostics:
     """Locate the center (sub-grid argmax), then measure evenness and
     monotone-decay defects of the centered profile and count its critical
     points on [0, L] (the two endpoints always count)."""
@@ -95,9 +95,8 @@ def symmetry_diagnostics(u: PeriodicFunction, refine: int = 8) -> SymmetryDiagno
         return SymmetryDiagnostics(center=0.0, evenness_defect=0.0,
                                    monotonicity_defect=0.0, critical_points=0,
                                    degenerate=True)
-    fine = np.linspace(-L, L, refine * n, endpoint=False)
-    uf = u.eval(fine)
-    z = float(fine[int(np.argmax(uf))])
+    fine = u.refine(8 * n)
+    z = float(fine.grid.nodes[int(np.argmax(fine.samples))])
     du = u.derivative()
     d2u = u.derivative(2)
     # Newton refinement of u'(z) = 0 near the fine-grid argmax
@@ -112,7 +111,7 @@ def symmetry_diagnostics(u: PeriodicFunction, refine: int = 8) -> SymmetryDiagno
         z -= step
         if abs(d1) < 1e-13 * max(1.0, scale):
             break
-    xs = np.linspace(0.0, L, refine * n // 2 + 1)
+    xs = np.linspace(0.0, L, 4 * n + 1)
     right = u.eval(z + xs)
     left = u.eval(z - xs)
     evenness = float(np.max(np.abs(right - left)))
@@ -150,10 +149,6 @@ class MinimizeResult:
                 "flags": list(self.flags)}
 
 
-def _l2(u: PeriodicFunction) -> float:
-    return u.l2_norm()
-
-
 def _inner(u: PeriodicFunction, v: PeriodicFunction) -> float:
     return u.grid.spacing * float(np.sum(u.samples * v.samples))
 
@@ -165,11 +160,11 @@ def _precondition(sym: SymbolTable, v: PeriodicFunction) -> PeriodicFunction:
 
 
 def multiplier_and_residual(u: PeriodicFunction, sym: SymbolTable,
-                            nl: Nonlinearity):
+                            nl: Nonlinearity, constrained: bool):
     """Least-squares lambda and the Euler-Lagrange residual field."""
     rep = energy(u, sym, nl)
     r = rep.gradient
-    if not nl.has_constraint():
+    if not constrained:
         return None, r, rep
     _, gt = constraint_value(u, nl)
     denom = _inner(gt, gt)
@@ -188,7 +183,7 @@ def minimize(cfg: MinimizeConfig) -> MinimizeResult:
         flags.append("sign-changing symbol: no convergence guarantee")
     constrained = cfg.c is not None
     u = project_constraint(cfg.initial, cfg.nl, cfg.c) if constrained else cfg.initial
-    lam, pg, rep = multiplier_and_residual(u, cfg.sym, cfg.nl)
+    lam, pg, rep = multiplier_and_residual(u, cfg.sym, cfg.nl, constrained)
     trace = [rep.total]
     step = cfg.step0
     it = 0
@@ -197,7 +192,7 @@ def minimize(cfg: MinimizeConfig) -> MinimizeResult:
     while it < cfg.max_iters:
         it += 1
         d = _precondition(cfg.sym, pg)
-        if _l2(d) < cfg.grad_tol:
+        if d.l2_norm() < cfg.grad_tol:
             converged = True
             break
         slope = _inner(pg, d)  # positive: d is a descent direction
@@ -210,7 +205,8 @@ def minimize(cfg: MinimizeConfig) -> MinimizeResult:
                 except ProjectionError:
                     step *= cfg.armijo_shrink
                     continue
-            lam_c, pg_c, rep_c = multiplier_and_residual(cand, cfg.sym, cfg.nl)
+            lam_c, pg_c, rep_c = multiplier_and_residual(cand, cfg.sym, cfg.nl,
+                                                         constrained)
             if rep_c.total <= trace[-1] - cfg.armijo_c1 * step * slope:
                 # steps accepted on rounding-level decreases mean the energy
                 # has flattened out; count them toward stagnation
@@ -224,14 +220,14 @@ def minimize(cfg: MinimizeConfig) -> MinimizeResult:
                 accepted = True
                 break
             step *= cfg.armijo_shrink
-        if accepted and stagnant >= 50 and _l2(
-                _precondition(cfg.sym, pg)) < 100 * cfg.grad_tol:
+        if accepted and stagnant >= 50 and _precondition(
+                cfg.sym, pg).l2_norm() < 100 * cfg.grad_tol:
             converged = True
             break
         if not accepted:
             # Armijo stalled at machine precision: treat as converged if the
             # projected gradient is already small, otherwise report failure
-            if _l2(_precondition(cfg.sym, pg)) < 100 * cfg.grad_tol:
+            if _precondition(cfg.sym, pg).l2_norm() < 100 * cfg.grad_tol:
                 converged = True
                 break
             raise DivergenceError(
@@ -239,11 +235,11 @@ def minimize(cfg: MinimizeConfig) -> MinimizeResult:
                 f"(energy {trace[-1]:g})")
         if trace[-1] < -1e12:
             raise DivergenceError("energy unbounded along the trajectory")
-    lam, resid, rep = multiplier_and_residual(u, cfg.sym, cfg.nl)
+    lam, resid, rep = multiplier_and_residual(u, cfg.sym, cfg.nl, constrained)
     defect = None
     if constrained:
         defect = abs(potential_integral(u, cfg.nl.Gt) - cfg.c)
-    return MinimizeResult(u=u, multiplier=lam, residual_norm=_l2(resid),
+    return MinimizeResult(u=u, multiplier=lam, residual_norm=resid.l2_norm(),
                           constraint_defect=defect, iterations=it,
                           converged=converged, energy_trace=np.array(trace),
                           diagnostics=symmetry_diagnostics(u),

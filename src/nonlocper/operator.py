@@ -153,11 +153,12 @@ def apply_pv(kernel: Kernel, u: PeriodicFunction, x: float,
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(12)
 
     def integrand(zs: np.ndarray) -> np.ndarray:
-        diff = 2.0 * ux - u.eval(x + zs) - u.eval(x - zs)
+        diff = np.empty_like(zs)
         small = zs < z_switch
-        if np.any(small):
-            z2 = zs[small] ** 2
-            diff[small] = -z2 * (d2 + z2 * (d4 / 12.0 + z2 * d6 / 360.0))
+        z2 = zs[small] ** 2
+        diff[small] = -z2 * (d2 + z2 * (d4 / 12.0 + z2 * d6 / 360.0))
+        far = zs[~small]
+        diff[~small] = 2.0 * ux - u.eval(x + far) - u.eval(x - far)
         return diff * (kernel(zs) + wrapped.remainder(zs))
 
     def full_estimate(eps: float) -> float:

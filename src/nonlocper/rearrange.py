@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import seminorm_sq_offdiag
 from .errors import HypothesisViolationError
 from .grids import PeriodicFunction
 from .kernels import Kernel, WrappedKernel, wrap_kernel
@@ -40,24 +41,6 @@ def rearrange_periodic(u: PeriodicFunction) -> PeriodicFunction:
     out = np.empty_like(vals)
     out[_placement_order(u.grid.size)] = sorted_desc
     return PeriodicFunction(u.grid, out)
-
-
-def seminorm_sq_offdiag(kbar_at_cells: np.ndarray, u: PeriodicFunction) -> float:
-    """(1/2) h^2 sum_{i != j} (u_i - u_j)^2 Kbar(x_i - x_j).
-
-    kbar_at_cells holds Kbar(d h) for d = 1..N-1.  Dropping the (divergent
-    or arbitrary) diagonal makes the rearrangement comparison exact at grid
-    level: the sum splits into sum_i u_i^2 (invariant) times a distance
-    weight (index-independent) minus the circular cross-correlation term.
-    """
-    n = u.grid.size
-    h = u.grid.spacing
-    if kbar_at_cells.shape != (n - 1,):
-        raise ValueError("need Kbar at the N-1 nonzero cell distances")
-    acf = np.real(np.fft.ifft(np.abs(np.fft.fft(u.samples)) ** 2))
-    s2 = float(np.sum(u.samples**2))
-    return h * h * (s2 * float(np.sum(kbar_at_cells))
-                    - float(np.sum(kbar_at_cells * acf[1:])))
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,20 @@ class TestDtnPoisson:
             nl.dtn_poisson(u, delta_seq=(1e-7, 1e-8))
 
 
+class TestPoissonExtension:
+    def test_exact_extension_when_grid_exceeds_quadrature(self):
+        # at radius 0.5 the quadrature alone would need fewer nodes than N
+        g = nl.circle_grid(2048)
+        u = nl.PeriodicFunction(g, np.random.default_rng(4).standard_normal(g.size))
+        r = 0.5
+        ext = nl.circle_dtn.poisson_extension(u, r)
+        # u_D(r, theta) = sum_k u_k r^{|k|} e^{ik theta}
+        exact = nl.PeriodicFunction.from_coeffs(
+            g, u.coeffs() * r ** np.abs(g.wavenumbers)).samples
+        assert ext.shape == (g.size,)
+        assert np.max(np.abs(ext - exact)) < 1e-12
+
+
 class TestPvOnCircle:
     def test_matches_multiplier(self):
         u = boundary()

@@ -59,6 +59,17 @@ class TestPeriodicFunction:
         assert np.allclose(u.eval(xs), np.cos(2 * xs), atol=1e-13)
         # periodicity
         assert u.eval(0.3 + 2 * math.pi) == pytest.approx(u.eval(0.3), abs=1e-12)
+        # refinement onto a uniform grid agrees with eval there; random
+        # samples carry a nonzero Nyquist coefficient
+        v = nl.PeriodicFunction(g, np.random.default_rng(3).standard_normal(g.size))
+        assert abs(v.coeff(g.size // 2)) > 1e-3
+        for m in (g.size, 2 * g.size, 8 * g.size):
+            fine = nl.PeriodicGrid(g.half_period, m)
+            vf = v.refine(m)
+            assert vf.grid == fine
+            assert np.allclose(vf.samples, v.eval(fine.nodes), rtol=0, atol=1e-13)
+        with pytest.raises(nl.DomainError):
+            v.refine(3 * g.size // 2)
 
     def test_derivative(self):
         g = make_grid()

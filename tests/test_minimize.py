@@ -121,6 +121,20 @@ class TestMinimize:
                                             c=5.0, max_iters=2))
         assert not res.converged
 
+    def test_unconstrained_with_gtilde_descends(self):
+        # the nonlinearity carries a Gtilde, but an unconstrained run must use
+        # the full gradient; the minimizer of (1/2)[u]^2 + int u^2/2 is u = 0
+        g, sym, nlty = bo_setup(L=3.14, N=64)
+        rng = np.random.default_rng(0)
+        u0 = nl.PeriodicFunction(
+            g, 1.0 + np.cos(math.pi * g.nodes / g.half_period)
+            + 0.1 * rng.standard_normal(g.size))
+        res = nl.minimize(nl.MinimizeConfig(sym=sym, nl=nlty, initial=u0,
+                                            max_iters=20))
+        assert res.converged
+        assert res.multiplier is None
+        assert res.u.l2_norm() < 1e-8
+
 
 class TestMaxPrinciple:
     def test_positive_at_interior_zero(self):

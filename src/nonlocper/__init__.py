@@ -12,9 +12,9 @@ from .grids import (PeriodicFunction, PeriodicGrid, decay_exponent,
                     parseval_gap, to_coeff_table)
 from .kernels import (CompactKernel, CustomKernel, DelaunayKernel,
                       FractionalKernel, Kernel, LaplaceKernel, SineTailKernel,
-                      WrappedKernel, classify_kernel, eval_kernel,
-                      frac_lap_constant, heat_kernel_phi, indicator_kernel,
-                      kernel_from_spec, laplace_measure_of, wrap_kernel)
+                      WrappedKernel, classify_kernel, frac_lap_constant,
+                      heat_kernel_phi, indicator_kernel, kernel_from_spec,
+                      laplace_measure_of, wrap_kernel)
 from .operator import (SymbolTable, apply_pv, apply_pv_grid, apply_spectral,
                        bilinear_fourier, cosine_normalization,
                        integrate_by_parts_check, symbol_from_values,

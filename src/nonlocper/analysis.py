@@ -42,14 +42,15 @@ class RegularityVerdict:
                 "sharpness_open": self.sharpness_open}
 
 
-def bootstrap_exponents(s: float, beta: float, cap: int = 100000) -> tuple:
+def bootstrap_exponents(s: float, beta: float) -> tuple:
     """Gain exponents 2s * beta_k with beta_k = sum_{j<=k} beta^j, recorded
-    until the bootstrap either crosses 1 or converges to 2s/(1-beta)."""
+    until the bootstrap either crosses 1 or converges to 2s/(1-beta), for
+    at most 100000 steps."""
     trace = []
     beta_k = 0.0
     power = 1.0
     limit = 1.0 / (1.0 - beta) if beta < 1 else np.inf
-    for _ in range(cap):
+    for _ in range(100000):
         beta_k += power
         power *= beta
         trace.append(2.0 * s * beta_k)

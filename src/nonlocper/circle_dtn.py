@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 from scipy import integrate
 
+from .energy import seminorm_sq_offdiag
 from .errors import DomainError, StepSizeError
 from .grids import PeriodicFunction, PeriodicGrid
 
@@ -92,12 +93,13 @@ def half_lap_pv_circle(u: PeriodicFunction, x: float) -> float:
     return val / math.pi
 
 
-def wrapped_identity_check(t: float, k_max: int = 100000) -> dict:
+def wrapped_identity_check(t: float) -> dict:
     """sum_k 1/(t + 2k pi)^2 against the closed form 1/(2 - 2cos t).
 
-    Truncated sum over |k| <= k_max plus an Euler-Maclaurin tail; for the
-    default k_max the tail contributes below 1e-16.
+    Truncated sum over |k| <= 100000 plus an Euler-Maclaurin tail, which
+    contributes below 1e-16.
     """
+    k_max = 100000
     t = float(t)
     if abs(math.remainder(t, 2.0 * math.pi)) < 1e-12:
         raise DomainError("t must not be a multiple of 2*pi")
@@ -111,14 +113,15 @@ def wrapped_identity_check(t: float, k_max: int = 100000) -> dict:
     return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
 
 
-def energy_identity_check(u: PeriodicFunction, n_radial: int = 64) -> dict:
+def energy_identity_check(u: PeriodicFunction) -> dict:
     """Three routes to the same quadratic energy:
 
     * E_line: Fourier side, pi sum |k| |u_k|^2;
-    * E_disk: (1/2) int_D |grad u_D|^2 by Gauss-Legendre (radius) x
-      trapezoid (angle) quadrature of the harmonic extension;
+    * E_disk: (1/2) int_D |grad u_D|^2 by 64-point Gauss-Legendre (radius)
+      x trapezoid (angle) quadrature of the harmonic extension;
     * E_circle: (1/4 pi) double trapezoid of (u(x)-u(y))^2 / (2-2cos(x-y)),
-      with the diagonal filled by its limit u'(x)^2.
+      with the diagonal filled by its limit u'(x)^2; the off-diagonal part
+      is the shared FFT double sum, so memory stays O(N).
     """
     _require_circle(u)
     grid = u.grid
@@ -127,10 +130,9 @@ def energy_identity_check(u: PeriodicFunction, n_radial: int = 64) -> dict:
     k = grid.wavenumbers
     e_line = math.pi * float(np.sum(np.abs(k) * np.abs(c) ** 2))
 
-    nodes, weights = np.polynomial.legendre.leggauss(n_radial)
+    nodes, weights = np.polynomial.legendre.leggauss(64)
     rr = 0.5 * (nodes + 1.0)  # map to (0, 1)
     ww = 0.5 * weights
-    theta = grid.nodes
     absk = np.abs(k).astype(float)
     # u_D(r, theta) = sum_k u_k r^{|k|} e^{ik theta}
     e_disk = 0.0
@@ -141,11 +143,8 @@ def energy_identity_check(u: PeriodicFunction, n_radial: int = 64) -> dict:
         e_disk += w * r * (2.0 * math.pi / n) * float(np.sum(dr**2 + dtheta_over_r**2))
     e_disk *= 0.5
 
-    diff = u.samples[:, None] - u.samples[None, :]
-    dist = theta[:, None] - theta[None, :]
-    denom = 2.0 - 2.0 * np.cos(dist)
-    np.fill_diagonal(denom, 1.0)
-    integrand = diff**2 / denom
-    np.fill_diagonal(integrand, u.derivative().samples ** 2)
-    e_circle = (2.0 * math.pi / n) ** 2 * float(np.sum(integrand)) / (4.0 * math.pi)
+    h = grid.spacing
+    chord_sq = 2.0 - 2.0 * np.cos(h * np.arange(1, n))  # |p - q|^2 at d = 1..N-1 cells
+    diagonal = h * h * float(np.sum(u.derivative().samples ** 2))
+    e_circle = (2.0 * seminorm_sq_offdiag(1.0 / chord_sq, u) + diagonal) / (4.0 * math.pi)
     return {"E_line": e_line, "E_disk": e_disk, "E_circle": e_circle}

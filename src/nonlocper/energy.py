@@ -15,9 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-import math
-
-from .errors import DomainError, GridMismatchError
+from .errors import DomainError
 from .grids import PeriodicFunction
 from .kernels import WrappedKernel
 from .operator import SymbolTable, apply_spectral, bilinear_fourier
@@ -81,10 +79,10 @@ def double_well() -> Nonlinearity:
                         name="double-well")
 
 
-def derivative_consistency(nl: Nonlinearity, rng: np.random.Generator,
-                           n_points: int = 100, span: float = 3.0) -> float:
-    """Worst |g - dG/du| mismatch against central finite differences."""
-    pts = rng.uniform(-span, span, n_points)
+def derivative_consistency(nl: Nonlinearity, rng: np.random.Generator) -> float:
+    """Worst |g - dG/du| mismatch against central finite differences at 100
+    random points of [-3, 3]."""
+    pts = rng.uniform(-3.0, 3.0, 100)
     worst = 0.0
     eh = 1e-6
     for fn, dfn in ((nl.G, nl.g), (nl.Gt, nl.gt)):
@@ -147,6 +145,7 @@ def seminorm_sq_realspace(wk: WrappedKernel, u: PeriodicFunction,
     with the diagonal strip |x - y| < h restored by the local model
     |u(x)-u(y)|^2 ~ u'(x)^2 (x-y)^2 integrated against Kbar over the cell
     (plus the matching trapezoid edge corrections)."""
+    wk.require_period(u.grid.half_period)
     h = u.grid.spacing
     kbar = wk.grid_values(h * np.arange(1, u.grid.size))  # distances d = 1..N-1 cells
     off_diag = seminorm_sq_offdiag(kbar, u)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -98,11 +98,12 @@ class PeriodicFunction:
         return self._coeffs
 
     def coeff(self, k: int) -> complex:
+        """u_k for |k| <= N/2; the Nyquist entry is its real (cosine) part."""
         n = self.grid.size
         if not -n // 2 <= k <= n // 2:
             raise DomainError(f"mode {k} outside resolved band")
         if abs(k) == n // 2:
-            return complex(self.coeffs()[n // 2])
+            return complex(self.coeffs()[n // 2].real)
         return complex(self.coeffs()[k % n])
 
     def eval(self, x) -> np.ndarray | float:
@@ -185,32 +186,20 @@ def _require_same_grid(u: PeriodicFunction, v: PeriodicFunction) -> None:
 def to_coeff_table(u: PeriodicFunction) -> np.ndarray:
     """Rows (k, Re u_k, Im u_k) for |k| <= N/2."""
     n = u.grid.size
-    c = u.coeffs()
-    ks = np.arange(-n // 2, n // 2 + 1)
-    rows = []
-    for k in ks:
-        ck = c[n // 2].real if abs(k) == n // 2 else c[k % n]
-        rows.append((k, np.real(ck), np.imag(ck)))
-    return np.array(rows)
+    coeffs = [(k, u.coeff(k)) for k in range(-n // 2, n // 2 + 1)]
+    return np.array([(k, c.real, c.imag) for k, c in coeffs])
 
 
-def decay_exponent(u: PeriodicFunction, k_range: Sequence[int] | None = None,
-                   noise_floor: float = COEFF_NOISE_FLOOR) -> float:
-    """Least-squares decay rate of |u_k| ~ k^(-r) over k_range.
+def decay_exponent(u: PeriodicFunction) -> float:
+    """Least-squares decay rate of |u_k| ~ k^(-r) over 2 <= k <= N/2.
 
     A smoothness diagnostic: returns the fitted r, using only modes whose
     magnitude sits above the double-precision noise floor.
     """
-    n = u.grid.size
-    if k_range is None:
-        k_range = (2, n // 2)
-    lo, hi = k_range
-    lo = max(lo, 2)
-    hi = min(hi, n // 2)
-    c = u.coeffs()
+    lo, hi = 2, u.grid.size // 2
     ks = np.arange(lo, hi + 1)
-    mags = np.array([abs(c[n // 2].real) if k == n // 2 else abs(c[k]) for k in ks])
-    keep = mags > noise_floor
+    mags = np.array([abs(u.coeff(k)) for k in ks])
+    keep = mags > COEFF_NOISE_FLOOR
     if np.count_nonzero(keep) < 8:
         raise DegenerateFitError(
             f"only {np.count_nonzero(keep)} modes above noise floor in [{lo}, {hi}]")

@@ -18,14 +18,15 @@ Families shipped:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy import integrate, interpolate
 from scipy.special import gamma as gamma_fn
 
-from .errors import DomainError, IntegrationError, UnsupportedKernelError
+from .errors import (DomainError, GridMismatchError, IntegrationError,
+                     UnsupportedKernelError)
 
 
 def frac_lap_constant(s: float) -> float:
@@ -33,13 +34,6 @@ def frac_lap_constant(s: float) -> float:
     if not 0 < s < 1:
         raise DomainError("s must lie in (0, 1)")
     return s * 4.0**s * gamma_fn(0.5 + s) / (math.sqrt(math.pi) * gamma_fn(1.0 - s))
-
-
-def _check_positive_t(t: float) -> float:
-    t = float(t)
-    if t <= 0:
-        raise DomainError("kernel argument must be positive")
-    return t
 
 
 @dataclass(frozen=True)
@@ -115,9 +109,6 @@ class DelaunayKernel(Kernel):
 
     def profile(self, t):
         return (t**2 + self.a**2) ** (-(self.n + self.s) / 2.0)
-
-    def value_at_zero(self) -> float:
-        return self.a ** (-(self.n + self.s))
 
 
 @dataclass(frozen=True)
@@ -247,21 +238,17 @@ def indicator_kernel(cutoff: float, s: float = 0.5) -> CustomKernel:
     return CustomKernel(fn, s=s, lambda_lo=0.0, Lambda_hi=Lam, support=cutoff)
 
 
-def eval_kernel(kernel: Kernel, t: float) -> float:
-    """K(t) for t > 0."""
-    return float(kernel(_check_positive_t(t)))
-
-
 DEFAULT_R_GRID = np.geomspace(1e-14, 1e8, 1600)
 
 
-def laplace_measure_of(kernel: Kernel, r_grid: np.ndarray | None = None) -> LaplaceKernel:
-    """Closed-form Laplace (Bernstein) density reproducing the kernel.
+def laplace_measure_of(kernel: Kernel) -> LaplaceKernel:
+    """Closed-form Laplace (Bernstein) density reproducing the kernel,
+    tabulated on DEFAULT_R_GRID.
 
     Only the fractional and Delaunay families have a known closed form:
     densities c_s r^(s-1/2)/Gamma(s+1/2) and r^((n+s)/2-1) e^(-a^2 r)/Gamma((n+s)/2).
     """
-    r = DEFAULT_R_GRID if r_grid is None else np.asarray(r_grid, dtype=float)
+    r = DEFAULT_R_GRID
     if isinstance(kernel, FractionalKernel):
         dens = kernel.constant * r ** (kernel.s - 0.5) / gamma_fn(kernel.s + 0.5)
     elif isinstance(kernel, DelaunayKernel):
@@ -305,8 +292,7 @@ class WrappedKernel:
     half_period: float
     tail_tol: float
     k_max: int
-    k_direct: int
-    breakpoints: tuple = ()  # fold points in (0, L) where Kbar may jump
+    breakpoints: tuple = ()  # fold points in (0, L) where Kbar may jump or kink
     _remainder: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -320,13 +306,20 @@ class WrappedKernel:
         t = np.mod(t, 2.0 * L)
         return np.minimum(t, 2.0 * L - t)
 
+    def require_period(self, half_period: float) -> None:
+        """Reject a function of another period: the fold and the image sum
+        would be silently wrong for it."""
+        if self.half_period != half_period:
+            raise GridMismatchError(
+                f"kernel wrapped at half period {self.half_period:g}, "
+                f"function lives on half period {half_period:g}")
+
     def remainder(self, t_fold) -> np.ndarray:
         t_fold = np.asarray(t_fold, dtype=float)
         if self.kernel.support is not None:
             # cheap exact sum; also honest across jump discontinuities,
             # where a spline would ring
-            return _wrap_remainder_exact(self.kernel, self.half_period,
-                                         t_fold, self.k_direct)
+            return _wrap_remainder_exact(self.kernel, self.half_period, t_fold)
         return self._remainder(t_fold)
 
     def __call__(self, t) -> np.ndarray | float:
@@ -344,7 +337,7 @@ class WrappedKernel:
     def grid_values(self, distances) -> np.ndarray:
         """Exact (summed, not splined) values at the given distances > 0."""
         d = np.atleast_1d(self.fold(distances))
-        vals = _wrap_remainder_exact(self.kernel, self.half_period, d, self.k_direct)
+        vals = _wrap_remainder_exact(self.kernel, self.half_period, d)
         with np.errstate(divide="ignore"):
             vals = vals + np.where(
                 d > 0, _safe_profile(self.kernel, np.maximum(d, 1e-300)), np.inf)
@@ -369,20 +362,23 @@ def _tail_integral_vec(kernel: Kernel, a: np.ndarray) -> np.ndarray:
     return interpolate.CubicSpline(table_a, table_v)(a)
 
 
-def _wrap_remainder_exact(kernel: Kernel, L: float, t: np.ndarray, k_direct: int) -> np.ndarray:
-    """sum_{k != 0} K(|t + 2kL|) for t in [0, L]: direct terms plus an
-    Euler-Maclaurin tail built on the kernel tail integral."""
+K_DIRECT = 64  # image terms k = +-1..K_DIRECT summed directly when wrapping
+
+
+def _wrap_remainder_exact(kernel: Kernel, L: float, t: np.ndarray) -> np.ndarray:
+    """sum_{k != 0} K(|t + 2kL|) for t in [0, L]: K_DIRECT direct terms per
+    side plus an Euler-Maclaurin tail built on the kernel tail integral."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     sup = kernel.support
-    for k in range(1, k_direct + 1):
+    for k in range(1, K_DIRECT + 1):
         for arg in (2 * k * L + t, 2 * k * L - t):
             if sup is not None and np.all(arg >= sup):
                 continue
             inside = np.ones_like(arg, dtype=bool) if sup is None else arg < sup
             out = out + np.where(inside, _safe_profile(kernel, arg), 0.0)
-    if sup is None or sup > 2 * (k_direct + 0.5) * L - L:
-        edge = 2.0 * (k_direct + 0.5) * L
+    if sup is None or sup > 2 * (K_DIRECT + 0.5) * L - L:
+        edge = 2.0 * (K_DIRECT + 0.5) * L
         for sign in (1.0, -1.0):
             # midpoint Euler-Maclaurin: sum_{k>k0} f(k) ~ (1/2L) int_{edge+sign*t} K
             a = edge + sign * t
@@ -394,9 +390,26 @@ def _wrap_remainder_exact(kernel: Kernel, L: float, t: np.ndarray, k_direct: int
     return out
 
 
-def wrap_kernel(kernel: Kernel, L: float, tol: float = 1e-10,
-                n_fine: int = 4096, k_direct: int = 64) -> WrappedKernel:
-    """Periodize K over period 2L; truncation tail certified below tol."""
+def _fold_breakpoints(L: float, ts) -> tuple:
+    """Points of (0, L) where Kbar breaks when K breaks at the radii ts:
+    |t + 2kL| crosses a radius exactly where t folds onto it."""
+    out = set()
+    for t in ts:
+        folded = abs(math.remainder(t, 2.0 * L))
+        folded = min(folded, 2.0 * L - folded)
+        if 0.0 < folded < L:
+            out.add(folded)
+    return tuple(sorted(out))
+
+
+def wrap_kernel(kernel: Kernel, L: float, tol: float = 1e-10) -> WrappedKernel:
+    """Periodize K over period 2L.
+
+    Evaluation sums K_DIRECT image terms on each side plus an
+    Euler-Maclaurin tail; tol only sets the reported truncation index k_max
+    (the image count a pure truncation would need), and certifies nothing
+    about the evaluation.
+    """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     if L <= 0:
@@ -408,20 +421,21 @@ def wrap_kernel(kernel: Kernel, L: float, tol: float = 1e-10,
     breakpoints = ()
     spline = None
     if kernel.support is not None:
-        # Kbar(t) jumps wherever |t + 2kL| crosses the support edge; within
-        # (0, L) all such t coincide with the folded support radius
-        folded = abs(math.remainder(kernel.support, 2.0 * L))
-        folded = min(folded, 2.0 * L - folded)
-        if 0.0 < folded < L:
-            breakpoints = (folded,)
+        # Kbar jumps where |t + 2kL| crosses the support edge, and a tabulated
+        # profile kinks at every knot where its slope changes (slope 0 before
+        # the first knot)
+        radii = [kernel.support]
+        if isinstance(kernel, CompactKernel):
+            slopes = np.diff(kernel.k_table) / np.diff(kernel.t_table)
+            turns = np.abs(np.diff(slopes, prepend=0.0))
+            kinks = turns > 1e-9 * np.max(np.abs(slopes), initial=0.0)
+            radii += list(kernel.t_table[:-1][kinks])
+        breakpoints = _fold_breakpoints(L, radii)
     else:
-        t_fine = np.linspace(0.0, L, n_fine)
-        rem = _wrap_remainder_exact(kernel, L, t_fine, k_direct)
-        spline = interpolate.CubicSpline(t_fine, rem)
-    return WrappedKernel(kernel=kernel, half_period=L, tail_tol=tol,
-                         k_max=k_max, k_direct=k_direct,
-                         breakpoints=breakpoints,
-                         _remainder=spline)
+        t_fine = np.linspace(0.0, L, 4096)
+        spline = interpolate.CubicSpline(t_fine, _wrap_remainder_exact(kernel, L, t_fine))
+    return WrappedKernel(kernel=kernel, half_period=L, tail_tol=tol, k_max=k_max,
+                         breakpoints=breakpoints, _remainder=spline)
 
 
 def _tail_k_max(kernel: Kernel, L: float, tol: float) -> int:
@@ -448,21 +462,15 @@ class KernelClassReport:
     notes: str = ""
 
 
-def classify_kernel(kernel: Kernel, grid: np.ndarray | None = None,
-                    L: float = math.pi) -> KernelClassReport:
+def classify_kernel(kernel: Kernel, L: float = math.pi) -> KernelClassReport:
     """Grid-based falsification report for the rearrangement kernel classes.
 
-    Checks convexity of K by second differences, monotonicity of the
-    periodization on (0, L), and (where a Laplace representation is
-    available) reconstruction consistency.  Margins are worst violations;
-    a passing check is evidence, never a proof.
+    Checks convexity of K by second differences on 400 log-spaced points of
+    [1e-2, 10], monotonicity of the periodization on (0, L), and (where a
+    Laplace representation is available) reconstruction consistency.
+    Margins are worst violations; a passing check is evidence, never a proof.
     """
-    if grid is None:
-        grid = np.geomspace(1e-2, 10.0, 400)
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise DomainError("classification grid must be positive increasing")
-
+    grid = np.geomspace(1e-2, 10.0, 400)
     kv = _safe_profile(kernel, grid)
     # second differences on the (generally nonuniform) grid
     t0, t1, t2 = grid[:-2], grid[1:-1], grid[2:]
@@ -509,18 +517,6 @@ def classify_kernel(kernel: Kernel, grid: np.ndarray | None = None,
                              laplace_consistent=laplace_consistent,
                              laplace_error=laplace_error,
                              sqrt_profile_cm=sqrt_cm, notes=notes)
-
-
-def growth_bounds_hold(kernel: Kernel, grid: np.ndarray) -> bool:
-    """Check lambda t^(-1-2s) <= K(t) <= Lambda t^(-1-2s) on the grid."""
-    grid = np.asarray(grid, dtype=float)
-    kv = _safe_profile(kernel, grid)
-    env = grid ** (-1.0 - 2.0 * kernel.s)
-    ok_hi = (not math.isfinite(kernel.Lambda_hi)) or np.all(
-        kv <= kernel.Lambda_hi * env * (1 + 1e-9))
-    ok_lo = kernel.lambda_lo == 0.0 or np.all(
-        kv >= kernel.lambda_lo * env * (1 - 1e-9))
-    return bool(ok_hi and ok_lo)
 
 
 def kernel_from_spec(spec: dict) -> Kernel:

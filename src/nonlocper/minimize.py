@@ -6,7 +6,7 @@ monotonicity diagnostics, and the maximum-principle probe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
@@ -14,8 +14,8 @@ from scipy import optimize
 from .errors import (DivergenceError, DomainError, HypothesisViolationError,
                      ProjectionError)
 from .grids import PeriodicFunction
-from .kernels import Kernel, WrappedKernel
-from .operator import SymbolTable, apply_pv, apply_spectral
+from .kernels import Kernel
+from .operator import SymbolTable, apply_pv
 from .energy import Nonlinearity, constraint_value, energy, potential_integral
 
 
@@ -27,15 +27,16 @@ class MinimizeConfig:
     c: float | None = None  # constraint level; None = unconstrained
     grad_tol: float = 1e-8
     max_iters: int = 50000
-    armijo_c1: float = 1e-4
-    armijo_shrink: float = 0.5
-    step0: float = 1.0
 
     def __post_init__(self):
         if self.grad_tol <= 0:
             raise DomainError("grad_tol must be positive")
         if self.c is not None and not self.nl.has_constraint():
             raise DomainError("constraint level given but nonlinearity has no Gtilde")
+
+
+ARMIJO_C1 = 1e-4  # sufficient-decrease constant
+ARMIJO_SHRINK = 0.5  # step factor per backtrack
 
 
 def project_constraint(u: PeriodicFunction, nl: Nonlinearity, c: float) -> PeriodicFunction:
@@ -185,7 +186,7 @@ def minimize(cfg: MinimizeConfig) -> MinimizeResult:
     u = project_constraint(cfg.initial, cfg.nl, cfg.c) if constrained else cfg.initial
     lam, pg, rep = multiplier_and_residual(u, cfg.sym, cfg.nl, constrained)
     trace = [rep.total]
-    step = cfg.step0
+    step = 1.0
     it = 0
     converged = False
     stagnant = 0
@@ -203,11 +204,11 @@ def minimize(cfg: MinimizeConfig) -> MinimizeResult:
                 try:
                     cand = project_constraint(cand, cfg.nl, cfg.c)
                 except ProjectionError:
-                    step *= cfg.armijo_shrink
+                    step *= ARMIJO_SHRINK
                     continue
             lam_c, pg_c, rep_c = multiplier_and_residual(cand, cfg.sym, cfg.nl,
                                                          constrained)
-            if rep_c.total <= trace[-1] - cfg.armijo_c1 * step * slope:
+            if rep_c.total <= trace[-1] - ARMIJO_C1 * step * slope:
                 # steps accepted on rounding-level decreases mean the energy
                 # has flattened out; count them toward stagnation
                 if trace[-1] - rep_c.total < 1e-14 * max(1.0, abs(trace[-1])):
@@ -219,7 +220,7 @@ def minimize(cfg: MinimizeConfig) -> MinimizeResult:
                 step = min(step * 1.5, 1e6)
                 accepted = True
                 break
-            step *= cfg.armijo_shrink
+            step *= ARMIJO_SHRINK
         if accepted and stagnant >= 50 and _precondition(
                 cfg.sym, pg).l2_norm() < 100 * cfg.grad_tol:
             converged = True
@@ -246,8 +247,7 @@ def minimize(cfg: MinimizeConfig) -> MinimizeResult:
                           flags=tuple(flags))
 
 
-def max_principle_probe(kernel: Kernel, v: PeriodicFunction, x0: float,
-                        wrapped: WrappedKernel | None = None) -> float:
+def max_principle_probe(kernel: Kernel, v: PeriodicFunction, x0: float) -> float:
     """Operator value at an interior zero of an odd, nonpositive-on-(0, L)
     test function.  For admissible kernels the value must be strictly
     positive unless v vanishes identically."""
@@ -263,4 +263,4 @@ def max_principle_probe(kernel: Kernel, v: PeriodicFunction, x0: float,
         raise HypothesisViolationError("probe point must lie inside (0, L)")
     if abs(v.eval(x0)) > 1e-10 * scale:
         raise HypothesisViolationError("v(x0) must vanish")
-    return apply_pv(kernel, v, x0, wrapped=wrapped)
+    return apply_pv(kernel, v, x0)

@@ -6,7 +6,7 @@ principal-value quadrature of the second-difference integrand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -119,12 +119,12 @@ def apply_spectral(sym: SymbolTable, u: PeriodicFunction) -> PeriodicFunction:
 
 
 DEFAULT_EPS_SEQ = (1e-2, 1e-3, 1e-4)
+PV_STABILITY_TOL = 1e-6
 
 
 def apply_pv(kernel: Kernel, u: PeriodicFunction, x: float,
              eps_seq: Sequence[float] = DEFAULT_EPS_SEQ,
-             wrapped: WrappedKernel | None = None,
-             stability_tol: float = 1e-6) -> float:
+             wrapped: WrappedKernel | None = None) -> float:
     """Evaluate the operator at x by principal-value quadrature.
 
     Uses the second-difference form (1/2) int_R (2u(x)-u(x-z)-u(x+z)) K(|z|) dz,
@@ -132,7 +132,8 @@ def apply_pv(kernel: Kernel, u: PeriodicFunction, x: float,
     onto (0, L] against the wrapped kernel:
         int_0^L (2u(x) - u(x+z) - u(x-z)) Kbar(z) dz.
     Each eps in eps_seq splits the integral at z = eps; the full estimates
-    at all split points must agree within stability_tol, which certifies
+    at all split points must agree within PV_STABILITY_TOL (relative to
+    max(1, |value|)), which certifies
     that the principal-value limit has stabilized.
     """
     eps_seq = [float(e) for e in eps_seq]
@@ -143,6 +144,7 @@ def apply_pv(kernel: Kernel, u: PeriodicFunction, x: float,
         raise DomainError("eps_seq must start below the half period")
     if wrapped is None:
         wrapped = wrap_kernel(kernel, L, tol=1e-12)
+    wrapped.require_period(L)
     ux = u.eval(x)
     # below z_switch the direct second difference is pure cancellation noise;
     # its even Taylor series in spectral derivatives is exact to rounding
@@ -182,18 +184,15 @@ def apply_pv(kernel: Kernel, u: PeriodicFunction, x: float,
 
     vals = [full_estimate(e) for e in eps_seq]
     scale = max(1.0, abs(vals[-1]))
-    if any(abs(a - b) > stability_tol * scale for a, b in zip(vals, vals[1:])):
+    if any(abs(a - b) > PV_STABILITY_TOL * scale for a, b in zip(vals, vals[1:])):
         raise IntegrationError(
             f"principal value unstable across eps_seq: {vals}")
     return float(vals[-1])
 
 
-def apply_pv_grid(kernel: Kernel, u: PeriodicFunction,
-                  wrapped: WrappedKernel | None = None) -> PeriodicFunction:
+def apply_pv_grid(kernel: Kernel, u: PeriodicFunction) -> PeriodicFunction:
     """apply_pv at every grid node (cross-validation helper)."""
-    L = u.grid.half_period
-    if wrapped is None:
-        wrapped = wrap_kernel(kernel, L, tol=1e-12)
+    wrapped = wrap_kernel(kernel, u.grid.half_period, tol=1e-12)
     vals = np.array([apply_pv(kernel, u, float(x), wrapped=wrapped)
                      for x in u.grid.nodes])
     return PeriodicFunction(u.grid, vals)

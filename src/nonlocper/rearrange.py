@@ -61,7 +61,7 @@ class RearrangementReport:
                 "equality_inconclusive": self.equality_inconclusive}
 
 
-EQUALITY_BAND = 1e-8
+EQUALITY_BAND = 1e-8  # relative gap below which equality cases are examined
 
 
 def detect_translate(u: PeriodicFunction, ustar: PeriodicFunction) -> float | None:
@@ -86,24 +86,24 @@ def detect_translate(u: PeriodicFunction, ustar: PeriodicFunction) -> float | No
 
 
 def polya_szego_check(kernel: Kernel, u: PeriodicFunction,
-                      wrapped: WrappedKernel | None = None,
-                      tol: float = 1e-9) -> RearrangementReport:
+                      wrapped: WrappedKernel | None = None) -> RearrangementReport:
     """Compare [u]_K^2 with [u*]_K^2 through the wrapped-kernel double sum.
 
     Both seminorms use identical off-diagonal weights, so the comparison is
     exact at grid level and the inequality direction is meaningful down to
-    rounding.
+    rounding; it holds unless [u*]_K^2 exceeds [u]_K^2 by 1e-9 relative.
     """
     grid = u.grid
     if wrapped is None:
         wrapped = wrap_kernel(kernel, grid.half_period, tol=1e-12)
+    wrapped.require_period(grid.half_period)
     kbar = wrapped.grid_values(grid.spacing * np.arange(1, grid.size))
     ustar = rearrange_periodic(u)
     before = seminorm_sq_offdiag(kbar, u)
     after = seminorm_sq_offdiag(kbar, ustar)
     scale = max(abs(before), abs(after), 1e-300)
     gap = (before - after) / scale
-    holds = gap >= -tol
+    holds = gap >= -1e-9
     z = None
     inconclusive = False
     if abs(gap) < EQUALITY_BAND:
@@ -121,21 +121,22 @@ def _distance_samples(g: PeriodicFunction) -> np.ndarray:
     return np.roll(g.samples, -(n // 2))
 
 
-def check_riesz_weight(g: PeriodicFunction, tol: float = 1e-10) -> None:
-    """The convolution weight must be even and nonincreasing in distance."""
+def check_riesz_weight(g: PeriodicFunction) -> None:
+    """The convolution weight must be even and nonincreasing in distance,
+    up to 1e-10 relative."""
     gd = _distance_samples(g)
     n = g.grid.size
     scale = max(1.0, float(np.max(np.abs(gd))))
     even_defect = float(np.max(np.abs(gd[1:] - gd[1:][::-1])))
-    if even_defect > tol * scale:
+    if even_defect > 1e-10 * scale:
         raise HypothesisViolationError(f"weight not even: defect {even_defect:g}")
     half = gd[: n // 2 + 1]
-    if float(np.max(np.diff(half))) > tol * scale:
+    if float(np.max(np.diff(half))) > 1e-10 * scale:
         raise HypothesisViolationError("weight not nonincreasing on (0, L)")
 
 
 def riesz_circle_check(f: PeriodicFunction, g: PeriodicFunction,
-                       h: PeriodicFunction, tol: float = 1e-12) -> dict:
+                       h: PeriodicFunction) -> dict:
     """Double-sum check of  sum f(x) g(x-y) h(y)  <=  same with f*, h*.
 
     Requires f, h >= 0 and g even nonincreasing in distance; near equality,
@@ -160,8 +161,8 @@ def riesz_circle_check(f: PeriodicFunction, g: PeriodicFunction,
     lhs = double_sum(f.samples, h.samples)
     rhs = double_sum(fstar.samples, hstar.samples)
     scale = max(abs(lhs), abs(rhs), 1e-300)
-    holds = lhs <= rhs + tol * scale
-    equality = abs(lhs - rhs) <= max(tol, EQUALITY_BAND) * scale
+    holds = lhs <= rhs + 1e-12 * scale
+    equality = abs(lhs - rhs) <= EQUALITY_BAND * scale
     shift = None
     inconclusive = False
     if equality:

@@ -33,8 +33,9 @@ class TestConfigHandling:
                         "--L", L, "--N", 64, "--out", tmp_path])
         assert code == cli.EXIT_CONFIG
 
-    def test_schema_rejects_unknown_family(self, tmp_path):
-        code = run_cli(["symbol", "--kernel", "nosuch", "--s", 0.5,
+    @pytest.mark.parametrize("family", ["nosuch", "custom"])
+    def test_schema_rejects_unknown_family(self, tmp_path, family):
+        code = run_cli(["symbol", "--kernel", family, "--s", 0.5,
                         "--L", L, "--N", 64, "--out", tmp_path])
         assert code == cli.EXIT_CONFIG
 

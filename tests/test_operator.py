@@ -102,12 +102,23 @@ class TestApplySpectral:
         u = nl.PeriodicFunction.from_callable(nl.PeriodicGrid(math.pi, 32), np.cos)
         with pytest.raises(nl.GridMismatchError):
             nl.apply_spectral(sym, u)
+        # a kernel wrapped over another period must not be applied to u
+        kernel = nl.FractionalKernel(0.5)
+        wk = nl.wrap_kernel(kernel, 2 * math.pi, tol=1e-12)
+        with pytest.raises(nl.GridMismatchError):
+            nl.apply_pv(kernel, u, 0.3, wrapped=wk)
+        with pytest.raises(nl.GridMismatchError):
+            nl.polya_szego_check(kernel, u, wrapped=wk)
+        with pytest.raises(nl.GridMismatchError):
+            nl.seminorm_sq_realspace(wk, u)
 
 
 class TestApplyPV:
     @pytest.mark.parametrize("kernel", [
         nl.FractionalKernel(0.5), nl.FractionalKernel(0.2),
-        nl.DelaunayKernel(2, 0.5, 1.0)])
+        nl.DelaunayKernel(2, 0.5, 1.0),
+        # interior kinks at 1e-3 and 0.5 need their own panel breakpoints
+        nl.CompactKernel([1e-3, 0.5, 1.5], [1.0, 0.6, 0.0], s=0.5)])
     def test_matches_spectral(self, kernel):
         g = nl.PeriodicGrid(math.pi, 64)
         rng = np.random.default_rng(1)

@@ -32,12 +32,25 @@ from .energy import (Nonlinearity, benjamin_ono_type, double_well,
 from .energy import energy as energy_fn
 from .minimize import MinimizeConfig, max_principle_probe
 from .minimize import minimize as run_minimize
-from .errors import NonlocError
+from .errors import DomainError, NonlocError
 from .grids import PeriodicFunction, PeriodicGrid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+
+class ConfigError(Exception):
+    """The configuration names an input that cannot be used (exit 2)."""
+
+
+def from_config(build, *args):
+    """Call a constructor on configuration values: a DomainError it raises
+    means the configuration is invalid, not that a computation failed."""
+    try:
+        return build(*args)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _version() -> str:
@@ -64,10 +77,13 @@ def validate_config(config: dict) -> None:
 
 
 def read_function_csv(path: str, grid: PeriodicGrid) -> PeriodicFunction:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read function CSV: {exc}") from exc
     samples = data[:, 1] if data.shape[1] >= 2 else data[:, 0]
     if samples.size != grid.size:
-        raise NonlocError(
+        raise ConfigError(
             f"function CSV has {samples.size} samples, grid needs {grid.size}")
     return PeriodicFunction(grid, samples)
 
@@ -82,12 +98,12 @@ def write_function_csv(path: Path, u: PeriodicFunction) -> None:
 
 
 def build_kernel(config: dict) -> kernels.Kernel:
-    return kernels.kernel_from_spec(config["kernel"])
+    return from_config(kernels.kernel_from_spec, config["kernel"])
 
 
 def build_grid(config: dict) -> PeriodicGrid:
     g = config["grid"]
-    return PeriodicGrid(float(g["L"]), int(g["N"]))
+    return from_config(PeriodicGrid, float(g["L"]), int(g["N"]))
 
 
 def build_nonlinearity(config: dict) -> Nonlinearity:
@@ -214,6 +230,8 @@ def cmd_maxprinciple(config: dict, out: Path) -> dict:
         v = PeriodicFunction.from_callable(
             grid, lambda x: -np.sin(2 * np.pi * x / L) ** 2 * np.sin(np.pi * x / L))
     x0 = config.get("x0", L / 2)
+    if not 0.0 < x0 < L:
+        raise ConfigError(f"x0 = {x0:g} must lie inside (0, L) = (0, {L:g})")
     value = max_principle_probe(kern, v, x0)
     return {"x0": x0, "value": value, "strictly_positive": bool(value > 0)}
 
@@ -236,7 +254,7 @@ def cmd_kernel_class(config: dict, out: Path) -> dict:
 
 def cmd_dtn_check(config: dict, out: Path) -> dict:
     n = config.get("grid", {}).get("N", 64)
-    grid = circle_dtn.circle_grid(n)
+    grid = from_config(circle_dtn.circle_grid, n)
     u = PeriodicFunction.from_callable(
         grid, lambda x: np.cos(x) + 0.5 * np.sin(2 * x))
     mult = circle_dtn.dtn_multiplier(u)
@@ -346,6 +364,9 @@ def run(config: dict, out_dir: str = ".") -> int:
         return EXIT_CONFIG
     try:
         payload = COMMANDS[config["command"]](config, out)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except NonlocError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -17,12 +17,15 @@ Families shipped:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy import integrate, interpolate
+from scipy.special import beta as beta_fn
+from scipy.special import betainc, erfc, kve
 from scipy.special import gamma as gamma_fn
 
 from .errors import (DomainError, GridMismatchError, IntegrationError,
@@ -36,6 +39,19 @@ def frac_lap_constant(s: float) -> float:
     return s * 4.0**s * gamma_fn(0.5 + s) / (math.sqrt(math.pi) * gamma_fn(1.0 - s))
 
 
+# elements of the dense temporaries built per row block; at 64 kB each they
+# stay below the allocator's mmap threshold and reuse freed heap
+_BLOCK = 1 << 13
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """Row slices whose (rows x n_cols) temporaries hold about _BLOCK
+    elements, so memory stays bounded whatever the problem size."""
+    step = max(1, _BLOCK // max(n_cols, 1))
+    for start in range(0, n_rows, step):
+        yield slice(start, start + step)
+
+
 @dataclass(frozen=True)
 class Kernel:
     """Base kernel.  lambda_lo/Lambda_hi bound K between lambda_lo*t^(-1-2s)
@@ -46,6 +62,10 @@ class Kernel:
     lambda_lo: float = 0.0
     Lambda_hi: float = math.inf
     support: float | None = None
+    # how symbol() computes the multiplier: "exact" (closed form) or
+    # "quadrature" (a fixed rule over all frequencies); None means the family
+    # has no symbol() and operator.symbol_value integrates per frequency
+    symbol_rule: ClassVar[str | None] = None
 
     def __post_init__(self):
         if not 0 < self.s < 1:
@@ -63,8 +83,14 @@ class Kernel:
         out = self.profile(t_arr)
         return float(out[0]) if np.ndim(t) == 0 else out
 
+    def symbol(self, xi: np.ndarray) -> np.ndarray:
+        """ell(xi) = 2 int_0^inf (1 - cos(xi t)) K(t) dt for an array xi >= 0,
+        by the family's own rule (see symbol_rule)."""
+        raise NotImplementedError
+
     def tail_integral(self, a: float) -> float:
-        """int_a^infinity K(t) dt."""
+        """int_a^infinity K(t) dt by adaptive quadrature; every shipped
+        family but the custom and indicator kernels overrides it."""
         if self.support is not None and a >= self.support:
             return 0.0
         b = self.support if self.support is not None else np.inf
@@ -83,8 +109,13 @@ class FractionalKernel(Kernel):
     def constant(self) -> float:
         return self.lambda_lo
 
+    symbol_rule = "exact"
+
     def profile(self, t):
         return self.constant * t ** (-1.0 - 2.0 * self.s)
+
+    def symbol(self, xi):
+        return np.abs(np.asarray(xi, dtype=float)) ** (2.0 * self.s)
 
     def tail_integral(self, a: float) -> float:
         return self.constant * a ** (-2.0 * self.s) / (2.0 * self.s)
@@ -100,15 +131,44 @@ class DelaunayKernel(Kernel):
             raise DomainError("dimension parameter n must be >= 2")
         if a <= 0:
             raise DomainError("core width a must be positive")
-        # sup of t^(1+2s) (t^2+a^2)^(-(n+s)/2) is finite since n + s > 1 + 2s
-        tt = np.logspace(-6, 8, 4001)
-        Lam = float(np.max(tt ** (1.0 + 2.0 * s) * (tt**2 + a**2) ** (-(n + s) / 2.0)))
+        # t^(1+2s) (t^2+a^2)^(-(n+s)/2) peaks where its log-derivative
+        # vanishes, at t^2 = (1+2s) a^2 / (n-1-s); n - 1 - s > 0 since n >= 2
+        t2 = (1.0 + 2.0 * s) * a**2 / (n - 1.0 - s)
+        Lam = t2 ** (0.5 + s) * (t2 + a**2) ** (-(n + s) / 2.0)
         super().__init__(s=s, lambda_lo=0.0, Lambda_hi=Lam)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "a", float(a))
 
+    symbol_rule = "exact"
+
     def profile(self, t):
         return (t**2 + self.a**2) ** (-(self.n + self.s) / 2.0)
+
+    def symbol(self, xi):
+        """Basset's integral (DLMF 10.32.11) with mu = (n+s)/2, nu = mu - 1/2:
+        ell = sqrt(pi) G(nu)/G(mu) a^(-2nu) - 2 sqrt(pi)/G(mu) (xi/2a)^nu K_nu(a xi)."""
+        xi = np.abs(np.asarray(xi, dtype=float))
+        mu = 0.5 * (self.n + self.s)
+        nu = mu - 0.5
+        a = self.a
+        out = np.zeros_like(xi)
+        pos = xi > 0
+        x = xi[pos]
+        # K_nu(z) = kve(nu, z) e^-z; the power and the exponential combine in
+        # logs so that neither overflows
+        bessel = np.exp(nu * np.log(x / (2.0 * a)) - a * x) * kve(nu, a * x)
+        out[pos] = math.sqrt(math.pi) / gamma_fn(mu) * (
+            gamma_fn(nu) * a ** (-2.0 * nu) - 2.0 * bessel)
+        return out
+
+    def tail_integral(self, a: float) -> float:
+        """With u = c^2/(t^2 + c^2), c the core width, int_a^inf K is
+        c^(1-2mu)/2 B(nu, 1/2) I_x(nu, 1/2) at x = c^2/(a^2 + c^2),
+        mu = (n+s)/2, nu = mu - 1/2 (regularized incomplete beta I)."""
+        c = self.a
+        nu = 0.5 * (self.n + self.s) - 0.5
+        x = c * c / (a * a + c * c)
+        return float(0.5 * c ** (-2.0 * nu) * beta_fn(nu, 0.5) * betainc(nu, 0.5, x))
 
 
 @dataclass(frozen=True)
@@ -131,11 +191,42 @@ class CompactKernel(Kernel):
         object.__setattr__(self, "t_table", t_table)
         object.__setattr__(self, "k_table", k_table)
 
+    symbol_rule = "exact"
+
     def profile(self, t):
         out = np.interp(t, self.t_table, self.k_table,
                         left=self.k_table[0], right=0.0)
         out = np.where(t >= self.support, 0.0, out)
         return out
+
+    def symbol(self, xi):
+        """Exact for the piecewise-linear profile (flat on (0, t_0]).  Summing
+        the segment integrals of (1 - cos(xi t)) (alpha + beta t) by parts,
+        the sine terms telescope and only the slope changes remain:
+            ell/2 = int K - k_T sin(xi T)/xi
+                    + (2/xi^2) sum_i (beta_(i-1) - beta_i) sin^2(xi t_i / 2),
+        with T the cutoff, k_T the value K jumps from there, and slope 0
+        before t_0 and beyond T."""
+        xi = np.abs(np.asarray(xi, dtype=float))
+        t, k = self.t_table, self.k_table
+        slopes = np.concatenate([[0.0], np.diff(k) / np.diff(t), [0.0]])
+        turns = slopes[:-1] - slopes[1:]
+        mass = self.tail_integral(0.0)
+        out = np.zeros_like(xi)
+        pos = np.flatnonzero(xi > 0)
+        for blk in _row_blocks(pos.size, t.size):
+            x = xi[pos[blk]]
+            bends = np.sin(0.5 * np.outer(x, t)) ** 2 @ turns
+            out[pos[blk]] = 2.0 * (mass - k[-1] * np.sin(x * t[-1]) / x
+                                   + 2.0 * bends / x**2)
+        return out
+
+    def tail_integral(self, a: float) -> float:
+        """Exact: the trapezoid rule is exact on each linear piece."""
+        if a >= self.support:
+            return 0.0
+        ts = np.concatenate([[a], self.t_table[self.t_table > a]])
+        return float(np.trapezoid(np.interp(ts, self.t_table, self.k_table), ts))
 
 
 @dataclass(frozen=True)
@@ -164,11 +255,49 @@ class LaplaceKernel(Kernel):
         # integrate in w = log r: the integrand is an analytic bump, so the
         # trapezoid rule converges spectrally
         w = np.log(self.r_grid)
-        vals = np.trapezoid(self.density[None, :] * self.r_grid[None, :]
-                        * np.exp(-np.outer(t**2, self.r_grid)), w, axis=1)
+        t2 = np.ravel(t) ** 2
+        vals = np.empty_like(t2)
+        for blk in _row_blocks(t2.size, w.size):
+            vals[blk] = np.trapezoid(self.density * self.r_grid
+                                     * np.exp(-np.outer(t2[blk], self.r_grid)), w, axis=1)
         if not np.all(np.isfinite(vals)):
             raise IntegrationError("Laplace quadrature diverged")
         return vals
+
+    symbol_rule = "exact"
+
+    def symbol(self, xi):
+        """Exact symbol of the tabulated kernel: the profile is a finite sum
+        of Gaussians exp(-t^2 r), each with multiplier
+        2 int_0^inf (1 - cos(xi t)) exp(-t^2 r) dt = sqrt(pi/r) (1 - exp(-xi^2/4r)),
+        so the same trapezoid weights in log r give ell(xi) exactly.
+
+        This is the symbol of the kernel as tabulated, cut off where the
+        r grid ends: laplace_measure_of(FractionalKernel(0.2)) falls off
+        near t = 1e-4 and t = 1e7, and its symbol is 1.8e-3 below |xi|^0.4
+        at xi = 1.  Adaptive quadrature of the profile misses both cutoffs
+        and lands on |xi|^0.4 instead."""
+        xi = np.abs(np.asarray(xi, dtype=float))
+        r = self.r_grid
+        weights = self._trapezoid_weights() * np.sqrt(math.pi * r)
+        out = np.empty_like(xi)
+        for blk in _row_blocks(xi.size, r.size):
+            out[blk] = -np.expm1(-np.outer(xi[blk] ** 2, 0.25 / r)) @ weights
+        return out
+
+    def tail_integral(self, a: float) -> float:
+        """Exact for the tabulated kernel, as symbol() is: each Gaussian
+        contributes int_a^inf exp(-t^2 r) dt = sqrt(pi/r) erfc(a sqrt(r))/2."""
+        r = self.r_grid
+        return float(np.sum(self._trapezoid_weights() * 0.5 * np.sqrt(math.pi * r)
+                            * erfc(a * np.sqrt(r))))
+
+    def _trapezoid_weights(self) -> np.ndarray:
+        """Trapezoid weights in w = log r times kappa(r): the profile is
+        sum_j weights_j r_j exp(-t^2 r_j)."""
+        dw = np.diff(np.log(self.r_grid))
+        trap = 0.5 * (np.concatenate([dw, [0.0]]) + np.concatenate([[0.0], dw]))
+        return trap * self.density
 
 
 @dataclass(frozen=True)
@@ -184,6 +313,74 @@ class CustomKernel(Kernel):
         return np.asarray(self.fn(t), dtype=float)
 
 
+# Sine integrals of SineTailKernel along steepest-descent rays: with
+# x = c (1 + iu) and u = e^v, int_c^inf f(x) sin x dx becomes a Laplace-type
+# integral with weight exp(-c u).  Its integrand is analytic for
+# |Im v| < pi/2, so the trapezoid rule in v converges geometrically, and the
+# sum over every other node (step 2h) is a free error estimate.
+# Below t = 2e-9 (a e^40 < 1) the range stops before exp(-a u) decays; the
+# loss there is below e^(-40(s+1/2)) of K.
+_DESCENT_STEP = 0.2
+_DESCENT_V = np.arange(-25.0, 40.0 + _DESCENT_STEP / 2, _DESCENT_STEP)  # 326 nodes
+_DESCENT_TOL = 1e-6  # largest step-h vs step-2h gap, relative to the power part
+
+
+@functools.lru_cache(maxsize=8)
+def _descent_weights(p: float) -> tuple:
+    """Nodes u = e^v and the columns [Re, Im] of the step-h and step-2h
+    trapezoid weights of u^2 (1 + iu)^(-p) dv."""
+    u = np.exp(_DESCENT_V)
+    w = _DESCENT_STEP * u**2 * (1.0 + 1j * u) ** (-p)
+    w2 = np.where(np.arange(u.size) % 2 == 0, 2.0 * w, 0.0)
+    return u, np.stack([w.real, w.imag, w2.real, w2.imag], axis=1)
+
+
+def _sine_part(a: np.ndarray, p: float) -> tuple:
+    """int_a^inf (x - a) x^(-p) sin x dx for an array a > 0, with error
+    estimates.  Along x = a (1 + iu) it equals
+    Im[-e^(ia) a^(2-p) int u^2 (1 + iu)^(-p) e^(-au) dv]."""
+    u, weights = _descent_weights(p)
+    val = np.empty_like(a)
+    err = np.empty_like(a)
+    order = np.argsort(a)
+    for blk in _row_blocks(a.size, u.size):
+        idx = order[blk]
+        ab = a[idx]
+        # nodes with a u > 80 for every point of the block add below e^-80
+        n = int(np.searchsorted(u, 80.0 / ab[0]))
+        sums = np.exp(-np.outer(ab, u[:n])) @ weights[:n]
+        fine = sums[:, 0] + 1j * sums[:, 1]
+        coarse = sums[:, 2] + 1j * sums[:, 3]
+        scale = ab ** (2.0 - p)
+        val[idx] = -scale * np.imag(np.exp(1j * ab) * fine)
+        err[idx] = scale * np.abs(fine - coarse)
+    return val, err
+
+
+_SYMBOL_CUT = 40.0  # SineTail symbol: the sine part is integrated on (0, cut)
+
+
+def _sinetail_panels(xi_max: float) -> tuple:
+    """Gauss-Legendre nodes and weights on (0, _SYMBOL_CUT).  Panels halve
+    30 times toward 0, where the sine part has a t^(1-2s) term; beyond,
+    each spans at most 8/(2t + xi_max), about one period of
+    sin(t^2) cos(xi t).  A panel edge sits at t = 10, where the profile
+    switches to its asymptotic branch."""
+    t0 = 8.0 / max(8.0, xi_max)
+    edges = [0.0] + [t0 * 2.0**-j for j in range(30, -1, -1)]
+    while edges[-1] < _SYMBOL_CUT:
+        t = edges[-1]
+        nxt = min(t + min(0.5, 8.0 / (2.0 * t + xi_max)), _SYMBOL_CUT)
+        edges.append(10.0 if t < 10.0 < nxt else nxt)
+    edges = np.array(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * np.diff(edges)
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(16)
+    nodes = (mid[:, None] + half[:, None] * gl_nodes).ravel()
+    weights = (half[:, None] * gl_weights).ravel()
+    return nodes, weights
+
+
 @dataclass(frozen=True)
 class SineTailKernel(Kernel):
     """K(t) = int_{t^2}^inf (x - t^2) (2 + sin x) x^(-s-5/2) dx.
@@ -192,33 +389,74 @@ class SineTailKernel(Kernel):
     1/((s+3/2)(s+1/2)) <= K(t) t^(1+2s) <= 3/((s+3/2)(s+1/2)),
     yet tau -> K(sqrt(tau)) is not completely monotone: its third
     derivative oscillates in sign for large tau.
+
+    The constant part of (2 + sin x) integrates in closed form.  The sine
+    part uses a two-term stationary expansion for t^2 >= 100 and otherwise
+    a steepest-descent trapezoid rule, vectorised over all points (no
+    adaptive quadrature); tail_integral works the same way.  The symbol is
+    a fixed Gauss-Legendre rule for all frequencies at once (provenance
+    "quadrature").
     """
 
     def __init__(self, s: float):
         denom = (s + 1.5) * (s + 0.5)
         super().__init__(s=s, lambda_lo=1.0 / denom, Lambda_hi=3.0 / denom)
 
+    symbol_rule = "quadrature"
+
     def profile(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         p = self.s + 2.5
-        out = np.empty_like(t)
-        for i, ti in enumerate(t):
-            a = ti * ti
-            # constant part of (2 + sin x) integrates in closed form
-            base = 2.0 * a ** (2.0 - p) / ((p - 1.0) * (p - 2.0))
-            if a >= 100.0:
-                # two-term stationary expansion of the sine part; the
-                # dropped term is O(a^(-p-2)), relatively O(a^-4) vs base
-                osc = -math.sin(a) * a ** (-p) + 2.0 * p * math.cos(a) * a ** (-p - 1.0)
-            else:
-                osc, err = integrate.quad(lambda x: (x - a) * x ** (-p),
-                                          a, np.inf, weight="sin", wvar=1.0,
-                                          limit=300)
-                # QAWF estimates are conservative; gate only against blowups
-                if err > 1e-5 * max(abs(base), 1e-30):
-                    raise IntegrationError(
-                        f"oscillatory tail quadrature error {err:g}")
-            out[i] = base + osc
+        a = t * t
+        out = 2.0 * a ** (2.0 - p) / ((p - 1.0) * (p - 2.0))
+        far = a >= 100.0
+        af = a[far]
+        # two-term stationary expansion of the sine part; the dropped term
+        # is O(a^(-p-2)), relatively O(a^-4) vs the constant part
+        out[far] += -np.sin(af) * af ** (-p) + 2.0 * p * np.cos(af) * af ** (-p - 1.0)
+        near = ~far & (a > 0.0)  # t^2 underflowing to 0 leaves K = inf
+        osc, err = _sine_part(a[near], p)
+        if np.any(err > _DESCENT_TOL * out[near]):
+            raise IntegrationError(f"sine-part quadrature error {np.max(err):g}")
+        out[near] += osc
+        return out
+
+    def tail_integral(self, a: float) -> float:
+        """int_a^inf K = int_{a^2}^inf (2 + sin x) x^(-p) g(x) dx, where
+        g(x) = int_a^sqrt(x) (x - t^2) dt = 2x^(3/2)/3 - a x + a^3/3.  The
+        constant part sums three power integrals; the sine part goes along
+        x = a^2 (1 + iu), where g = a^3 (w - 1)^2 (2w + 1)/3, w = sqrt(1 + iu)."""
+        s, p = self.s, self.s + 2.5
+        b = a * a
+        scale = a ** (-2.0 * s)
+        power = 2.0 * scale * (2.0 / (3.0 * s) - 1.0 / (s + 0.5)
+                               + 1.0 / (3.0 * (s + 1.5)))
+        bu = np.exp(_DESCENT_V)  # nodes of b u, the weight being e^(-b u)
+        z = 1j * bu / b
+        w = np.sqrt(1.0 + z)
+        f = (bu / b) * (1.0 + z) ** (-p) * (z / (w + 1.0)) ** 2 * (2.0 * w + 1.0) / 3.0
+        f = f * np.exp(-bu)
+        fine = _DESCENT_STEP * f.sum()
+        coarse = 2.0 * _DESCENT_STEP * f[::2].sum()
+        if scale * abs(fine - coarse) > _DESCENT_TOL * power:
+            raise IntegrationError(
+                f"sine-part tail quadrature error {scale * abs(fine - coarse):g}")
+        return float(power + scale * np.real(np.exp(1j * b) * fine))
+
+    def symbol(self, xi):
+        """K splits into the power part 2 t^(-1-2s)/((p-1)(p-2)), whose
+        symbol is that multiple of |xi|^(2s)/c_s, and the sine part, no
+        worse than t^(1-2s) at 0 and decaying like t^(-2s-5).  One profile
+        call on a fixed panel rule over (0, 40) serves every xi; the dropped
+        tail is O(40^(-2s-6))."""
+        xi = np.abs(np.asarray(xi, dtype=float))
+        p = self.s + 2.5
+        c = 2.0 / ((p - 1.0) * (p - 2.0))
+        t, w = _sinetail_panels(float(np.max(xi, initial=0.0)))
+        rest = w * (self.profile(t) - c * t ** (-1.0 - 2.0 * self.s))
+        out = c / frac_lap_constant(self.s) * xi ** (2.0 * self.s)
+        for blk in _row_blocks(xi.size, t.size):
+            out[blk] += 4.0 * np.sin(0.5 * np.outer(xi[blk], t)) ** 2 @ rest
         return out
 
     def sqrt_profile_third_derivative(self, tau):

@@ -14,7 +14,7 @@ from scipy import integrate
 
 from .errors import DomainError, GridMismatchError, IntegrationError
 from .grids import PeriodicFunction, PeriodicGrid
-from .kernels import FractionalKernel, Kernel, WrappedKernel, wrap_kernel
+from .kernels import Kernel, WrappedKernel, wrap_kernel
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,18 @@ def symbol_of_kernel(kernel: Kernel, grid: PeriodicGrid, tol: float = 1e-9,
                      force_quadrature: bool = False) -> SymbolTable:
     """Tabulate the multiplier at xi = pi*k/L, k = 0..N/2.
 
-    The fractional kernel has the closed form |xi|^(2s); other kernels go
-    through adaptive quadrature of the defining integral.
+    Fractional, Delaunay, compact and Laplace kernels have closed forms
+    (provenance "exact").  SineTail integrates all frequencies at once by a
+    fixed rule, and custom and indicator kernels by adaptive quadrature per
+    frequency with relative tolerance tol (both "quadrature").
+    force_quadrature=True sends every family through symbol_value, the
+    independent check on the others.
     """
     if kernel.support is None and not math.isfinite(kernel.Lambda_hi):
         raise DomainError("symbol requires a finite upper growth constant")
     xis = grid.frequencies()
-    if isinstance(kernel, FractionalKernel) and not force_quadrature:
-        return SymbolTable(grid, np.abs(xis) ** (2.0 * kernel.s), "exact")
+    if kernel.symbol_rule is not None and not force_quadrature:
+        return SymbolTable(grid, kernel.symbol(xis), kernel.symbol_rule)
     vals = np.array([symbol_value(kernel, xi, tol) for xi in xis])
     return SymbolTable(grid, vals, "quadrature")
 

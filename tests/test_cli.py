@@ -174,3 +174,26 @@ class TestCommands:
         res = load_report(tmp_path, "regularity")["result"]
         assert res["case"] == "supercritical_ii"
         assert res["exponent_family"] == pytest.approx(1.1)
+
+
+class TestExitCodeContract:
+    """Configurations that cannot be used exit 2, with a configuration error
+    message and no traceback, whichever layer notices the problem."""
+
+    @pytest.mark.parametrize("args", [
+        ["symbol", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 100],
+        ["maxprinciple", "--kernel", "fraclap", "--s", 0.5, "--L", 3.14, "--N", 64,
+         "--x0", 5],
+        ["symbol", "--kernel", "fraclap", "--s", 0.5],
+        ["symbol", "--kernel", "indicator", "--L", L, "--N", 64],
+        ["regularity", "--s", 0.3],
+        ["apply", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64,
+         "--function", "/nonexistent.csv"],
+    ], ids=["N-not-power-of-two", "x0-outside", "no-grid", "indicator-no-cutoff",
+            "regularity-no-beta", "missing-function-file"])
+    def test_bad_config_exits_2(self, tmp_path, capsys, args):
+        code = run_cli(args + ["--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("configuration error")
+        assert "numerical failure" not in err and "Traceback" not in err

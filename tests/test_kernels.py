@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.integrate import IntegrationWarning
 
 import nonlocper as nl
 
@@ -249,3 +251,104 @@ class TestKernelFromSpec:
     def test_unknown_family(self):
         with pytest.raises(nl.UnsupportedKernelError):
             nl.kernel_from_spec({"family": "nosuch"})
+
+
+class TestDelaunayGrowthConstant:
+    @pytest.mark.parametrize("n,s,a", [(2, 0.5, 1.0), (3, 0.2, 0.5), (2, 0.8, 2.0),
+                                       (5, 0.1, 3.0)])
+    def test_lambda_hi_is_the_sup(self, n, s, a):
+        k = nl.DelaunayKernel(n, s, a)
+        t = np.geomspace(1e-6, 1e8, 200001)
+        scaled = t ** (1.0 + 2.0 * s) * k(t)
+        assert np.all(scaled <= k.Lambda_hi * (1 + 1e-12))
+        # the dense grid comes within its own spacing of the peak
+        assert np.max(scaled) == pytest.approx(k.Lambda_hi, rel=1e-8)
+
+
+class TestSineTailBatched:
+    """The vectorised steepest-descent profile, the closed tail integral and
+    the one-batch symbol."""
+
+    oracle = staticmethod(TestSineTailKernel.oracle)
+    # both sides of every switch: block trimming near a = 0, the a = 100 branch
+    POINTS = (0.05, 0.3, 3.0, 9.9)
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_profile_vs_chunked_oracle(self, s):
+        k = nl.SineTailKernel(s)
+        vals = k.profile(np.array(self.POINTS))
+        for t, v in zip(self.POINTS, vals):
+            # the oracle stops after 3000 periods, 2e-7 short at t = 9.9
+            assert v == pytest.approx(self.oracle(s, t), rel=1e-6)
+
+    def test_profile_vs_high_precision(self):
+        mp = pytest.importorskip("mpmath")
+        s, p = 0.5, 3.0
+        k = nl.SineTailKernel(s)
+        with mp.workdps(20):
+            for t in (3.0, 9.9):
+                a = mp.mpf(t) ** 2
+                sine = mp.quadosc(lambda x: (x - a) * x ** -p * mp.sin(x),
+                                  [a, mp.inf], omega=1)
+                ref = float(2 * a ** (2 - p) / ((p - 1) * (p - 2)) + sine)
+                assert k(t) == pytest.approx(ref, rel=1e-13)
+
+    def test_vector_call_equals_pointwise(self):
+        k = nl.SineTailKernel(0.5)
+        ts = np.concatenate([np.geomspace(1e-3, 9.99, 300), [10.0, 12.5, 40.0]])
+        pointwise = np.array([k(t) for t in ts])
+        assert k(ts) == pytest.approx(pointwise, rel=1e-14)
+
+    @pytest.mark.parametrize("A", [0.5, 3.0, 12.0])
+    def test_tail_integral_vs_brute_quad(self, A):
+        s = 0.5
+        k = nl.SineTailKernel(s)
+        # pieces end at t = 10, where the profile switches branch, and stay
+        # short beyond, where the sine part oscillates like sin(t^2)
+        edges = np.union1d(np.geomspace(A, 10.0, 30), np.geomspace(10.0, 1e3, 400))
+        edges = edges[edges >= A]
+        brute = sum(integrate.quad(k, lo, hi, epsabs=1e-16, epsrel=1e-10, limit=200)[0]
+                    for lo, hi in zip(edges[:-1], edges[1:]))
+        # beyond 1e3 the sine part is below 1e-12 of the power part
+        power = 2.0 / ((s + 1.5) * (s + 0.5))
+        brute += power * 1e3 ** (-2 * s) / (2 * s)
+        # the asymptotic branch (t >= 10) is good to about 1e-8
+        assert k.tail_integral(A) == pytest.approx(brute, rel=1e-8)
+
+    def test_no_integration_warnings(self):
+        k = nl.SineTailKernel(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            nl.symbol_of_kernel(k, nl.PeriodicGrid(math.pi, 16))
+            nl.wrap_kernel(k, math.pi, tol=1e-10)
+            nl.classify_kernel(k)
+
+
+class TestClosedFormTails:
+    @pytest.mark.parametrize("n,s,a", [(2, 0.5, 1.0), (3, 0.2, 0.5), (2, 0.8, 2.0)])
+    def test_delaunay_vs_high_precision(self, n, s, a):
+        # far limits are where the wrapped kernel's Euler-Maclaurin tail
+        # starts (about 129 L); adaptive quadrature lost 97 % at 1e5
+        mp = pytest.importorskip("mpmath")
+        k = nl.DelaunayKernel(n, s, a)
+        mu = (n + s) / 2
+        for A in (0.1, 1.0, 400.0, 1e5):
+            with mp.workdps(25):
+                ref = mp.quad(lambda t: (t * t + mp.mpf(a) ** 2) ** -mu,
+                              [A, 10 * A, 1000 * A, mp.inf])
+            assert k.tail_integral(A) == pytest.approx(float(ref), rel=1e-13)
+
+    def test_compact_is_exact_area(self):
+        # flat 1 on (0, 0.5], then linear down to 0.6 at 1.5, where it drops to 0
+        k = nl.CompactKernel([0.5, 1.5], [1.0, 0.6], s=0.5)
+        assert k.tail_integral(0.25) == pytest.approx(0.25 + 0.8, rel=1e-15)
+        assert k.tail_integral(1.0) == pytest.approx(0.5 * (0.8 + 0.6) / 2, rel=1e-15)
+        assert k.tail_integral(2.0) == 0.0
+
+    def test_laplace_matches_its_kernel(self):
+        # the tabulated Delaunay measure reproduces the Delaunay tail until
+        # the r grid's lower end (1e-14) cuts the kernel off near t = 1e7
+        dk = nl.DelaunayKernel(2, 0.5, 1.0)
+        lk = nl.laplace_measure_of(dk)
+        for A in (0.1, 1.0, 10.0):
+            assert lk.tail_integral(A) == pytest.approx(dk.tail_integral(A), rel=1e-8)

@@ -74,6 +74,74 @@ class TestSymbol:
         assert nl.operator.symbol_bounds_hold(sym, k)
 
 
+
+def _symbol_routes(kernel, n=32, L=math.pi):
+    grid = nl.PeriodicGrid(L, n)
+    return (nl.symbol_of_kernel(kernel, grid),
+            nl.symbol_of_kernel(kernel, grid, force_quadrature=True))
+
+
+def _max_rel(a, b):
+    return float(np.max(np.abs(a[1:] - b[1:]) / np.abs(b[1:])))
+
+
+class TestClosedFormSymbols:
+    """Each closed form against the adaptive per-frequency quadrature."""
+
+    @pytest.mark.parametrize("n,s,a", [(2, 0.5, 1.0), (3, 0.2, 0.5), (2, 0.8, 2.0)])
+    def test_delaunay(self, n, s, a):
+        exact, quad = _symbol_routes(nl.DelaunayKernel(n, s, a))
+        assert exact.provenance == "exact"
+        assert exact.values[0] == 0.0
+        assert _max_rel(exact.values, quad.values) < 1e-8
+
+    @pytest.mark.parametrize("t_table,k_table", [
+        (np.linspace(1e-3, 0.6 * math.pi, 64), 1.0 - np.linspace(1e-3, 0.6 * math.pi, 64)
+         / (0.6 * math.pi)),
+        ([0.2, 0.5, 1.0], [2.0, 1.2, 0.0]),
+        ([1e-3, 0.5, 1.5], [1.0, 0.6, 0.0]),  # interior kink
+    ])
+    def test_compact(self, t_table, k_table):
+        exact, quad = _symbol_routes(nl.CompactKernel(t_table, k_table, s=0.5))
+        assert exact.provenance == "exact"
+        assert exact.values[0] == 0.0
+        assert _max_rel(exact.values, quad.values) < 1e-8
+
+    def test_laplace_of_delaunay(self):
+        exact, quad = _symbol_routes(nl.laplace_measure_of(nl.DelaunayKernel(2, 0.5, 1.0)))
+        assert exact.provenance == "exact"
+        assert _max_rel(exact.values, quad.values) < 1e-8
+
+    def test_laplace_exponential_density(self):
+        # K(t) = int e^-r e^(-t^2 r) dr = 1/(1 + t^2), tabulated on r in
+        # [1e-14, 1e8]: the grid cuts the t^-2 tail near t = 1e7, which
+        # lowers the symbol by 1.8e-7 relative.  Adaptive quadrature misses
+        # the cut, so the oracle here is a split quadrature of the profile.
+        r = nl.kernels.DEFAULT_R_GRID
+        lk = nl.LaplaceKernel(r, np.exp(-r), s=0.5, Lambda_hi=1.0)
+        grid = nl.PeriodicGrid(math.pi, 8)
+        exact = nl.symbol_of_kernel(lk, grid)
+        assert exact.provenance == "exact"
+        xi = grid.frequencies()[2]
+        near = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 60)])
+        far = np.geomspace(1e3, 1e10, 60)
+        brute = sum(integrate.quad(lambda t: 2 * (1 - math.cos(xi * t)) * lk(t), lo, hi,
+                                   epsabs=1e-16, epsrel=1e-11, limit=200)[0]
+                    for lo, hi in zip(near[:-1], near[1:]))
+        brute += sum(2 * integrate.quad(lk, lo, hi, epsabs=1e-16, epsrel=1e-11, limit=200)[0]
+                     for lo, hi in zip(far[:-1], far[1:]))
+        brute -= 2 * integrate.quad(lk, 1e3, np.inf, weight="cos", wvar=xi, limit=400)[0]
+        assert exact.values[2] == pytest.approx(brute, rel=1e-10)
+        assert exact.values[2] == pytest.approx(math.pi * (1 - math.exp(-xi)), rel=1e-6)
+
+    def test_sinetail_batch_vs_adaptive(self):
+        batch, quad = _symbol_routes(nl.SineTailKernel(0.5), n=16)
+        assert batch.provenance == "quadrature"
+        # the adaptive route itself is off by up to 7.6e-9 here (against a
+        # split quadrature, which the batch matches to 2e-12)
+        assert _max_rel(batch.values, quad.values) < 2e-8
+
+
 class TestNormalization:
     @pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
     def test_equals_reciprocal_constant(self, s):
@@ -174,3 +242,22 @@ class TestBilinearForm:
         psi = nl.PeriodicFunction.from_callable(g, lambda x: np.sin(x) - 0.2 * np.cos(3 * x))
         gap = nl.integrate_by_parts_check(nl.FractionalKernel(0.5), u, psi)
         assert gap < 1e-8
+
+
+def test_no_adaptive_quadrature_outside_custom_kernels(monkeypatch):
+    # every shipped family but custom/indicator tabulates its symbol, and
+    # SineTail wraps and classifies, without a single scipy quad call
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quadrature called")
+
+    monkeypatch.setattr(nl.kernels.integrate, "quad", refuse)
+    grid = nl.PeriodicGrid(math.pi, 64)
+    dk = nl.DelaunayKernel(2, 0.5, 1.0)
+    st = nl.SineTailKernel(0.5)
+    for k in (nl.FractionalKernel(0.5), dk,
+              nl.CompactKernel([1e-3, 0.5, 1.5], [1.0, 0.6, 0.0], s=0.5),
+              nl.laplace_measure_of(dk), st):
+        nl.symbol_of_kernel(k, grid)
+    for k in (dk, st):
+        nl.wrap_kernel(k, math.pi)
+        nl.classify_kernel(k)

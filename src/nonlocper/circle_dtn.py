@@ -11,7 +11,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .energy import seminorm_sq_offdiag
 from .errors import DomainError, StepSizeError
@@ -82,6 +81,8 @@ def half_lap_pv_circle(u: PeriodicFunction, x: float) -> float:
 
         (1/pi) int_0^pi (2u(x) - u(x+t) - u(x-t)) / (2 - 2cos t) dt.
     """
+    from scipy import integrate
+
     _require_circle(u)
     ux = u.eval(x)
 

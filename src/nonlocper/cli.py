@@ -71,9 +71,15 @@ def config_hash(config: dict) -> str:
 
 
 def validate_config(config: dict) -> None:
-    import jsonschema
+    """jsonschema.validate without its meta-schema check of the shipped
+    schema on every run (the tests check the schema once)."""
+    from jsonschema.exceptions import best_match
+    from jsonschema.validators import validator_for
 
-    jsonschema.validate(config, load_schema())
+    schema = load_schema()
+    error = best_match(validator_for(schema)(schema).iter_errors(config))
+    if error is not None:
+        raise error
 
 
 def read_function_csv(path: str, grid: PeriodicGrid) -> PeriodicFunction:

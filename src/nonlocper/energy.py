@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError
 from .grids import PeriodicFunction
@@ -151,6 +150,8 @@ def seminorm_sq_realspace(wk: WrappedKernel, u: PeriodicFunction,
     off_diag = seminorm_sq_offdiag(kbar, u)
     if not diagonal_correction:
         return off_diag
+    from scipy import integrate
+
     # diagonal strip: model g(z) = u'(x)^2 z^2 Kbar(z); the missing piece is
     #   int_{-h}^{h} g - h g(h) + (h^2/6) g'(h)
     # (the h g(h) and g' terms undo the double-counted edge weight and the

@@ -18,25 +18,32 @@ Families shipped:
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
-from scipy import integrate, interpolate
-from scipy.special import beta as beta_fn
-from scipy.special import betainc, erfc, kve
-from scipy.special import gamma as gamma_fn
 
 from .errors import (DomainError, GridMismatchError, IntegrationError,
                      UnsupportedKernelError)
+
+# scipy is imported inside the functions that call it, so that importing
+# the library loads none of it.  kernels.integrate and kernels.interpolate
+# still name the scipy submodules.
+
+
+def __getattr__(name: str):
+    if name in ("integrate", "interpolate"):
+        return importlib.import_module(f"scipy.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def frac_lap_constant(s: float) -> float:
     """Normalization c_s of the 1-D fractional Laplacian of order 2s."""
     if not 0 < s < 1:
         raise DomainError("s must lie in (0, 1)")
-    return s * 4.0**s * gamma_fn(0.5 + s) / (math.sqrt(math.pi) * gamma_fn(1.0 - s))
+    return s * 4.0**s * math.gamma(0.5 + s) / (math.sqrt(math.pi) * math.gamma(1.0 - s))
 
 
 # elements of the dense temporaries built per row block; at 64 kB each they
@@ -90,13 +97,39 @@ class Kernel:
 
     def tail_integral(self, a: float) -> float:
         """int_a^infinity K(t) dt by adaptive quadrature; every shipped
-        family but the custom and indicator kernels overrides it."""
-        if self.support is not None and a >= self.support:
-            return 0.0
-        b = self.support if self.support is not None else np.inf
-        val, err = integrate.quad(lambda t: float(self.profile(np.array([t]))[0]),
-                                  a, b, limit=200)
-        return val
+        family but the custom and indicator kernels overrides it.
+
+        Without a support the integral runs in v = log(t/a), where
+        K(a e^v) a e^v decays like e^(-2sv) at least, on the pieces
+        [0, 4], [4, 8], [8, 16], ...  It stops at the first V where the
+        bound Lambda_hi (a e^V)^(-2s)/(2s) on the rest is below 1e-16 of
+        the sum, or where a e^V reaches 1e300.  No absolute tolerance
+        applies: the tail at a large a can be far below quad's default."""
+        from scipy import integrate
+
+        def profile(t: float) -> float:
+            return float(self.profile(np.array([t]))[0])
+
+        if self.support is not None:
+            if a >= self.support:
+                return 0.0
+            return integrate.quad(profile, a, self.support, limit=200)[0]
+        if a <= 0.0:  # the log substitution needs a > 0
+            return integrate.quad(profile, a, 1.0, limit=200)[0] + self.tail_integral(1.0)
+
+        def in_log(v: float) -> float:
+            t = a * math.exp(v)
+            return profile(t) * t
+
+        v_max = math.log(1e300 / a)
+        total, lo, hi = 0.0, 0.0, 4.0
+        while True:
+            hi = min(hi, v_max)
+            total += integrate.quad(in_log, lo, hi, epsabs=0.0, limit=200)[0]
+            rest = self.Lambda_hi * (a * math.exp(hi)) ** (-2.0 * self.s) / (2.0 * self.s)
+            if rest <= 1e-16 * abs(total) or hi >= v_max:
+                return total
+            lo, hi = hi, 2.0 * hi
 
 
 @dataclass(frozen=True)
@@ -147,6 +180,8 @@ class DelaunayKernel(Kernel):
     def symbol(self, xi):
         """Basset's integral (DLMF 10.32.11) with mu = (n+s)/2, nu = mu - 1/2:
         ell = sqrt(pi) G(nu)/G(mu) a^(-2nu) - 2 sqrt(pi)/G(mu) (xi/2a)^nu K_nu(a xi)."""
+        from scipy.special import gamma as gamma_fn, kve
+
         xi = np.abs(np.asarray(xi, dtype=float))
         mu = 0.5 * (self.n + self.s)
         nu = mu - 0.5
@@ -165,6 +200,8 @@ class DelaunayKernel(Kernel):
         """With u = c^2/(t^2 + c^2), c the core width, int_a^inf K is
         c^(1-2mu)/2 B(nu, 1/2) I_x(nu, 1/2) at x = c^2/(a^2 + c^2),
         mu = (n+s)/2, nu = mu - 1/2 (regularized incomplete beta I)."""
+        from scipy.special import beta as beta_fn, betainc
+
         c = self.a
         nu = 0.5 * (self.n + self.s) - 0.5
         x = c * c / (a * a + c * c)
@@ -288,6 +325,8 @@ class LaplaceKernel(Kernel):
     def tail_integral(self, a: float) -> float:
         """Exact for the tabulated kernel, as symbol() is: each Gaussian
         contributes int_a^inf exp(-t^2 r) dt = sqrt(pi/r) erfc(a sqrt(r))/2."""
+        from scipy.special import erfc
+
         r = self.r_grid
         return float(np.sum(self._trapezoid_weights() * 0.5 * np.sqrt(math.pi * r)
                             * erfc(a * np.sqrt(r))))
@@ -486,6 +525,8 @@ def laplace_measure_of(kernel: Kernel) -> LaplaceKernel:
     Only the fractional and Delaunay families have a known closed form:
     densities c_s r^(s-1/2)/Gamma(s+1/2) and r^((n+s)/2-1) e^(-a^2 r)/Gamma((n+s)/2).
     """
+    from scipy.special import gamma as gamma_fn
+
     r = DEFAULT_R_GRID
     if isinstance(kernel, FractionalKernel):
         dens = kernel.constant * r ** (kernel.s - 0.5) / gamma_fn(kernel.s + 0.5)
@@ -595,9 +636,11 @@ def _tail_integral_vec(kernel: Kernel, a: np.ndarray) -> np.ndarray:
         return kernel.constant * a ** (-2.0 * kernel.s) / (2.0 * kernel.s)
     if a.size <= 16:
         return np.array([kernel.tail_integral(ai) for ai in a])
+    from scipy.interpolate import CubicSpline
+
     table_a = np.linspace(float(np.min(a)), float(np.max(a)), 33)
     table_v = np.array([kernel.tail_integral(ai) for ai in table_a])
-    return interpolate.CubicSpline(table_a, table_v)(a)
+    return CubicSpline(table_a, table_v)(a)
 
 
 K_DIRECT = 64  # image terms k = +-1..K_DIRECT summed directly when wrapping
@@ -670,8 +713,10 @@ def wrap_kernel(kernel: Kernel, L: float, tol: float = 1e-10) -> WrappedKernel:
             radii += list(kernel.t_table[:-1][kinks])
         breakpoints = _fold_breakpoints(L, radii)
     else:
+        from scipy.interpolate import CubicSpline
+
         t_fine = np.linspace(0.0, L, 4096)
-        spline = interpolate.CubicSpline(t_fine, _wrap_remainder_exact(kernel, L, t_fine))
+        spline = CubicSpline(t_fine, _wrap_remainder_exact(kernel, L, t_fine))
     return WrappedKernel(kernel=kernel, half_period=L, tail_tol=tol, k_max=k_max,
                          breakpoints=breakpoints, _remainder=spline)
 

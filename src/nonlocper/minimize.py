@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (DivergenceError, DomainError, HypothesisViolationError,
                      ProjectionError)
@@ -63,7 +62,9 @@ def project_constraint(u: PeriodicFunction, nl: Nonlinearity, c: float) -> Perio
         grow += 1
     if defect(lo) > 0 or defect(hi) < 0:
         raise ProjectionError("could not bracket the constraint level")
-    sigma = optimize.brentq(defect, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    from scipy.optimize import brentq
+
+    sigma = brentq(defect, lo, hi, xtol=1e-15, rtol=8.9e-16)
     out = sigma * u
     if abs(potential_integral(out, nl.Gt) - c) > 1e-12 * max(1.0, abs(c)):
         raise ProjectionError("projection defect above tolerance")

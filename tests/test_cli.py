@@ -1,9 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from jsonschema.validators import validator_for
 
 from nonlocper import cli
 
@@ -41,6 +45,11 @@ class TestConfigHandling:
 
     def test_schema_rejects_extra_keys(self):
         assert cli.run({"command": "symbol", "bogus": 1}) == cli.EXIT_CONFIG
+
+    def test_shipped_schema_is_valid(self):
+        # runs validate against the schema without checking the schema itself
+        schema = cli.load_schema()
+        validator_for(schema).check_schema(schema)
 
     def test_config_file(self, tmp_path):
         cfg = {"command": "regularity", "s": 0.2, "beta": 0.4}
@@ -197,3 +206,47 @@ class TestExitCodeContract:
         assert code == cli.EXIT_CONFIG
         assert err.startswith("configuration error")
         assert "numerical failure" not in err and "Traceback" not in err
+
+
+# prints the scipy modules loaded after the CLI (or, without arguments, the
+# package import) has run, then exits with the CLI's exit code
+_CHILD = """
+import sys
+if len(sys.argv) > 1:
+    from nonlocper import cli
+    code = cli.main(sys.argv[1:])
+else:
+    import nonlocper
+    code = 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+sys.exit(code)
+"""
+
+
+def run_fresh(args):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", _CHILD, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestImportCost:
+    """Importing the library loads no scipy, nor do the commands that need none."""
+
+    def test_import_loads_no_scipy(self):
+        proc = run_fresh([])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("args", [
+        ["regularity", "--s", 0.2, "--beta", 0.4],
+        ["rearrange", "--L", L, "--N", 64, "--function", "u.csv"],
+        ["riesz", "--L", L, "--N", 64, "--seed", 3],
+        ["symbol", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 128],
+    ], ids=["regularity", "rearrange", "riesz", "symbol-fraclap"])
+    def test_command_loads_no_scipy(self, tmp_path, args):
+        args = [write_samples(tmp_path / a) if a == "u.csv" else a for a in args]
+        proc = run_fresh(args + ["--out", tmp_path])
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

@@ -20,6 +20,16 @@ class TestFracLapConstant:
         assert nl.frac_lap_constant(0.25) == pytest.approx(
             math.sqrt(2.0) / (4.0 * math.sqrt(math.pi)), rel=1e-14)
 
+    def test_stdlib_gamma_matches_scipy_gamma(self):
+        from scipy.special import gamma
+
+        def ref(s):
+            return s * 4.0**s * gamma(0.5 + s) / (math.sqrt(math.pi) * gamma(1.0 - s))
+
+        assert nl.frac_lap_constant(0.5) == ref(0.5)
+        for s in np.linspace(0.0, 1.0, 2001)[1:-1]:
+            assert nl.frac_lap_constant(s) == pytest.approx(ref(s), rel=2e-15, abs=0)
+
     def test_domain(self):
         for bad in (0.0, 1.0, -0.3, 2.0):
             with pytest.raises(nl.DomainError):
@@ -337,6 +347,17 @@ class TestClosedFormTails:
                 ref = mp.quad(lambda t: (t * t + mp.mpf(a) ** 2) ** -mu,
                               [A, 10 * A, 1000 * A, mp.inf])
             assert k.tail_integral(A) == pytest.approx(float(ref), rel=1e-13)
+
+    @pytest.mark.parametrize("n,s,a", [(2, 0.5, 1.0), (3, 0.2, 0.5)])
+    def test_custom_kernel_tail_at_far_limits(self, n, s, a):
+        # the generic quadrature, as a custom kernel gets it, against the
+        # closed form; wrap_kernel asks for the tail from about 129 L
+        dk = nl.DelaunayKernel(n, s, a)
+        ck = nl.CustomKernel(dk.profile, s=s, Lambda_hi=dk.Lambda_hi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            for A in (1.0, 400.0, 1e5):
+                assert ck.tail_integral(A) == pytest.approx(dk.tail_integral(A), rel=1e-10)
 
     def test_compact_is_exact_area(self):
         # flat 1 on (0, 0.5], then linear down to 0.6 at 1.5, where it drops to 0

@@ -1,8 +1,9 @@
 """Half-Laplacian on the unit circle via three equivalent realizations:
 the |k| Fourier multiplier, the Dirichlet-to-Neumann map of the harmonic
 extension to the disk (Poisson-kernel quadrature), and a principal-value
-integral against the chord-distance kernel; plus the closed-form
-periodization identity and the three-way energy identity.
+integral against the chord-distance kernel on apply_pv's panel rule;
+plus the closed-form periodization identity and the three-way energy
+identity.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from .energy import seminorm_sq_offdiag
 from .errors import DomainError, StepSizeError
 from .grids import PeriodicFunction, PeriodicGrid
+from .operator import DEFAULT_EPS_SEQ, _pv_fold
 
 
 def circle_grid(n: int) -> PeriodicGrid:
@@ -77,21 +79,14 @@ def dtn_poisson(u: PeriodicFunction,
 
 def half_lap_pv_circle(u: PeriodicFunction, x: float) -> float:
     """(1/pi) P.V. integral of (u(p) - u(q))/|p - q|^2 over the circle,
-    folded to the regular second-difference form on (0, pi):
+    folded to the regular second-difference form on (0, pi), with the chord
+    |p - q|^2 = 2 - 2cos t written as 4 sin^2(t/2) to avoid cancellation:
 
-        (1/pi) int_0^pi (2u(x) - u(x+t) - u(x-t)) / (2 - 2cos t) dt.
+        int_0^pi (2u(x) - u(x+t) - u(x-t)) / (4 pi sin^2(t/2)) dt.
     """
-    from scipy import integrate
-
     _require_circle(u)
-    ux = u.eval(x)
-
-    def integrand(t: float) -> float:
-        return (2.0 * ux - u.eval(x + t) - u.eval(x - t)) / (2.0 - 2.0 * math.cos(t))
-
-    val, err = integrate.quad(integrand, 0.0, math.pi, limit=300,
-                              epsabs=1e-12, epsrel=1e-10)
-    return val / math.pi
+    return float(_pv_fold(u, [x], lambda t: 1.0 / (4.0 * math.pi * np.sin(0.5 * t) ** 2),
+                          (), DEFAULT_EPS_SEQ)[0])
 
 
 def wrapped_identity_check(t: float) -> dict:

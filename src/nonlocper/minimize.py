@@ -113,15 +113,14 @@ def symmetry_diagnostics(u: PeriodicFunction) -> SymmetryDiagnostics:
         z -= step
         if abs(d1) < 1e-13 * max(1.0, scale):
             break
-    xs = np.linspace(0.0, L, 4 * n + 1)
-    right = u.eval(z + xs)
-    left = u.eval(z - xs)
+    centered = fine.shift(-z).samples  # u(z + x) at spacing L/(4N); node 4N is z
+    right, left = np.append(centered[4 * n:], centered[0]), centered[4 * n::-1]
     evenness = float(np.max(np.abs(right - left)))
     prof = 0.5 * (right + left)
     running_min = np.minimum.accumulate(prof)
     monotonicity = float(np.max(prof - running_min))
     # critical points: derivative sign changes strictly inside (0, L)
-    dvals = du.eval(z + xs[1:-1])
+    dvals = du.refine(8 * n).shift(-z).samples[4 * n + 1:]
     thresh = 1e-7 * max(float(np.max(np.abs(dvals))), 1e-30)
     signs = np.sign(dvals[np.abs(dvals) > thresh])
     interior = int(np.count_nonzero(np.diff(signs) != 0)) if signs.size else 0

@@ -134,6 +134,61 @@ def apply_spectral(sym: SymbolTable, u: PeriodicFunction) -> PeriodicFunction:
 
 DEFAULT_EPS_SEQ = (1e-2, 1e-3, 1e-4)
 PV_STABILITY_TOL = 1e-6
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_PV_BLOCK = 256
+
+
+def _pv_fold(u: PeriodicFunction, xs, kbar, breakpoints,
+             eps_seq: Sequence[float]) -> np.ndarray:
+    """int_0^L (2u(x) - u(x+z) - u(x-z)) kbar(z) dz at every x in xs on graded
+    Gauss-Legendre panels, which never straddle a breakpoint of kbar.  The
+    estimates for all eps in eps_seq (where the grading starts) must agree
+    within PV_STABILITY_TOL relative to max(1, |value|), which certifies
+    that the principal-value limit has stabilized."""
+    eps_seq = [float(e) for e in eps_seq]
+    if not eps_seq or any(b >= a for a, b in zip(eps_seq, eps_seq[1:])):
+        raise DomainError("eps_seq must be strictly decreasing and nonempty")
+    L = u.grid.half_period
+    if eps_seq[0] >= L:
+        raise DomainError("eps_seq must start below the half period")
+    xs = np.asarray(xs, dtype=float)
+    if xs.size > _PV_BLOCK:  # caps the point-by-mode tables at _PV_BLOCK rows
+        return np.concatenate([_pv_fold(u, xs[i:i + _PV_BLOCK], kbar, breakpoints, eps_seq)
+                               for i in range(0, xs.size, _PV_BLOCK)])
+    ux = u.eval(xs)
+    # below z_switch the direct second difference is pure cancellation noise;
+    # its even Taylor series in spectral derivatives is exact to rounding
+    z_switch = 1e-3 * L
+    d2, d4, d6 = (u.derivative(m).eval(xs) for m in (2, 4, 6))
+    # addition theorem: u(x+z) + u(x-z) = 2 sum_k a_k(x) cos(omega_k z) over
+    # 0 <= k <= N/2, with a_k(x) the sum of the +-k terms of u(x)
+    k, c = u.grid.wavenumbers, u.coeffs()
+    re = np.bincount(np.abs(k), weights=c.real)
+    im = np.bincount(np.abs(k), weights=np.sign(k) * c.imag)
+    omega = u.grid.frequencies()
+    phase = np.outer(xs, omega)
+    modes = np.cos(phase) * re - np.sin(phase) * im
+    vals = []
+    for eps in eps_seq:
+        # geometric panels toward z = 0 resolve the z^(1-2s) behavior; the
+        # dropped sliver [0, eps*2^-120] contributes O(eps^(2-2s) 2^-48)
+        bounds = [eps * 2.0 ** j for j in range(-120, 1)]
+        while bounds[-1] < L:
+            bounds.append(min(2.0 * bounds[-1], L))
+        bounds = np.array(sorted(set(bounds) | {b for b in breakpoints if bounds[0] < b < L}))
+        lo, half = bounds[:-1], 0.5 * np.diff(bounds)
+        zs = ((lo + half)[:, None] + half[:, None] * _GL_NODES).ravel()
+        wk = (half[:, None] * _GL_WEIGHTS).ravel() * kbar(zs)
+        small = zs < z_switch
+        m2, m4, m6 = (np.sum(wk[small] * zs[small] ** p) for p in (2, 4, 6))
+        diff = 2.0 * (ux - np.cos(np.outer(zs[~small], omega)) @ modes.T)
+        vals.append(wk[~small] @ diff - (d2 * m2 + d4 * m4 / 12.0 + d6 * m6 / 360.0))
+    spread = np.max(np.abs(np.diff(vals, axis=0)), axis=0, initial=0.0)
+    bad = np.flatnonzero(spread > PV_STABILITY_TOL * np.maximum(1.0, np.abs(vals[-1])))
+    if bad.size:
+        raise IntegrationError(f"principal value unstable across eps_seq at "
+                               f"x={xs[bad[0]]:g}: {[float(v[bad[0]]) for v in vals]}")
+    return vals[-1]
 
 
 def apply_pv(kernel: Kernel, u: PeriodicFunction, x: float,
@@ -145,71 +200,18 @@ def apply_pv(kernel: Kernel, u: PeriodicFunction, x: float,
     whose integrand is even in z and, being 2L-periodic in z, folds exactly
     onto (0, L] against the wrapped kernel:
         int_0^L (2u(x) - u(x+z) - u(x-z)) Kbar(z) dz.
-    Each eps in eps_seq splits the integral at z = eps; the full estimates
-    at all split points must agree within PV_STABILITY_TOL (relative to
-    max(1, |value|)), which certifies
-    that the principal-value limit has stabilized.
     """
-    eps_seq = [float(e) for e in eps_seq]
-    if not eps_seq or any(b >= a for a, b in zip(eps_seq, eps_seq[1:])):
-        raise DomainError("eps_seq must be strictly decreasing and nonempty")
-    L = u.grid.half_period
-    if eps_seq[0] >= L:
-        raise DomainError("eps_seq must start below the half period")
     if wrapped is None:
-        wrapped = wrap_kernel(kernel, L, tol=1e-12)
-    wrapped.require_period(L)
-    ux = u.eval(x)
-    # below z_switch the direct second difference is pure cancellation noise;
-    # its even Taylor series in spectral derivatives is exact to rounding
-    z_switch = 1e-3 * L
-    d2 = u.derivative(2).eval(x)
-    d4 = u.derivative(4).eval(x)
-    d6 = u.derivative(6).eval(x)
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(12)
-
-    def integrand(zs: np.ndarray) -> np.ndarray:
-        diff = np.empty_like(zs)
-        small = zs < z_switch
-        z2 = zs[small] ** 2
-        diff[small] = -z2 * (d2 + z2 * (d4 / 12.0 + z2 * d6 / 360.0))
-        far = zs[~small]
-        diff[~small] = 2.0 * ux - u.eval(x + far) - u.eval(x - far)
-        return diff * (kernel(zs) + wrapped.remainder(zs))
-
-    def full_estimate(eps: float) -> float:
-        # geometric panels toward z = 0 resolve the z^(1-2s) behavior; the
-        # dropped sliver [0, eps*2^-120] contributes O(eps^(2-2s) 2^-48)
-        bounds = [eps * 2.0 ** (-j) for j in range(120, 0, -1)]
-        upper = [eps]
-        while upper[-1] < L:
-            upper.append(min(2.0 * upper[-1], L))
-        bounds += upper
-        for b in wrapped.breakpoints:  # panels must not straddle kernel jumps
-            if bounds[0] < b < L:
-                bounds = sorted(set(bounds) | {b})
-        lo = np.array(bounds[:-1])
-        hi = np.array(bounds[1:])
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        zs = (mid[:, None] + half[:, None] * gl_nodes[None, :]).ravel()
-        ws = (half[:, None] * gl_weights[None, :]).ravel()
-        return float(np.sum(ws * integrand(zs)))
-
-    vals = [full_estimate(e) for e in eps_seq]
-    scale = max(1.0, abs(vals[-1]))
-    if any(abs(a - b) > PV_STABILITY_TOL * scale for a, b in zip(vals, vals[1:])):
-        raise IntegrationError(
-            f"principal value unstable across eps_seq: {vals}")
-    return float(vals[-1])
+        wrapped = wrap_kernel(kernel, u.grid.half_period, tol=1e-12)
+    wrapped.require_period(u.grid.half_period)
+    return float(_pv_fold(u, [x], wrapped, wrapped.breakpoints, eps_seq)[0])
 
 
 def apply_pv_grid(kernel: Kernel, u: PeriodicFunction) -> PeriodicFunction:
     """apply_pv at every grid node (cross-validation helper)."""
     wrapped = wrap_kernel(kernel, u.grid.half_period, tol=1e-12)
-    vals = np.array([apply_pv(kernel, u, float(x), wrapped=wrapped)
-                     for x in u.grid.nodes])
-    return PeriodicFunction(u.grid, vals)
+    return PeriodicFunction(u.grid, _pv_fold(u, u.grid.nodes, wrapped,
+                                             wrapped.breakpoints, DEFAULT_EPS_SEQ))
 
 
 def integrate_by_parts_check(kernel: Kernel, u: PeriodicFunction,

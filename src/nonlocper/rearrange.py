@@ -68,15 +68,15 @@ def detect_translate(u: PeriodicFunction, ustar: PeriodicFunction) -> float | No
     """Grid shift z with u = +-ustar(. + z), or None.
 
     ustar(x + z) sampled at node j is ustar sample j + m when z = m h, so we
-    scan all N circular rolls of both signs.  Among matches the smallest |z|
-    wins (symmetric profiles match several shifts)."""
-    n = u.grid.size
+    compare the circular rolls of both signs whose first sample already
+    matches.  Among matches the smallest |z| wins (symmetric profiles match
+    several shifts)."""
     h = u.grid.spacing
-    scale = max(1.0, float(np.max(np.abs(ustar.samples))))
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(ustar.samples))))
     best = None
     for sign in (1.0, -1.0):
-        for m in range(n):
-            if np.max(np.abs(u.samples - sign * np.roll(ustar.samples, -m))) < 1e-10 * scale:
+        for m in np.flatnonzero(np.abs(u.samples[0] - sign * ustar.samples) < tol).tolist():
+            if np.max(np.abs(u.samples - sign * np.roll(ustar.samples, -m))) < tol:
                 z = m * h
                 if z > u.grid.half_period:
                     z -= 2.0 * u.grid.half_period

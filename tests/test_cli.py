@@ -244,7 +244,8 @@ class TestImportCost:
         ["rearrange", "--L", L, "--N", 64, "--function", "u.csv"],
         ["riesz", "--L", L, "--N", 64, "--seed", 3],
         ["symbol", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 128],
-    ], ids=["regularity", "rearrange", "riesz", "symbol-fraclap"])
+        ["dtn-check", "--N", 128],
+    ], ids=["regularity", "rearrange", "riesz", "symbol-fraclap", "dtn-check"])
     def test_command_loads_no_scipy(self, tmp_path, args):
         args = [write_samples(tmp_path / a) if a == "u.csv" else a for a in args]
         proc = run_fresh(args + ["--out", tmp_path])

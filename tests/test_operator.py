@@ -194,10 +194,12 @@ class TestApplyPV:
         sym = nl.symbol_of_kernel(kernel, g)
         spec = nl.apply_spectral(sym, u)
         wk = nl.wrap_kernel(kernel, g.half_period, tol=1e-12)
+        tol = 1e-8 * max(1.0, np.max(np.abs(spec.samples)))
         for x in (-2.0, 0.3, 1.7):
             pv = nl.apply_pv(kernel, u, x, wrapped=wk)
-            assert pv == pytest.approx(spec.eval(x), abs=1e-8 * max(
-                1.0, np.max(np.abs(spec.samples))))
+            assert pv == pytest.approx(spec.eval(x), abs=tol)
+        grid_pv = nl.apply_pv_grid(kernel, u)
+        assert np.max(np.abs(grid_pv.samples - spec.samples)) <= tol
 
     def test_half_laplacian_of_cos(self):
         # (-Delta)^(1/2) cos x = cos x

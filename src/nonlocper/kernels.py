@@ -24,17 +24,17 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebval
 
 from .errors import (DomainError, GridMismatchError, IntegrationError,
                      UnsupportedKernelError)
 
 # scipy is imported inside the functions that call it, so that importing
-# the library loads none of it.  kernels.integrate and kernels.interpolate
-# still name the scipy submodules.
+# the library loads none of it.  kernels.integrate still names scipy.integrate.
 
 
 def __getattr__(name: str):
-    if name in ("integrate", "interpolate"):
+    if name == "integrate":
         return importlib.import_module(f"scipy.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -73,6 +73,9 @@ class Kernel:
     # "quadrature" (a fixed rule over all frequencies); None means the family
     # has no symbol() and operator.symbol_value integrates per frequency
     symbol_rule: ClassVar[str | None] = None
+    # radii where profile() switches formula; wrap_kernel fits its smooth
+    # remainder in separate pieces between the folds of these radii
+    profile_breaks: ClassVar[tuple] = ()
 
     def __post_init__(self):
         if not 0 < self.s < 1:
@@ -442,6 +445,7 @@ class SineTailKernel(Kernel):
         super().__init__(s=s, lambda_lo=1.0 / denom, Lambda_hi=3.0 / denom)
 
     symbol_rule = "quadrature"
+    profile_breaks = (10.0,)  # the a = t^2 = 100 switch to the stationary expansion
 
     def profile(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -525,17 +529,17 @@ def laplace_measure_of(kernel: Kernel) -> LaplaceKernel:
     Only the fractional and Delaunay families have a known closed form:
     densities c_s r^(s-1/2)/Gamma(s+1/2) and r^((n+s)/2-1) e^(-a^2 r)/Gamma((n+s)/2).
     """
+    if not isinstance(kernel, (FractionalKernel, DelaunayKernel)):
+        raise UnsupportedKernelError(
+            f"no closed-form Laplace density for {type(kernel).__name__}")
     from scipy.special import gamma as gamma_fn
 
     r = DEFAULT_R_GRID
     if isinstance(kernel, FractionalKernel):
         dens = kernel.constant * r ** (kernel.s - 0.5) / gamma_fn(kernel.s + 0.5)
-    elif isinstance(kernel, DelaunayKernel):
+    else:
         g = (kernel.n + kernel.s) / 2.0
         dens = np.exp((g - 1.0) * np.log(r) - kernel.a**2 * r) / gamma_fn(g)
-    else:
-        raise UnsupportedKernelError(
-            f"no closed-form Laplace density for {type(kernel).__name__}")
     return LaplaceKernel(r, dens, s=kernel.s,
                          lambda_lo=kernel.lambda_lo, Lambda_hi=kernel.Lambda_hi)
 
@@ -560,11 +564,13 @@ def heat_kernel_phi(L: float, r: float, t) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class WrappedKernel:
-    """Periodization  Kbar(t) = sum_k K(|t + 2kL|), tabulated and splined.
+    """Periodization  Kbar(t) = sum_k K(|t + 2kL|).
 
     Kbar is even and 2L-periodic by construction.  Evaluation splits off the
     k = 0 singular term: Kbar(t) = K(t_fold) + R(t_fold) with t_fold the
-    distance folded into [0, L], R smooth on [0, L].
+    distance folded into [0, L].  Without a support, R is smooth on [0, L]
+    and is read from the cubic Hermite table that wrap_kernel builds from
+    its Chebyshev interpolant; with a support, R is the exact image sum.
     """
 
     kernel: Kernel
@@ -597,8 +603,8 @@ class WrappedKernel:
         t_fold = np.asarray(t_fold, dtype=float)
         if self.kernel.support is not None:
             # cheap exact sum; also honest across jump discontinuities,
-            # where a spline would ring
-            return _wrap_remainder_exact(self.kernel, self.half_period, t_fold)
+            # where an interpolant would ring
+            return _exact_remainder(self.kernel, self.half_period)(t_fold)
         return self._remainder(t_fold)
 
     def __call__(self, t) -> np.ndarray | float:
@@ -614,9 +620,9 @@ class WrappedKernel:
         return float(out[0]) if np.ndim(t) == 0 else out
 
     def grid_values(self, distances) -> np.ndarray:
-        """Exact (summed, not splined) values at the given distances > 0."""
+        """Exact (summed, not tabulated) values at the given distances > 0."""
         d = np.atleast_1d(self.fold(distances))
-        vals = _wrap_remainder_exact(self.kernel, self.half_period, d)
+        vals = _exact_remainder(self.kernel, self.half_period)(d)
         with np.errstate(divide="ignore"):
             vals = vals + np.where(
                 d > 0, _safe_profile(self.kernel, np.maximum(d, 1e-300)), np.inf)
@@ -628,47 +634,79 @@ def _safe_profile(kernel: Kernel, t: np.ndarray) -> np.ndarray:
         return kernel.profile(np.maximum(t, 1e-300))
 
 
-def _tail_integral_vec(kernel: Kernel, a: np.ndarray) -> np.ndarray:
-    """int_a^inf K for a vector of lower limits; interpolated from a coarse
-    table when many limits are requested (the tail is smooth and tiny)."""
-    a = np.asarray(a, dtype=float)
-    if isinstance(kernel, FractionalKernel):
-        return kernel.constant * a ** (-2.0 * kernel.s) / (2.0 * kernel.s)
-    if a.size <= 16:
-        return np.array([kernel.tail_integral(ai) for ai in a])
-    from scipy.interpolate import CubicSpline
+def _cheb_points(a: float, b: float, n: int) -> np.ndarray:
+    """The n second-kind Chebyshev points of [a, b], from b down to a."""
+    return a + 0.5 * (b - a) * (1.0 + np.cos(math.pi * np.arange(n) / (n - 1)))
 
-    table_a = np.linspace(float(np.min(a)), float(np.max(a)), 33)
-    table_v = np.array([kernel.tail_integral(ai) for ai in table_a])
-    return CubicSpline(table_a, table_v)(a)
+
+def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant through vals at the
+    second-kind points: a DCT-I, as the real FFT of the even extension."""
+    n = vals.size - 1
+    c = np.fft.rfft(np.concatenate([vals, vals[-2:0:-1]])).real / n
+    c[[0, n]] *= 0.5
+    return c
 
 
 K_DIRECT = 64  # image terms k = +-1..K_DIRECT summed directly when wrapping
+_TAIL_POINTS = 17  # Chebyshev points of the Euler-Maclaurin tail fit
 
 
-def _wrap_remainder_exact(kernel: Kernel, L: float, t: np.ndarray) -> np.ndarray:
-    """sum_{k != 0} K(|t + 2kL|) for t in [0, L]: K_DIRECT direct terms per
-    side plus an Euler-Maclaurin tail built on the kernel tail integral."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
+def _exact_remainder(kernel: Kernel, L: float) -> Callable:
+    """The function t -> sum_{k != 0} K(|t + 2kL|) for t in [0, L].
+
+    The images k = +-1..K_DIRECT of a row block go through one profile call
+    (with a support, only those that can reach inside it); beyond them comes
+    a midpoint Euler-Maclaurin tail built on int_a^inf K at a = edge +- t.
+    That integral is closed-form for the fractional kernel, exact per limit
+    for up to _TAIL_POINTS limits, and otherwise read from its Chebyshev
+    interpolant at _TAIL_POINTS points of [edge - L, edge + L] (it is
+    smooth and tiny there), fitted once and shared by every call."""
     sup = kernel.support
-    for k in range(1, K_DIRECT + 1):
-        for arg in (2 * k * L + t, 2 * k * L - t):
-            if sup is not None and np.all(arg >= sup):
-                continue
-            inside = np.ones_like(arg, dtype=bool) if sup is None else arg < sup
-            out = out + np.where(inside, _safe_profile(kernel, arg), 0.0)
-    if sup is None or sup > 2 * (K_DIRECT + 0.5) * L - L:
-        edge = 2.0 * (K_DIRECT + 0.5) * L
-        for sign in (1.0, -1.0):
-            # midpoint Euler-Maclaurin: sum_{k>k0} f(k) ~ (1/2L) int_{edge+sign*t} K
-            a = edge + sign * t
-            out = out + _tail_integral_vec(kernel, a) / (2.0 * L)
-            # first correction term, via a centered difference of K
+    n_img = K_DIRECT if sup is None else min(K_DIRECT, int((sup / L + 1.0) / 2.0) + 1)
+    shifts = 2.0 * L * np.arange(1, n_img + 1)
+    edge = 2.0 * (K_DIRECT + 0.5) * L
+    lo, hi = edge - L, edge + L
+
+    @functools.cache
+    def tail_fit() -> np.ndarray:
+        nodes = _cheb_points(lo, hi, _TAIL_POINTS)
+        return _cheb_coeffs(np.array([kernel.tail_integral(x) for x in nodes]))
+
+    def tail_integral(a: np.ndarray) -> np.ndarray:
+        if isinstance(kernel, FractionalKernel):
+            return kernel.constant * a ** (-2.0 * kernel.s) / (2.0 * kernel.s)
+        if a.size <= _TAIL_POINTS:
+            return np.array([kernel.tail_integral(ai) for ai in a])
+        return chebval((2.0 * a - lo - hi) / (hi - lo), tail_fit())
+
+    def remainder(t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        out = np.empty_like(flat)
+        for blk in _row_blocks(flat.size, 2 * n_img):
+            tb = flat[blk, None]
+            args = np.stack([shifts + tb, shifts - tb], axis=2).reshape(tb.size, -1)
+            vals = _safe_profile(kernel, args.ravel()).reshape(args.shape)
+            if sup is not None:
+                vals = np.where(args < sup, vals, 0.0)
+            # accumulated term by term in the image order k = 1, -1, 2, -2, ...
+            # (cumsum, not the pairwise sum): margins such as classify_kernel's
+            # take differences of these sums, and the order fixes their last bits
+            out[blk] = np.cumsum(vals, axis=1)[:, -1]
+        if sup is None or sup > lo:
+            # sum_{k>K_DIRECT} K(2kL +- t) ~ (1/2L) int_a^inf K + (2L/24) K'(a),
+            # with K' by a centered difference
+            a = np.concatenate([edge + flat, edge - flat])
             h = 1e-4 * L
             dK = (_safe_profile(kernel, a + h) - _safe_profile(kernel, a - h)) / (2 * h)
-            out = out + (2.0 * L) * dK / 24.0
-    return out
+            tail = tail_integral(a) / (2.0 * L)
+            corr = (2.0 * L) * dK / 24.0
+            n = flat.size
+            out = out + tail[:n] + corr[:n] + tail[n:] + corr[n:]
+        return out.reshape(t.shape)
+
+    return remainder
 
 
 def _fold_breakpoints(L: float, ts) -> tuple:
@@ -683,13 +721,92 @@ def _fold_breakpoints(L: float, ts) -> tuple:
     return tuple(sorted(out))
 
 
+_CHEB_START = 17  # first level of the nested Chebyshev fit, 2^4 + 1 points
+_CHEB_MAX = 4097  # its cap, 2^12 + 1 points
+_CHOP_TOL = 1e-13  # trailing coefficients below this times max|R| end the doubling
+_TABLE_CELLS = 4096  # uniform cells of [0, L] in the Hermite table of R
+
+
+def _cheb_fit(fn: Callable, a: float, b: float) -> np.ndarray:
+    """Chebyshev coefficients on [a, b] of the interpolant of fn at nested
+    2^j + 1 second-kind points.  The point count doubles, reusing every
+    sample, until the trailing half of the coefficients falls below
+    _CHOP_TOL of max|fn| (Aurentz & Trefethen, "Chopping a Chebyshev
+    series", 2017) or reaches _CHEB_MAX."""
+    n = _CHEB_START
+    vals = fn(_cheb_points(a, b, n))
+    while True:
+        c = _cheb_coeffs(vals)
+        if n >= _CHEB_MAX or np.max(np.abs(c[n // 2:])) <= _CHOP_TOL * np.max(np.abs(vals)):
+            return c
+        n = 2 * n - 1  # the old points are the even ones of the new set
+        finer = np.empty(n)
+        finer[::2] = vals
+        finer[1::2] = fn(_cheb_points(a, b, n)[1::2])
+        vals = finer
+
+
+@dataclass(frozen=True)
+class _HermiteTable:
+    """Cubic Hermite interpolant on _TABLE_CELLS uniform cells of [0, L]:
+    cell i holds the coefficients of c0 + c1 u + c2 u^2 + c3 u^3 in the
+    local variable u in [0, 1], so a lookup is one index, four gathers and
+    Horner."""
+
+    cells_per_unit: float
+    coeffs: tuple
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        x = t * self.cells_per_unit
+        i = np.clip(x.astype(np.intp), 0, _TABLE_CELLS - 1)
+        u = x - i
+        c0, c1, c2, c3 = (c[i] for c in self.coeffs)
+        return c0 + u * (c1 + u * (c2 + u * c3))
+
+
+def _remainder_table(kernel: Kernel, L: float) -> _HermiteTable:
+    """Hermite table of R(t) = sum_{k != 0} K(|t + 2kL|) on [0, L].  R is
+    fitted by _cheb_fit on the exact sum, in pieces between the folds of
+    kernel.profile_breaks; each piece ends 1e-12 L short of its folds, so
+    that rounding puts no sample on the other branch.  Each node takes R
+    and R' (from chebder) of the piece it lies in."""
+    folds = _fold_breakpoints(L, kernel.profile_breaks)
+    ends = [0.0, *folds, L]
+    gap = 1e-12 * L
+    exact = _exact_remainder(kernel, L)
+    t = np.linspace(0.0, L, _TABLE_CELLS + 1)
+    piece = np.searchsorted(np.array(folds, dtype=float), t)
+    values = np.empty_like(t)
+    slopes = np.empty_like(t)
+    for j, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+        a = lo + gap if j > 0 else lo
+        b = hi - gap if j < len(folds) else hi
+        c = _cheb_fit(exact, a, b)
+        sel = piece == j
+        x = (2.0 * t[sel] - a - b) / (b - a)
+        values[sel] = chebval(x, c)
+        slopes[sel] = chebval(x, chebder(c)) * (2.0 / (b - a))
+    h = L / _TABLE_CELLS
+    y0, y1 = values[:-1], values[1:]
+    d0, d1 = h * slopes[:-1], h * slopes[1:]
+    return _HermiteTable(1.0 / h, (y0, d0, 3.0 * (y1 - y0) - 2.0 * d0 - d1,
+                                   2.0 * (y0 - y1) + d0 + d1))
+
+
 def wrap_kernel(kernel: Kernel, L: float, tol: float = 1e-10) -> WrappedKernel:
     """Periodize K over period 2L.
 
-    Evaluation sums K_DIRECT image terms on each side plus an
-    Euler-Maclaurin tail; tol only sets the reported truncation index k_max
-    (the image count a pure truncation would need), and certifies nothing
-    about the evaluation.
+    The remainder R(t) = sum_{k != 0} K(|t + 2kL|) is summed with K_DIRECT
+    image terms on each side plus an Euler-Maclaurin tail.  Without a
+    support, R is analytic on [0, L] between the folds of profile_breaks:
+    it is interpolated there at nested Chebyshev points until the
+    coefficients chop (see _cheb_fit), and R and R' are tabulated on
+    _TABLE_CELLS uniform cells that evaluate as a cubic Hermite.  With a
+    support, evaluation keeps the exact sum, and the folds of the support
+    edge and of a compact profile's kinks become breakpoints.
+
+    tol only sets the reported truncation index k_max (the image count a
+    pure truncation would need), and certifies nothing about the evaluation.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
@@ -700,7 +817,7 @@ def wrap_kernel(kernel: Kernel, L: float, tol: float = 1e-10) -> WrappedKernel:
                           "finite upper growth constant")
     k_max = _tail_k_max(kernel, L, tol)
     breakpoints = ()
-    spline = None
+    table = None
     if kernel.support is not None:
         # Kbar jumps where |t + 2kL| crosses the support edge, and a tabulated
         # profile kinks at every knot where its slope changes (slope 0 before
@@ -713,12 +830,9 @@ def wrap_kernel(kernel: Kernel, L: float, tol: float = 1e-10) -> WrappedKernel:
             radii += list(kernel.t_table[:-1][kinks])
         breakpoints = _fold_breakpoints(L, radii)
     else:
-        from scipy.interpolate import CubicSpline
-
-        t_fine = np.linspace(0.0, L, 4096)
-        spline = CubicSpline(t_fine, _wrap_remainder_exact(kernel, L, t_fine))
+        table = _remainder_table(kernel, L)
     return WrappedKernel(kernel=kernel, half_period=L, tail_tol=tol, k_max=k_max,
-                         breakpoints=breakpoints, _remainder=spline)
+                         breakpoints=breakpoints, _remainder=table)
 
 
 def _tail_k_max(kernel: Kernel, L: float, tol: float) -> int:

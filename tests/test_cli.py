@@ -245,7 +245,15 @@ class TestImportCost:
         ["riesz", "--L", L, "--N", 64, "--seed", 3],
         ["symbol", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 128],
         ["dtn-check", "--N", 128],
-    ], ids=["regularity", "rearrange", "riesz", "symbol-fraclap", "dtn-check"])
+        ["apply", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64,
+         "--function", "u.csv", "--mode", "pv"],
+        ["polya-szego", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64,
+         "--function", "u.csv"],
+        ["maxprinciple", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64],
+        ["kernel-class", "--kernel", "sinetail", "--s", 0.5],
+    ], ids=["regularity", "rearrange", "riesz", "symbol-fraclap", "dtn-check",
+            "apply-pv-fraclap", "polya-szego-fraclap", "maxprinciple-fraclap",
+            "kernel-class-sinetail"])
     def test_command_loads_no_scipy(self, tmp_path, args):
         args = [write_samples(tmp_path / a) if a == "u.csv" else a for a in args]
         proc = run_fresh(args + ["--out", tmp_path])

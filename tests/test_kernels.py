@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -216,6 +217,32 @@ class TestWrappedKernel:
         ts = np.linspace(0.05, math.pi, 200)
         vals = wk.grid_values(ts)
         assert np.all(np.diff(vals) < 0)
+
+    @pytest.mark.parametrize("kernel, L, rtol", [
+        (nl.FractionalKernel(0.1), math.pi, 1e-13),
+        (nl.FractionalKernel(0.5), math.pi, 1e-13),
+        (nl.FractionalKernel(0.9), math.pi, 1e-13),
+        (nl.DelaunayKernel(2, 0.5, 1.0), math.pi, 1e-13),
+        (nl.DelaunayKernel(3, 0.2, 0.5), 12.566, 1e-13),
+        (nl.laplace_measure_of(nl.DelaunayKernel(2, 0.5, 1.0)), math.pi, 1e-13),
+        # the profile switches formula at t = 10, so the exact sum itself
+        # jumps by about 2e-9 where an image crosses it (t = 4 pi - 10)
+        (nl.SineTailKernel(0.5), math.pi, 1e-8),
+    ], ids=["fraclap-0.1", "fraclap-0.5", "fraclap-0.9", "delaunay-2", "delaunay-3",
+            "laplace-of-delaunay", "sinetail"])
+    def test_table_matches_exact_sum(self, kernel, L, rtol):
+        wk = nl.wrap_kernel(kernel, L, tol=1e-12)
+        ts = np.linspace(0.0, L, 1002)[1:]
+        exact = wk.grid_values(ts)
+        assert np.max(np.abs(wk(ts) - exact) / exact) < rtol
+
+    def test_laplace_wrap_builds_fast(self):
+        # the remainder is summed exactly at a few dozen Chebyshev points,
+        # not at every table node: each sum costs 128 images x 1600 r-nodes
+        kernel = nl.laplace_measure_of(nl.DelaunayKernel(2, 0.5, 1.0))
+        start = time.perf_counter()
+        nl.wrap_kernel(kernel, math.pi)
+        assert time.perf_counter() - start < 0.5
 
     def test_requires_growth_bound(self):
         k = nl.CustomKernel(lambda t: t ** -2.0, s=0.5)  # no Lambda declared

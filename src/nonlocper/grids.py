@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DegenerateFitError, DomainError, GridMismatchError
 
 COEFF_NOISE_FLOOR = 1e-13
+EVAL_BLOCK = 256  # points per half-spectrum table in eval
 
 
 @dataclass(frozen=True)
@@ -106,18 +107,26 @@ class PeriodicFunction:
             return complex(self.coeffs()[n // 2].real)
         return complex(self.coeffs()[k % n])
 
+    def modes(self, x) -> np.ndarray:
+        """Real half-spectrum table at the points x: row i holds
+        a_k(x_i) = re_k cos(omega_k x_i) - im_k sin(omega_k x_i), k = 0..N/2,
+        the +-k Fourier terms at x_i summed (the Nyquist mode one-sided).
+        Row sums are u(x); sum_k (-omega_k^2)^m a_k(x) is u^(2m)(x)."""
+        k, c = self.grid.wavenumbers, self.coeffs()
+        re = np.bincount(np.abs(k), weights=c.real)
+        im = np.bincount(np.abs(k), weights=np.sign(k) * c.imag)
+        phase = np.outer(x, self.grid.frequencies())
+        return np.cos(phase) * re - np.sin(phase) * im
+
     def eval(self, x) -> np.ndarray | float:
-        """Band-limited (trigonometric) interpolation at arbitrary points."""
+        """Band-limited (trigonometric) interpolation at arbitrary points:
+        row sums of modes, EVAL_BLOCK points at a time to bound memory."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xs = np.atleast_1d(x)
-        L, n = self.grid.half_period, self.grid.size
-        c = self.coeffs()
-        k = self.grid.wavenumbers
-        phases = np.exp(1j * np.pi * np.outer(xs, k) / L)
-        # taking the real part renders the one-sided Nyquist mode as a cosine
-        out = np.real(phases @ c)
-        return float(out[0]) if scalar else out
+        xs = np.ravel(x)
+        out = np.empty(xs.size)
+        for i in range(0, xs.size, EVAL_BLOCK):
+            out[i:i + EVAL_BLOCK] = self.modes(xs[i:i + EVAL_BLOCK]).sum(axis=1)
+        return float(out[0]) if x.ndim == 0 else out
 
     def refine(self, m: int) -> "PeriodicFunction":
         """The same interpolant sampled on the m-node grid of this period

@@ -294,12 +294,12 @@ class LaplaceKernel(Kernel):
         t = np.asarray(t, dtype=float)
         # integrate in w = log r: the integrand is an analytic bump, so the
         # trapezoid rule converges spectrally
-        w = np.log(self.r_grid)
+        r = self.r_grid
+        weights = self._trapezoid_weights() * r
         t2 = np.ravel(t) ** 2
         vals = np.empty_like(t2)
-        for blk in _row_blocks(t2.size, w.size):
-            vals[blk] = np.trapezoid(self.density * self.r_grid
-                                     * np.exp(-np.outer(t2[blk], self.r_grid)), w, axis=1)
+        for blk in _row_blocks(t2.size, r.size):
+            vals[blk] = np.exp(-np.outer(t2[blk], r)) @ weights
         if not np.all(np.isfinite(vals)):
             raise IntegrationError("Laplace quadrature diverged")
         return vals
@@ -455,7 +455,8 @@ class SineTailKernel(Kernel):
         far = a >= 100.0
         af = a[far]
         # two-term stationary expansion of the sine part; the dropped term
-        # is O(a^(-p-2)), relatively O(a^-4) vs the constant part
+        # is 3p(p+1) a^(-p-2) sin a, so at the a = 100 switch the profile
+        # jumps by 7.5e-8, 2.0e-7 and 4.3e-7 of K(10) at s = 0.1, 0.5, 0.9
         out[far] += -np.sin(af) * af ** (-p) + 2.0 * p * np.cos(af) * af ** (-p - 1.0)
         near = ~far & (a > 0.0)  # t^2 underflowing to 0 leaves K = inf
         osc, err = _sine_part(a[near], p)
@@ -575,8 +576,6 @@ class WrappedKernel:
 
     kernel: Kernel
     half_period: float
-    tail_tol: float
-    k_max: int
     breakpoints: tuple = ()  # fold points in (0, L) where Kbar may jump or kink
     _remainder: object = field(default=None, repr=False, compare=False)
 
@@ -767,20 +766,22 @@ class _HermiteTable:
 def _remainder_table(kernel: Kernel, L: float) -> _HermiteTable:
     """Hermite table of R(t) = sum_{k != 0} K(|t + 2kL|) on [0, L].  R is
     fitted by _cheb_fit on the exact sum, in pieces between the folds of
-    kernel.profile_breaks; each piece ends 1e-12 L short of its folds, so
-    that rounding puts no sample on the other branch.  Each node takes R
-    and R' (from chebder) of the piece it lies in."""
-    folds = _fold_breakpoints(L, kernel.profile_breaks)
-    ends = [0.0, *folds, L]
+    kernel.profile_breaks.  A fold can land on 0 or L, where the image sum
+    takes the other branch of the profile; folds within 2 gap of 0 or L
+    (gap = 1e-12 L) are dropped, and every piece ends gap short of both of
+    its ends, so that rounding puts no sample on the other branch.  Each
+    node takes R and R' (from chebder) of the piece it lies in."""
     gap = 1e-12 * L
+    folds = [f for f in _fold_breakpoints(L, kernel.profile_breaks)
+             if 2.0 * gap < f < L - 2.0 * gap]
+    ends = [0.0, *folds, L]
     exact = _exact_remainder(kernel, L)
     t = np.linspace(0.0, L, _TABLE_CELLS + 1)
     piece = np.searchsorted(np.array(folds, dtype=float), t)
     values = np.empty_like(t)
     slopes = np.empty_like(t)
     for j, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
-        a = lo + gap if j > 0 else lo
-        b = hi - gap if j < len(folds) else hi
+        a, b = lo + gap, hi - gap
         c = _cheb_fit(exact, a, b)
         sel = piece == j
         x = (2.0 * t[sel] - a - b) / (b - a)
@@ -805,8 +806,9 @@ def wrap_kernel(kernel: Kernel, L: float, tol: float = 1e-10) -> WrappedKernel:
     support, evaluation keeps the exact sum, and the folds of the support
     edge and of a compact profile's kinks become breakpoints.
 
-    tol only sets the reported truncation index k_max (the image count a
-    pure truncation would need), and certifies nothing about the evaluation.
+    tol sets nothing: the construction above fixes the accuracy.  It is
+    still accepted, and values <= 0 are still rejected, for callers that
+    pass it.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
@@ -815,7 +817,6 @@ def wrap_kernel(kernel: Kernel, L: float, tol: float = 1e-10) -> WrappedKernel:
     if kernel.support is None and not math.isfinite(kernel.Lambda_hi):
         raise DomainError("cannot bound the periodization tail without a "
                           "finite upper growth constant")
-    k_max = _tail_k_max(kernel, L, tol)
     breakpoints = ()
     table = None
     if kernel.support is not None:
@@ -831,20 +832,8 @@ def wrap_kernel(kernel: Kernel, L: float, tol: float = 1e-10) -> WrappedKernel:
         breakpoints = _fold_breakpoints(L, radii)
     else:
         table = _remainder_table(kernel, L)
-    return WrappedKernel(kernel=kernel, half_period=L, tail_tol=tol, k_max=k_max,
-                         breakpoints=breakpoints, _remainder=table)
-
-
-def _tail_k_max(kernel: Kernel, L: float, tol: float) -> int:
-    """Smallest k0 with Lambda sum_{|k|>k0} (2|k|L - 2L)^(-1-2s) < tol
-    (reported truncation index; evaluation adds an integral tail on top)."""
-    if kernel.support is not None:
-        return max(1, int(math.ceil(kernel.support / (2.0 * L))) + 1)
-    s, Lam = kernel.s, kernel.Lambda_hi
-    # tail sum bounded by the integral: 2 Lam int_{k0}^inf (2kL-2L)^(-1-2s) dk
-    #   = Lam (2L)^(-1-2s) (k0-1)^(-2s) / s
-    k0 = (Lam * (2.0 * L) ** (-1.0 - 2.0 * s) / (s * tol)) ** (1.0 / (2.0 * s)) + 1.0
-    return max(2, int(math.ceil(k0)))
+    return WrappedKernel(kernel=kernel, half_period=L, breakpoints=breakpoints,
+                         _remainder=table)
 
 
 @dataclass(frozen=True)
@@ -876,7 +865,7 @@ def classify_kernel(kernel: Kernel, L: float = math.pi) -> KernelClassReport:
     margin = float(np.min(chord - kv[1:-1]))
     convex = margin >= -1e-12 * max(1.0, float(np.max(np.abs(kv))))
 
-    wk = wrap_kernel(kernel, L, tol=1e-10) if (
+    wk = wrap_kernel(kernel, L) if (
         kernel.support is not None or math.isfinite(kernel.Lambda_hi)) else None
     if wk is not None:
         tt = np.linspace(L / 512, L, 512)

@@ -251,13 +251,14 @@ def max_principle_probe(kernel: Kernel, v: PeriodicFunction, x0: float) -> float
     """Operator value at an interior zero of an odd, nonpositive-on-(0, L)
     test function.  For admissible kernels the value must be strictly
     positive unless v vanishes identically."""
-    L = v.grid.half_period
+    L, n = v.grid.half_period, v.grid.size
     scale = max(1.0, float(np.max(np.abs(v.samples))))
-    xs = np.linspace(0.0, L, 4 * v.grid.size)
-    odd_defect = float(np.max(np.abs(v.eval(xs) + v.eval(-xs))))
+    fine = v.refine(8 * n).samples  # v at spacing L/(4N); node 4N is x = 0
+    right, left = np.append(fine[4 * n:], fine[0]), fine[4 * n::-1]
+    odd_defect = float(np.max(np.abs(right + left)))
     if odd_defect > 1e-10 * scale:
         raise HypothesisViolationError(f"oddness defect {odd_defect:g}")
-    if float(np.max(v.eval(xs[1:-1]))) > 1e-12 * scale:
+    if float(np.max(right[1:-1])) > 1e-12 * scale:
         raise HypothesisViolationError("v must be nonpositive on (0, L)")
     if not 0.0 < x0 < L:
         raise HypothesisViolationError("probe point must lie inside (0, L)")

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, IntegrationError
-from .grids import PeriodicFunction, PeriodicGrid
+from .grids import EVAL_BLOCK, PeriodicFunction, PeriodicGrid
 from .kernels import Kernel, WrappedKernel, wrap_kernel
 
 
@@ -135,7 +135,6 @@ def apply_spectral(sym: SymbolTable, u: PeriodicFunction) -> PeriodicFunction:
 DEFAULT_EPS_SEQ = (1e-2, 1e-3, 1e-4)
 PV_STABILITY_TOL = 1e-6
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-_PV_BLOCK = 256
 
 
 def _pv_fold(u: PeriodicFunction, xs, kbar, breakpoints,
@@ -152,22 +151,18 @@ def _pv_fold(u: PeriodicFunction, xs, kbar, breakpoints,
     if eps_seq[0] >= L:
         raise DomainError("eps_seq must start below the half period")
     xs = np.asarray(xs, dtype=float)
-    if xs.size > _PV_BLOCK:  # caps the point-by-mode tables at _PV_BLOCK rows
-        return np.concatenate([_pv_fold(u, xs[i:i + _PV_BLOCK], kbar, breakpoints, eps_seq)
-                               for i in range(0, xs.size, _PV_BLOCK)])
+    if xs.size > EVAL_BLOCK:  # caps the point-by-mode tables at EVAL_BLOCK rows
+        return np.concatenate([_pv_fold(u, xs[i:i + EVAL_BLOCK], kbar, breakpoints, eps_seq)
+                               for i in range(0, xs.size, EVAL_BLOCK)])
     ux = u.eval(xs)
+    # addition theorem: u(x+z) + u(x-z) = 2 sum_k a_k(x) cos(omega_k z) over
+    # 0 <= k <= N/2, with a_k(x) the half-spectrum table of u at x
+    modes = u.modes(xs)
+    omega = u.grid.frequencies()
     # below z_switch the direct second difference is pure cancellation noise;
     # its even Taylor series in spectral derivatives is exact to rounding
     z_switch = 1e-3 * L
-    d2, d4, d6 = (u.derivative(m).eval(xs) for m in (2, 4, 6))
-    # addition theorem: u(x+z) + u(x-z) = 2 sum_k a_k(x) cos(omega_k z) over
-    # 0 <= k <= N/2, with a_k(x) the sum of the +-k terms of u(x)
-    k, c = u.grid.wavenumbers, u.coeffs()
-    re = np.bincount(np.abs(k), weights=c.real)
-    im = np.bincount(np.abs(k), weights=np.sign(k) * c.imag)
-    omega = u.grid.frequencies()
-    phase = np.outer(xs, omega)
-    modes = np.cos(phase) * re - np.sin(phase) * im
+    d2, d4, d6 = (modes @ (-omega**2) ** m for m in (1, 2, 3))
     vals = []
     for eps in eps_seq:
         # geometric panels toward z = 0 resolve the z^(1-2s) behavior; the
@@ -202,14 +197,14 @@ def apply_pv(kernel: Kernel, u: PeriodicFunction, x: float,
         int_0^L (2u(x) - u(x+z) - u(x-z)) Kbar(z) dz.
     """
     if wrapped is None:
-        wrapped = wrap_kernel(kernel, u.grid.half_period, tol=1e-12)
+        wrapped = wrap_kernel(kernel, u.grid.half_period)
     wrapped.require_period(u.grid.half_period)
     return float(_pv_fold(u, [x], wrapped, wrapped.breakpoints, eps_seq)[0])
 
 
 def apply_pv_grid(kernel: Kernel, u: PeriodicFunction) -> PeriodicFunction:
     """apply_pv at every grid node (cross-validation helper)."""
-    wrapped = wrap_kernel(kernel, u.grid.half_period, tol=1e-12)
+    wrapped = wrap_kernel(kernel, u.grid.half_period)
     return PeriodicFunction(u.grid, _pv_fold(u, u.grid.nodes, wrapped,
                                              wrapped.breakpoints, DEFAULT_EPS_SEQ))
 

@@ -95,7 +95,7 @@ def polya_szego_check(kernel: Kernel, u: PeriodicFunction,
     """
     grid = u.grid
     if wrapped is None:
-        wrapped = wrap_kernel(kernel, grid.half_period, tol=1e-12)
+        wrapped = wrap_kernel(kernel, grid.half_period)
     wrapped.require_period(grid.half_period)
     kbar = wrapped.grid_values(grid.spacing * np.arange(1, grid.size))
     ustar = rearrange_periodic(u)

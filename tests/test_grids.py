@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,38 @@ class TestPeriodicFunction:
             assert np.allclose(vf.samples, v.eval(fine.nodes), rtol=0, atol=1e-13)
         with pytest.raises(nl.DomainError):
             v.refine(3 * g.size // 2)
+
+    def test_modes_sum_to_eval_and_even_derivatives(self):
+        # 300 points cross an eval row block; random samples carry a nonzero
+        # Nyquist coefficient
+        g = make_grid()
+        u = nl.PeriodicFunction(g, np.random.default_rng(5).standard_normal(g.size))
+        assert abs(u.coeff(g.size // 2)) > 1e-3
+        xs = np.random.default_rng(6).uniform(-2 * math.pi, 2 * math.pi, 300)
+        modes = u.modes(xs)
+        assert modes.shape == (xs.size, g.size // 2 + 1)
+        dense = np.real(np.exp(1j * np.outer(xs, g.wavenumbers)) @ u.coeffs())
+        vals = u.eval(xs)
+        for got in (modes.sum(axis=1), vals):
+            assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+        for m in (1, 2, 3):
+            ref = u.derivative(2 * m).eval(xs)
+            got = modes @ (-g.frequencies() ** 2) ** m
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_eval_memory_bounded(self):
+        # a dense 4096 x 4096 complex phase matrix alone would take 268 MB
+        g = nl.PeriodicGrid(math.pi, 4096)
+        u = nl.PeriodicFunction(g, np.random.default_rng(7).standard_normal(g.size))
+        xs = np.random.default_rng(8).uniform(-math.pi, math.pi, g.size)
+        u.coeffs()
+        tracemalloc.start()
+        try:
+            u.eval(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     def test_derivative(self):
         g = make_grid()

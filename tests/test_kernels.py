@@ -236,6 +236,18 @@ class TestWrappedKernel:
         exact = wk.grid_values(ts)
         assert np.max(np.abs(wk(ts) - exact) / exact) < rtol
 
+    @pytest.mark.parametrize("L", [2.0, 10.0 / 3.0, 2.5, 5.0])
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    def test_sinetail_switch_folds_onto_an_end(self, s, L):
+        # the profile's t = 10 switch folds onto t = L (L = 2, and L = 10/3
+        # up to rounding) or onto t = 0 (L = 2.5, 5).  At t = L itself the
+        # exact sum takes the other branch of the switch's jump, so only
+        # interior points are compared, densely enough to reach every cell
+        wk = nl.wrap_kernel(nl.SineTailKernel(s), L)
+        ts = np.linspace(0.0, L, 30003)[1:-1]
+        exact = wk.grid_values(ts)
+        assert np.max(np.abs(wk(ts) - exact) / exact) < 1e-11
+
     def test_laplace_wrap_builds_fast(self):
         # the remainder is summed exactly at a few dozen Chebyshev points,
         # not at every table node: each sum costs 128 images x 1600 r-nodes

@@ -2,12 +2,13 @@
 the |k| Fourier multiplier, the Dirichlet-to-Neumann map of the harmonic
 extension to the disk (Poisson-kernel quadrature), and a principal-value
 integral against the chord-distance kernel on apply_pv's panel rule;
-plus the closed-form periodization identity and the three-way energy
-identity.
+plus a closed-form check of wrap_kernel's periodization and the three-way
+energy identity.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -16,6 +17,7 @@ import numpy as np
 from .energy import seminorm_sq_offdiag
 from .errors import DomainError, StepSizeError
 from .grids import PeriodicFunction, PeriodicGrid
+from .kernels import FractionalKernel, WrappedKernel, wrap_kernel
 from .operator import DEFAULT_EPS_SEQ, _pv_fold
 
 
@@ -89,24 +91,21 @@ def half_lap_pv_circle(u: PeriodicFunction, x: float) -> float:
                           (), DEFAULT_EPS_SEQ)[0])
 
 
-def wrapped_identity_check(t: float) -> dict:
-    """sum_k 1/(t + 2k pi)^2 against the closed form 1/(2 - 2cos t).
+@functools.cache
+def _half_laplacian_wrap() -> WrappedKernel:
+    return wrap_kernel(FractionalKernel(0.5), math.pi)
 
-    The terms |k| <= 64 are summed directly.  The rest of each side is its
-    midpoint Euler-Maclaurin series with step h = 2 pi, started at
-    a = h (64 + 1/2) +- t:  1/(h a) - h/(12 a^3) + 7 h^3/(240 a^5); the
-    first dropped term is below 1e-16.
+
+def wrapped_identity_check(t: float) -> dict:
+    """The library's periodization against a closed form: the half-Laplacian
+    kernel c_(1/2) t^-2 has c_(1/2) = 1/pi, so pi Kbar(t) at half period pi
+    is sum_k 1/(t + 2k pi)^2, which equals 1/(2 - 2cos t).  The wrap is
+    built by wrap_kernel once per process.
     """
-    k_max = 64
-    h = 2.0 * math.pi
     t = float(t)
-    if abs(math.remainder(t, h)) < 1e-12:
+    if abs(math.remainder(t, 2.0 * math.pi)) < 1e-12:
         raise DomainError("t must not be a multiple of 2*pi")
-    ks = np.arange(-k_max, k_max + 1)
-    lhs = float(np.sum((t + h * ks) ** (-2.0)))
-    for sign in (1.0, -1.0):
-        a = h * (k_max + 0.5) + sign * t
-        lhs += 1.0 / (h * a) - h / (12.0 * a**3) + 7.0 * h**3 / (240.0 * a**5)
+    lhs = math.pi * _half_laplacian_wrap()(t)
     rhs = 1.0 / (2.0 - 2.0 * math.cos(t))
     return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
 

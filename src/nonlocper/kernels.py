@@ -10,7 +10,7 @@ Families shipped:
 * ``CustomKernel``       arbitrary user profile with declared growth data.
 * ``SineTailKernel``     smooth strictly convex kernel whose sqrt-profile
   fails complete monotonicity (oscillating third derivative).
-* ``indicator_kernel``   characteristic function of [0, cutoff]; with
+* ``indicator_kernel``   characteristic function of [0, cutoff); with
   cutoff in (L, 2L) this is the kernel that defeats the periodic
   rearrangement inequality.
 """
@@ -73,9 +73,6 @@ class Kernel:
     # "quadrature" (a fixed rule over all frequencies); None means the family
     # has no symbol() and operator.symbol_value integrates per frequency
     symbol_rule: ClassVar[str | None] = None
-    # radii where profile() switches formula; wrap_kernel fits its smooth
-    # remainder in separate pieces between the folds of these radii
-    profile_breaks: ClassVar[tuple] = ()
 
     def __post_init__(self):
         if not 0 < self.s < 1:
@@ -85,6 +82,12 @@ class Kernel:
 
     def profile(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    @property
+    def breaks(self) -> tuple:
+        """Radii where the profile jumps or kinks (here the support edge).
+        wrap_kernel folds them into Kbar's breakpoints."""
+        return () if self.support is None else (self.support,)
 
     def __call__(self, t) -> np.ndarray | float:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -100,14 +103,18 @@ class Kernel:
 
     def tail_integral(self, a: float) -> float:
         """int_a^infinity K(t) dt by adaptive quadrature; every shipped
-        family but the custom and indicator kernels overrides it.
+        family but the custom kernel overrides it.
 
         Without a support the integral runs in v = log(t/a), where
         K(a e^v) a e^v decays like e^(-2sv) at least, on the pieces
         [0, 4], [4, 8], [8, 16], ...  It stops at the first V where the
         bound Lambda_hi (a e^V)^(-2s)/(2s) on the rest is below 1e-16 of
-        the sum, or where a e^V reaches 1e300.  No absolute tolerance
-        applies: the tail at a large a can be far below quad's default."""
+        the sum, or where a e^V reaches 1e300, so it needs a finite
+        Lambda_hi.  No absolute tolerance applies: the tail at a large a can
+        be far below quad's default."""
+        if self.support is None and not math.isfinite(self.Lambda_hi):
+            raise DomainError("cannot bound the tail integral without a "
+                              "finite upper growth constant")
         from scipy import integrate
 
         def profile(t: float) -> float:
@@ -232,6 +239,15 @@ class CompactKernel(Kernel):
         object.__setattr__(self, "k_table", k_table)
 
     symbol_rule = "exact"
+
+    @property
+    def breaks(self) -> tuple:
+        """The cutoff, where K jumps, and every knot where the slope changes
+        (slope 0 before the first knot)."""
+        slopes = np.diff(self.k_table) / np.diff(self.t_table)
+        turns = np.abs(np.diff(slopes, prepend=0.0))
+        kinks = turns > 1e-9 * np.max(np.abs(slopes), initial=0.0)
+        return (self.support, *self.t_table[:-1][kinks])
 
     def profile(self, t):
         out = np.interp(t, self.t_table, self.k_table,
@@ -445,7 +461,7 @@ class SineTailKernel(Kernel):
         super().__init__(s=s, lambda_lo=1.0 / denom, Lambda_hi=3.0 / denom)
 
     symbol_rule = "quadrature"
-    profile_breaks = (10.0,)  # the a = t^2 = 100 switch to the stationary expansion
+    breaks = (10.0,)  # the a = t^2 = 100 switch to the stationary expansion
 
     def profile(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -510,14 +526,10 @@ class SineTailKernel(Kernel):
         return (np.cos(tau) - p * (2.0 + np.sin(tau)) / tau) / tau**p
 
 
-def indicator_kernel(cutoff: float, s: float = 0.5) -> CustomKernel:
-    """Characteristic function of [0, cutoff]."""
-
-    def fn(t):
-        return np.where(t <= cutoff, 1.0, 0.0)
-
-    Lam = cutoff ** (1.0 + 2.0 * s)  # sup of t^(1+2s) on the support
-    return CustomKernel(fn, s=s, lambda_lo=0.0, Lambda_hi=Lam, support=cutoff)
+def indicator_kernel(cutoff: float, s: float = 0.5) -> CompactKernel:
+    """Characteristic function of [0, cutoff): the compact profile that is
+    flat at 1 up to its cutoff."""
+    return CompactKernel([cutoff], [1.0], s)
 
 
 DEFAULT_R_GRID = np.geomspace(1e-14, 1e8, 1600)
@@ -565,19 +577,21 @@ def heat_kernel_phi(L: float, r: float, t) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class WrappedKernel:
-    """Periodization  Kbar(t) = sum_k K(|t + 2kL|).
+    """Periodization  Kbar(t) = sum_k K(|t + 2kL|), built by wrap_kernel.
 
     Kbar is even and 2L-periodic by construction.  Evaluation splits off the
     k = 0 singular term: Kbar(t) = K(t_fold) + R(t_fold) with t_fold the
-    distance folded into [0, L].  Without a support, R is smooth on [0, L]
-    and is read from the cubic Hermite table that wrap_kernel builds from
-    its Chebyshev interpolant; with a support, R is the exact image sum.
+    distance folded into [0, L] and R the sum over the images k != 0.
+    grid_values reads R from the exact image sum; a call reads it from the
+    cubic Hermite table that wrap_kernel builds from its Chebyshev
+    interpolant, or, with a support, from the exact sum too.
     """
 
     kernel: Kernel
     half_period: float
     breakpoints: tuple = ()  # fold points in (0, L) where Kbar may jump or kink
-    _remainder: object = field(default=None, repr=False, compare=False)
+    _exact: Callable = field(default=None, repr=False, compare=False)  # R summed
+    _remainder: Callable = field(default=None, repr=False, compare=False)  # R for calls
 
     @property
     def L(self) -> float:
@@ -598,34 +612,21 @@ class WrappedKernel:
                 f"kernel wrapped at half period {self.half_period:g}, "
                 f"function lives on half period {half_period:g}")
 
-    def remainder(self, t_fold) -> np.ndarray:
-        t_fold = np.asarray(t_fold, dtype=float)
-        if self.kernel.support is not None:
-            # cheap exact sum; also honest across jump discontinuities,
-            # where an interpolant would ring
-            return _exact_remainder(self.kernel, self.half_period)(t_fold)
-        return self._remainder(t_fold)
-
     def __call__(self, t) -> np.ndarray | float:
-        tf = np.atleast_1d(self.fold(t))
-        out = np.where(tf > 0, _safe_profile(self.kernel, np.maximum(tf, 1e-300)),
-                       np.inf)
-        if self.kernel.support is not None and np.any(tf == 0.0):
-            # bounded kernels stay finite at zero separation
-            k0 = float(self.kernel.profile(
-                np.array([1e-12 * self.half_period]))[0])
-            out = np.where(tf == 0.0, k0, out)
-        out = out + self.remainder(tf)
+        out = self._kbar(np.atleast_1d(self.fold(t)), self._remainder)
         return float(out[0]) if np.ndim(t) == 0 else out
 
     def grid_values(self, distances) -> np.ndarray:
         """Exact (summed, not tabulated) values at the given distances > 0."""
-        d = np.atleast_1d(self.fold(distances))
-        vals = _exact_remainder(self.kernel, self.half_period)(d)
-        with np.errstate(divide="ignore"):
-            vals = vals + np.where(
-                d > 0, _safe_profile(self.kernel, np.maximum(d, 1e-300)), np.inf)
-        return vals
+        return self._kbar(np.atleast_1d(self.fold(distances)), self._exact)
+
+    def _kbar(self, tf: np.ndarray, remainder: Callable) -> np.ndarray:
+        """K(tf) + remainder(tf) at folded distances.  Kbar(0) is inf, except
+        that a kernel with a support stays finite at zero separation."""
+        if self.kernel.support is not None:
+            near = np.where(tf == 0.0, 1e-12 * self.half_period, tf)
+            return _safe_profile(self.kernel, near) + remainder(tf)
+        return np.where(tf > 0, _safe_profile(self.kernel, tf), np.inf) + remainder(tf)
 
 
 def _safe_profile(kernel: Kernel, t: np.ndarray) -> np.ndarray:
@@ -655,12 +656,15 @@ def _exact_remainder(kernel: Kernel, L: float) -> Callable:
     """The function t -> sum_{k != 0} K(|t + 2kL|) for t in [0, L].
 
     The images k = +-1..K_DIRECT of a row block go through one profile call
-    (with a support, only those that can reach inside it); beyond them comes
-    a midpoint Euler-Maclaurin tail built on int_a^inf K at a = edge +- t.
-    That integral is closed-form for the fractional kernel, exact per limit
+    (with a support, only those that can reach inside it).  Beyond them
+    comes the midpoint Euler-Maclaurin series with step h = 2L from
+    a = edge +- t, to its third term:
+        (1/h) int_a^inf K + (h/24) K'(a) - (7 h^3/5760) K'''(a).
+    The integral is closed-form for the fractional kernel, exact per limit
     for up to _TAIL_POINTS limits, and otherwise read from its Chebyshev
     interpolant at _TAIL_POINTS points of [edge - L, edge + L] (it is
-    smooth and tiny there), fitted once and shared by every call."""
+    smooth and tiny there), fitted on first use and shared by every later
+    call of the returned function."""
     sup = kernel.support
     n_img = K_DIRECT if sup is None else min(K_DIRECT, int((sup / L + 1.0) / 2.0) + 1)
     shifts = 2.0 * L * np.arange(1, n_img + 1)
@@ -694,15 +698,16 @@ def _exact_remainder(kernel: Kernel, L: float) -> Callable:
             # take differences of these sums, and the order fixes their last bits
             out[blk] = np.cumsum(vals, axis=1)[:, -1]
         if sup is None or sup > lo:
-            # sum_{k>K_DIRECT} K(2kL +- t) ~ (1/2L) int_a^inf K + (2L/24) K'(a),
-            # with K' by a centered difference
+            # K' and K''' from one centred 4-point stencil at step a/500; at
+            # s = 0.1 the wrapped fractional kernel is then 6e-15 off its
+            # Hurwitz-zeta closed form, and 6e-14 at step a/100
             a = np.concatenate([edge + flat, edge - flat])
-            h = 1e-4 * L
-            dK = (_safe_profile(kernel, a + h) - _safe_profile(kernel, a - h)) / (2 * h)
-            tail = tail_integral(a) / (2.0 * L)
-            corr = (2.0 * L) * dK / 24.0
-            n = flat.size
-            out = out + tail[:n] + corr[:n] + tail[n:] + corr[n:]
+            h, d = 2.0 * L, 0.002 * a
+            k2, k1, m1, m2 = (_safe_profile(kernel, a + j * d) for j in (2.0, 1.0, -1.0, -2.0))
+            dK = (8.0 * (k1 - m1) - (k2 - m2)) / (12.0 * d)
+            d3K = ((k2 - m2) - 2.0 * (k1 - m1)) / (2.0 * d**3)
+            tail = tail_integral(a) / h + h * dK / 24.0 - 7.0 * h**3 * d3K / 5760.0
+            out = out + tail[:flat.size] + tail[flat.size:]
         return out.reshape(t.shape)
 
     return remainder
@@ -763,19 +768,17 @@ class _HermiteTable:
         return c0 + u * (c1 + u * (c2 + u * c3))
 
 
-def _remainder_table(kernel: Kernel, L: float) -> _HermiteTable:
+def _remainder_table(L: float, folds: tuple, exact: Callable) -> _HermiteTable:
     """Hermite table of R(t) = sum_{k != 0} K(|t + 2kL|) on [0, L].  R is
     fitted by _cheb_fit on the exact sum, in pieces between the folds of
-    kernel.profile_breaks.  A fold can land on 0 or L, where the image sum
+    the kernel's breaks.  A fold can land on 0 or L, where the image sum
     takes the other branch of the profile; folds within 2 gap of 0 or L
     (gap = 1e-12 L) are dropped, and every piece ends gap short of both of
     its ends, so that rounding puts no sample on the other branch.  Each
     node takes R and R' (from chebder) of the piece it lies in."""
     gap = 1e-12 * L
-    folds = [f for f in _fold_breakpoints(L, kernel.profile_breaks)
-             if 2.0 * gap < f < L - 2.0 * gap]
+    folds = [f for f in folds if 2.0 * gap < f < L - 2.0 * gap]
     ends = [0.0, *folds, L]
-    exact = _exact_remainder(kernel, L)
     t = np.linspace(0.0, L, _TABLE_CELLS + 1)
     piece = np.searchsorted(np.array(folds, dtype=float), t)
     values = np.empty_like(t)
@@ -797,14 +800,17 @@ def _remainder_table(kernel: Kernel, L: float) -> _HermiteTable:
 def wrap_kernel(kernel: Kernel, L: float, tol: float = 1e-10) -> WrappedKernel:
     """Periodize K over period 2L.
 
-    The remainder R(t) = sum_{k != 0} K(|t + 2kL|) is summed with K_DIRECT
-    image terms on each side plus an Euler-Maclaurin tail.  Without a
-    support, R is analytic on [0, L] between the folds of profile_breaks:
-    it is interpolated there at nested Chebyshev points until the
+    The folds of kernel.breaks into (0, L) become the breakpoints, where
+    Kbar may jump or kink and apply_pv's panels end.  The remainder
+    R(t) = sum_{k != 0} K(|t + 2kL|) is summed exactly by one
+    _exact_remainder, built here and kept: K_DIRECT image terms on each
+    side plus an Euler-Maclaurin tail.  grid_values reads that sum.
+    Without a support, R is analytic on [0, L] between the same folds: it
+    is interpolated there at nested Chebyshev points until the
     coefficients chop (see _cheb_fit), and R and R' are tabulated on
-    _TABLE_CELLS uniform cells that evaluate as a cubic Hermite.  With a
-    support, evaluation keeps the exact sum, and the folds of the support
-    edge and of a compact profile's kinks become breakpoints.
+    _TABLE_CELLS uniform cells that a call reads as a cubic Hermite.  With
+    a support, a call reads the exact sum too, which stays honest across
+    the jumps where an interpolant would ring.
 
     tol sets nothing: the construction above fixes the accuracy.  It is
     still accepted, and values <= 0 are still rejected, for callers that
@@ -814,26 +820,11 @@ def wrap_kernel(kernel: Kernel, L: float, tol: float = 1e-10) -> WrappedKernel:
         raise DomainError("tolerance must be positive")
     if L <= 0:
         raise DomainError("half period must be positive")
-    if kernel.support is None and not math.isfinite(kernel.Lambda_hi):
-        raise DomainError("cannot bound the periodization tail without a "
-                          "finite upper growth constant")
-    breakpoints = ()
-    table = None
-    if kernel.support is not None:
-        # Kbar jumps where |t + 2kL| crosses the support edge, and a tabulated
-        # profile kinks at every knot where its slope changes (slope 0 before
-        # the first knot)
-        radii = [kernel.support]
-        if isinstance(kernel, CompactKernel):
-            slopes = np.diff(kernel.k_table) / np.diff(kernel.t_table)
-            turns = np.abs(np.diff(slopes, prepend=0.0))
-            kinks = turns > 1e-9 * np.max(np.abs(slopes), initial=0.0)
-            radii += list(kernel.t_table[:-1][kinks])
-        breakpoints = _fold_breakpoints(L, radii)
-    else:
-        table = _remainder_table(kernel, L)
-    return WrappedKernel(kernel=kernel, half_period=L, breakpoints=breakpoints,
-                         _remainder=table)
+    folds = _fold_breakpoints(L, kernel.breaks)
+    exact = _exact_remainder(kernel, L)
+    table = exact if kernel.support is not None else _remainder_table(L, folds, exact)
+    return WrappedKernel(kernel=kernel, half_period=L, breakpoints=folds,
+                         _exact=exact, _remainder=table)
 
 
 @dataclass(frozen=True)

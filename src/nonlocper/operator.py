@@ -87,15 +87,13 @@ def symbol_of_kernel(kernel: Kernel, grid: PeriodicGrid, tol: float = 1e-9,
                      force_quadrature: bool = False) -> SymbolTable:
     """Tabulate the multiplier at xi = pi*k/L, k = 0..N/2.
 
-    Fractional, Delaunay, compact and Laplace kernels have closed forms
-    (provenance "exact").  SineTail integrates all frequencies at once by a
-    fixed rule, and custom and indicator kernels by adaptive quadrature per
-    frequency with relative tolerance tol (both "quadrature").
+    Fractional, Delaunay, compact (the indicator included) and Laplace
+    kernels have closed forms (provenance "exact").  SineTail integrates all
+    frequencies at once by a fixed rule, and custom kernels by adaptive
+    quadrature per frequency with relative tolerance tol (both "quadrature").
     force_quadrature=True sends every family through symbol_value, the
     independent check on the others.
     """
-    if kernel.support is None and not math.isfinite(kernel.Lambda_hi):
-        raise DomainError("symbol requires a finite upper growth constant")
     xis = grid.frequencies()
     if kernel.symbol_rule is not None and not force_quadrature:
         return SymbolTable(grid, kernel.symbol(xis), kernel.symbol_rule)

@@ -78,6 +78,14 @@ class TestWrappedIdentity:
                                            rel=1e-14)
         assert res["lhs"] == pytest.approx(res["rhs"], rel=1e-12)
 
+    def test_checks_the_library_wrap(self):
+        # c_(1/2) = 1/pi, so pi Kbar(t) is the image sum of 1/t^2
+        wk = nl.wrap_kernel(nl.FractionalKernel(0.5), math.pi)
+        ts = np.linspace(0.1, 2 * math.pi - 0.1, 16)
+        res = [nl.wrapped_identity_check(float(t)) for t in ts]
+        assert [r["lhs"] for r in res] == pytest.approx(math.pi * wk(ts), rel=1e-15)
+        assert max(r["gap"] for r in res) <= 1.2e-12
+
     def test_rejects_period_multiples(self):
         with pytest.raises(nl.DomainError):
             nl.wrapped_identity_check(2 * math.pi)

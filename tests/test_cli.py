@@ -207,6 +207,22 @@ class TestExitCodeContract:
         assert err.startswith("configuration error")
         assert "numerical failure" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("args", [
+        ["symbol"],
+        ["apply", "--function", "u.csv", "--mode", "pv"],
+    ], ids=["symbol", "apply-pv"])
+    def test_laplace_without_growth_bound_exits_0(self, tmp_path, args):
+        # a tabulated Laplace kernel has closed-form symbol, tail and wrap,
+        # so no growth constant ("Lambda") is needed
+        r = np.geomspace(1e-2, 1e2, 50)
+        cfg = {"kernel": {"family": "laplace", "s": 0.5,
+                          "profile": np.column_stack([r, np.exp(-r)]).tolist()},
+               "grid": {"L": L, "N": 64}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        args = [write_samples(tmp_path / a) if a == "u.csv" else a for a in args]
+        assert run_cli(args + ["--config", p, "--out", tmp_path]) == cli.EXIT_OK
+
 
 # prints the scipy modules loaded after the CLI (or, without arguments, the
 # package import) has run, then exits with the CLI's exit code
@@ -244,6 +260,7 @@ class TestImportCost:
         ["rearrange", "--L", L, "--N", 64, "--function", "u.csv"],
         ["riesz", "--L", L, "--N", 64, "--seed", 3],
         ["symbol", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 128],
+        ["symbol", "--kernel", "indicator", "--cutoff", 2.0, "--L", L, "--N", 128],
         ["dtn-check", "--N", 128],
         ["apply", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64,
          "--function", "u.csv", "--mode", "pv"],
@@ -251,7 +268,8 @@ class TestImportCost:
          "--function", "u.csv"],
         ["maxprinciple", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64],
         ["kernel-class", "--kernel", "sinetail", "--s", 0.5],
-    ], ids=["regularity", "rearrange", "riesz", "symbol-fraclap", "dtn-check",
+    ], ids=["regularity", "rearrange", "riesz", "symbol-fraclap", "symbol-indicator",
+            "dtn-check",
             "apply-pv-fraclap", "polya-szego-fraclap", "maxprinciple-fraclap",
             "kernel-class-sinetail"])
     def test_command_loads_no_scipy(self, tmp_path, args):

@@ -256,6 +256,56 @@ class TestWrappedKernel:
         nl.wrap_kernel(kernel, math.pi)
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize("L", [math.pi, 2.0])
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    def test_fraclap_matches_hurwitz_zeta(self, s, L):
+        # sum_k |t + 2kL|^(-1-2s) = (2L)^(-1-2s) [zeta(1+2s, x) + zeta(1+2s, 1-x)]
+        # with x = t/2L; without the third-derivative Euler-Maclaurin term
+        # the tail is 3.6e-11 off at s = 0.1
+        from scipy.special import zeta
+
+        wk = nl.wrap_kernel(nl.FractionalKernel(s), L)
+        ts = np.linspace(0.0, L, 401)[1:]
+        x = ts / (2 * L)
+        ref = nl.frac_lap_constant(s) * (2 * L) ** (-1 - 2 * s) * (
+            zeta(1 + 2 * s, x) + zeta(1 + 2 * s, 1 - x))
+        for vals in (wk.grid_values(ts), wk(ts)):
+            assert np.max(np.abs(vals - ref) / ref) < 1e-13
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    def test_sinetail_tail_vs_long_direct_sum(self, s):
+        # 20000 images on each side, then the tail integral and the (h/24) K'
+        # term, at an edge where the next term is below 1e-20
+        L, m = math.pi, 20000
+        k = nl.SineTailKernel(s)
+        wk = nl.wrap_kernel(k, L)
+        ts = np.linspace(L / 512, L, 32)
+        shifts = 2 * L * np.arange(1, m + 1)
+        ref = []
+        for t in ts:
+            images = k.profile(np.concatenate([shifts + t, shifts - t]))
+            edges = 2 * (m + 0.5) * L + np.array([t, -t])
+            slopes = (k.profile(1.001 * edges) - k.profile(0.999 * edges)) / (0.002 * edges)
+            ref.append(k.profile(np.array([t]))[0] + math.fsum(images)
+                       + sum(k.tail_integral(a) for a in edges) / (2 * L)
+                       + (2 * L / 24) * slopes.sum())
+        ref = np.array(ref)
+        assert np.max(np.abs(wk.grid_values(ts) - ref) / ref) < 1e-13
+
+    def test_laplace_wrap_matches_heat_kernel_sum(self):
+        # K = sum_j w_j exp(-t^2 r_j) with trapezoid-in-log-r weights, so
+        # Kbar = sum_j w_j Phi(t, r_j), the periodized Gaussians
+        L = math.pi
+        r = np.geomspace(1e-2, 1e3, 200)
+        density = r ** -0.3 * np.exp(-r / 50)
+        wk = nl.wrap_kernel(nl.LaplaceKernel(r, density, s=0.5, Lambda_hi=10.0), L)
+        dw = np.diff(np.log(r))
+        weights = 0.5 * (np.r_[dw, 0.0] + np.r_[0.0, dw]) * density * r
+        ts = np.linspace(0.0, L, 301)[1:]
+        ref = sum(w * nl.heat_kernel_phi(L, rj, ts) for w, rj in zip(weights, r))
+        for vals in (wk.grid_values(ts), wk(ts)):
+            assert np.max(np.abs(vals - ref) / ref) < 1e-13
+
     def test_requires_growth_bound(self):
         k = nl.CustomKernel(lambda t: t ** -2.0, s=0.5)  # no Lambda declared
         with pytest.raises(nl.DomainError):

@@ -134,6 +134,12 @@ class TestClosedFormSymbols:
         assert exact.values[2] == pytest.approx(brute, rel=1e-10)
         assert exact.values[2] == pytest.approx(math.pi * (1 - math.exp(-xi)), rel=1e-6)
 
+    def test_indicator(self):
+        # ell = 2 (c - sin(xi c)/xi) from the compact closed form, no quad
+        exact, quad = _symbol_routes(nl.indicator_kernel(1.3 * math.pi))
+        assert exact.provenance == "exact"
+        assert _max_rel(exact.values, quad.values) < 1e-14
+
     def test_sinetail_batch_vs_adaptive(self):
         batch, quad = _symbol_routes(nl.SineTailKernel(0.5), n=16)
         assert batch.provenance == "quadrature"
@@ -226,6 +232,21 @@ class TestApplyPV:
         spec = nl.apply_spectral(sym, u)
         for x in (0.0, 1.1):
             assert nl.apply_pv(k, u, x) == pytest.approx(spec.eval(x), abs=1e-7)
+
+
+    def test_sinetail_panels_end_at_the_switch_fold(self):
+        # the profile jumps at its t = 10 switch, which folds to 4 pi - 10;
+        # a panel straddling that point reads 7.2e-9 of the scale
+        g = nl.PeriodicGrid(math.pi, 64)
+        u = nl.PeriodicFunction.from_callable(
+            g, lambda x: np.exp(np.cos(x)) + 0.3 * np.sin(3 * x))
+        k = nl.SineTailKernel(0.5)
+        wk = nl.wrap_kernel(k, math.pi)
+        assert wk.breakpoints == pytest.approx((4 * math.pi - 10,))
+        spec = nl.apply_spectral(nl.symbol_of_kernel(k, g), u)
+        tol = 1e-9 * np.max(np.abs(spec.samples))
+        for x in (0.0, 0.7, 2.0, -1.3):
+            assert nl.apply_pv(k, u, x, wrapped=wk) == pytest.approx(spec.eval(x), abs=tol)
 
 
 class TestBilinearForm:

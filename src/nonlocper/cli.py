@@ -2,7 +2,13 @@
 
 One subcommand per library capability; every run validates its merged
 configuration against the shipped JSON schema, then writes a JSON report
-(embedding the config hash and library version) plus plot-ready CSVs.
+(embedding the config hash and nonlocper.__version__) plus plot-ready CSVs.
+
+The schema is checked by a built-in validator for the JSON Schema keywords
+that config_schema.json uses (see validate), with JSON Schema's semantics
+where Python's differ; a schema keyword outside that set raises instead of
+being skipped.  The CLI imports only what the command runs: no schema
+library, no package metadata.
 
 Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
 failure.
@@ -13,17 +19,17 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
-import importlib.metadata
 import importlib.resources
 import json
 import math
+import numbers
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, circle_dtn, kernels
+from . import __version__, analysis, circle_dtn, kernels
 from . import operator as operator_mod, rearrange as rearrange_mod
 # `energy` and `minimize` name both a submodule and a function, so pull the
 # callables in directly instead of importing the submodules
@@ -53,13 +59,6 @@ def from_config(build, *args):
         raise ConfigError(str(exc)) from exc
 
 
-def _version() -> str:
-    try:
-        return importlib.metadata.version("nonlocper")
-    except importlib.metadata.PackageNotFoundError:
-        return "unknown"
-
-
 def load_schema() -> dict:
     ref = importlib.resources.files("nonlocper").joinpath("config_schema.json")
     return json.loads(ref.read_text())
@@ -71,15 +70,119 @@ def config_hash(config: dict) -> str:
 
 
 def validate_config(config: dict) -> None:
-    """jsonschema.validate without its meta-schema check of the shipped
-    schema on every run (the tests check the schema once)."""
-    from jsonschema.exceptions import best_match
-    from jsonschema.validators import validator_for
+    """Raise ConfigError unless config satisfies the shipped schema."""
+    validate(config, load_schema())
 
-    schema = load_schema()
-    error = best_match(validator_for(schema)(schema).iter_errors(config))
-    if error is not None:
-        raise error
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Number) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": _is_number,
+    # JSON has one number type: 64.0 is an integer, True is not
+    "integer": lambda v: _is_number(v) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+# keyword -> (violated(value, bound), how the value fails the bound)
+_BOUNDS = {
+    "minimum": (lambda v, b: v < b, "less than"),
+    "exclusiveMinimum": (lambda v, b: v <= b, "not greater than"),
+    "exclusiveMaximum": (lambda v, b: v >= b, "not less than"),
+}
+_KEYWORDS = {"$schema", "title", "type", "properties", "required",
+             "additionalProperties", "enum", "const", "items", "minItems",
+             "maxItems", "allOf", "if", "then", *_BOUNDS}
+
+
+def _json_equal(a, b) -> bool:
+    """JSON equality: 1 == 1.0 but True != 1, also inside arrays and objects."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_json_equal(a[k], b[k]) for k in a)
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return a == b
+
+
+def _check_schema(schema: dict, where: str) -> None:
+    """Raise ValueError at a keyword, or a form of one, that _validate lacks."""
+    for key, arg in schema.items():
+        if (key not in _KEYWORDS
+                or key == "type" and not (isinstance(arg, str) and arg in _TYPES)
+                or key == "additionalProperties" and arg is not False):
+            raise ValueError(f"schema keyword {key}: {arg!r} at {where} is not supported")
+        if key == "properties":
+            subs = arg.values()
+        elif key == "allOf":
+            subs = arg
+        else:
+            subs = [arg] if key in ("items", "if", "then") else []
+        for sub in subs:
+            _check_schema(sub, f"{where}/{key}")
+
+
+def validate(instance, schema: dict) -> None:
+    """Raise ConfigError at the first violation of schema by instance.
+
+    The schema may use type (object, array, string, number, integer),
+    properties, required, additionalProperties: false, enum, const,
+    minimum, exclusiveMinimum, exclusiveMaximum, items, minItems,
+    maxItems, allOf and if/then; $schema and title are annotations.  Any
+    other keyword raises ValueError, so the schema cannot outgrow this
+    validator unnoticed."""
+    _check_schema(schema, "#")
+    _validate(instance, schema, "$")
+
+
+def _validate(value, schema: dict, path: str) -> None:
+    def fail(keyword: str, message: str):
+        raise ConfigError(f"{path}: {message} ({keyword})")
+
+    is_object, is_array = isinstance(value, dict), isinstance(value, list)
+    for key, arg in schema.items():
+        if key == "type" and not _TYPES[arg](value):
+            fail(key, f"{value!r} is not of type {arg!r}")
+        elif key in ("enum", "const") and not any(
+                _json_equal(value, v) for v in (arg if key == "enum" else [arg])):
+            fail(key, f"{value!r} is not {'one of ' if key == 'enum' else ''}{arg!r}")
+        elif key in _BOUNDS and _is_number(value) and _BOUNDS[key][0](value, arg):
+            fail(key, f"{value!r} is {_BOUNDS[key][1]} {arg!r}")
+        elif key == "properties" and is_object:
+            for name, sub in arg.items():
+                if name in value:
+                    _validate(value[name], sub, f"{path}.{name}")
+        elif key == "required" and is_object:
+            missing = [name for name in arg if name not in value]
+            if missing:
+                fail(key, f"missing {', '.join(missing)}")
+        elif key == "additionalProperties" and is_object:
+            extra = [name for name in value if name not in schema.get("properties", {})]
+            if extra:
+                fail(key, f"unexpected {', '.join(map(str, extra))}")
+        elif key == "items" and is_array:
+            for i, item in enumerate(value):
+                _validate(item, arg, f"{path}[{i}]")
+        elif key in ("minItems", "maxItems") and is_array and (
+                len(value) < arg if key == "minItems" else len(value) > arg):
+            fail(key, f"{len(value)} items where {key} is {arg}")
+        elif key == "allOf":
+            for sub in arg:
+                _validate(value, sub, path)
+        elif key == "if" and _holds(value, arg):
+            _validate(value, schema.get("then", {}), path)
+
+
+def _holds(value, schema: dict) -> bool:
+    try:
+        _validate(value, schema, "$")
+    except ConfigError:
+        return False
+    return True
 
 
 def read_function_csv(path: str, grid: PeriodicGrid) -> PeriodicFunction:
@@ -321,14 +424,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _object_at(config: dict, key: str) -> dict:
+    """config[key] (created empty if absent) for flags to write into."""
+    entry = config.setdefault(key, {})
+    if not isinstance(entry, dict):
+        raise ConfigError(f"the {key} entry is {entry!r}, not a JSON object")
+    return entry
+
+
 def merge_config(args: argparse.Namespace) -> dict:
     config: dict = {}
     if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ConfigError(f"the top level of {args.config} is not a JSON object")
     config["command"] = args.command
     if args.kernel is not None or args.cutoff is not None:
-        kspec = config.setdefault("kernel", {})
+        kspec = _object_at(config, "kernel")
         if args.kernel is not None:
             kspec["family"] = args.kernel
         for key in ("s", "n", "a", "cutoff"):
@@ -341,7 +454,7 @@ def merge_config(args: argparse.Namespace) -> dict:
         if args.beta is not None:
             config["beta"] = args.beta
     if args.L is not None or args.N is not None:
-        gspec = config.setdefault("grid", {})
+        gspec = _object_at(config, "grid")
         if args.L is not None:
             gspec["L"] = args.L
         if args.N is not None:
@@ -359,7 +472,7 @@ def run(config: dict, out_dir: str = ".") -> int:
     """Validate, dispatch, and write the report; returns the exit code."""
     try:
         validate_config(config)
-    except Exception as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(out_dir)
@@ -377,7 +490,7 @@ def run(config: dict, out_dir: str = ".") -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     report = {"command": config["command"],
-              "version": _version(),
+              "version": __version__,
               "config_hash": config_hash(config),
               "timestamp": datetime.datetime.now(
                   datetime.timezone.utc).isoformat(),
@@ -404,7 +517,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = merge_config(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return run(config, args.out)

@@ -856,16 +856,20 @@ def classify_kernel(kernel: Kernel, L: float = math.pi) -> KernelClassReport:
     margin = float(np.min(chord - kv[1:-1]))
     convex = margin >= -1e-12 * max(1.0, float(np.max(np.abs(kv))))
 
-    wk = wrap_kernel(kernel, L) if (
-        kernel.support is not None or math.isfinite(kernel.Lambda_hi)) else None
-    if wk is not None:
+    try:
+        wk = wrap_kernel(kernel, L)
+    except DomainError:
+        # only the adaptive Kernel.tail_integral's missing growth bound
+        # leaves the wrap undefined; an L <= 0 propagates
+        if L <= 0 or kernel.support is not None or math.isfinite(kernel.Lambda_hi):
+            raise
+        mono_margin = math.nan
+        wrapped_monotone = False
+    else:
         tt = np.linspace(L / 512, L, 512)
         vals = wk.grid_values(tt)
         mono_margin = float(np.max(np.diff(vals)))
         wrapped_monotone = mono_margin <= 1e-10 * max(1.0, float(np.max(np.abs(vals))))
-    else:
-        mono_margin = math.nan
-        wrapped_monotone = False
 
     laplace_consistent = None
     laplace_error = None

@@ -1,14 +1,18 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
+import nonlocper
 from nonlocper import cli
 
 L = math.pi
@@ -68,6 +72,15 @@ class TestConfigHandling:
         assert set(rep) >= {"command", "version", "config_hash", "timestamp",
                             "result"}
         assert len(rep["config_hash"]) == 64
+
+    def test_version_is_the_package_version(self, tmp_path):
+        # a regex, not tomllib: Python 3.10 has no tomllib
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+        assert re.search(r'^version = "([^"]+)"', project, re.M)[1] == nonlocper.__version__
+        assert run_cli(["regularity", "--s", 0.2, "--beta", 0.4,
+                        "--out", tmp_path]) == cli.EXIT_OK
+        assert load_report(tmp_path, "regularity")["version"] == nonlocper.__version__
 
     def test_config_hash_stable(self):
         a = cli.config_hash({"x": 1, "y": [2, 3]})
@@ -176,6 +189,17 @@ class TestCommands:
         res = load_report(tmp_path, "kernel-class")["result"]
         assert res["convex"] and res["sqrt_profile_cm"] is False
 
+    def test_kernel_class_laplace_without_growth_bound(self, tmp_path):
+        r = np.geomspace(1e-2, 1e2, 50)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"kernel": {
+            "family": "laplace", "s": 0.5,
+            "profile": np.column_stack([r, np.exp(-r)]).tolist()}}))
+        assert run_cli(["kernel-class", "--config", p, "--out", tmp_path]) == cli.EXIT_OK
+        res = load_report(tmp_path, "kernel-class")["result"]
+        assert res["wrapped_monotone"] is True
+        assert res["monotonicity_margin"] < 0
+
     def test_regularity_supercritical(self, tmp_path):
         code = run_cli(["regularity", "--s", 0.3, "--beta", 0.5,
                         "--out", tmp_path])
@@ -207,6 +231,33 @@ class TestExitCodeContract:
         assert err.startswith("configuration error")
         assert "numerical failure" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text,args", [
+        ("[1, 2]", ["symbol"]),
+        ('"x"', ["symbol"]),
+        ('{"kernel": [1], "grid": {"L": 3.14, "N": 64}}',
+         ["symbol", "--kernel", "fraclap", "--s", 0.5]),
+        ('{"grid": 5, "kernel": {"family": "fraclap", "s": 0.5}}',
+         ["symbol", "--L", L, "--N", 64]),
+    ], ids=["top-level-array", "top-level-string", "kernel-not-object",
+            "grid-not-object"])
+    def test_config_file_entries_that_flags_cannot_merge_into_exit_2(
+            self, tmp_path, capsys, text, args):
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        code = run_cli(args + ["--config", p, "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("configuration error")
+        assert "Traceback" not in err
+
+    def test_schema_violation_names_path_and_keyword(self, tmp_path, capsys):
+        code = run_cli(["symbol", "--kernel", "fraclap", "--s", 7.5,
+                        "--L", L, "--N", 64, "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("configuration error: $.kernel.s:")
+        assert "(exclusiveMaximum)" in err
+
     @pytest.mark.parametrize("args", [
         ["symbol"],
         ["apply", "--function", "u.csv", "--mode", "pv"],
@@ -224,6 +275,151 @@ class TestExitCodeContract:
         assert run_cli(args + ["--config", p, "--out", tmp_path]) == cli.EXIT_OK
 
 
+SCHEMA = cli.load_schema()
+ORACLE = validator_for(SCHEMA)(SCHEMA)
+
+# JSON values that probe where JSON Schema and Python disagree: bools are
+# not numbers, 64.0 is an integer, True is not 1 (first, since hypothesis
+# favours the start of a list)
+_JSON_ODDITIES = [True, False, 64.0, 1.0, 1, 0, None, 7.5, -1, "", "x", "fraclap",
+                  [], [1.0, 2.0], {}, {"family": "fraclap"}]
+
+
+def _from_schema(schema):
+    """Instances that mostly satisfy one schema node; _mutated and the
+    edge values of each bound supply the violations."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    kind = schema.get("type")
+    if kind == "object":
+        return _object(schema)
+    if kind == "array":
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", 3)
+        sizes = st.sampled_from(3 * list(range(lo, hi + 1)) + [max(lo - 1, 0), hi + 1])
+        return sizes.flatmap(lambda n: st.lists(_from_schema(schema["items"]),
+                                                min_size=n, max_size=n))
+    if kind == "string":
+        return st.sampled_from(["u.csv", ""])
+    candidates = [0.25, 0.5, 2.0, 9.0, 64.0, 100]
+    if kind == "integer":
+        candidates = [0, 1, 2, 8, 9, 64, 64.0, 100]
+    inside = [v for v in candidates if validator_for(schema)(schema).is_valid(v)]
+    edges = [schema[k] + d for k in ("minimum", "exclusiveMinimum", "exclusiveMaximum")
+             if k in schema for d in (-1, 0, 0.5)]
+    return st.sampled_from(3 * inside + edges + [-2.0, 7.5, True])
+
+
+def _object(schema):
+    """Objects with their required properties, some optional ones, and
+    mostly the properties that their if/then rules require."""
+    props = {k: _from_schema(v) for k, v in schema.get("properties", {}).items()}
+    required = schema.get("required", [])
+    base = st.fixed_dictionaries(
+        {k: props[k] for k in required},
+        optional={k: v for k, v in props.items() if k not in required})
+    rules = [(validator_for(r["if"])(r["if"]), r["then"]["required"])
+             for r in schema.get("allOf", [])]
+
+    @st.composite
+    def build(draw):
+        out = draw(base)
+        for condition, keys in rules:
+            # hypothesis favours the bounds of a range, so the rare outcome sits inside it
+            if condition.is_valid(out) and draw(st.integers(0, 7)) != 3:
+                for k in keys:
+                    out.setdefault(k, draw(props[k]))
+        return out
+
+    return build()
+
+
+def _mutated(value, rnd):
+    """value with at most one node replaced by an odd JSON value, or one
+    object key deleted or added, at a random depth."""
+    children = list(value.items() if isinstance(value, dict) else enumerate(value)) \
+        if isinstance(value, (dict, list)) else []
+    act = rnd.randrange(8)  # hypothesis favours 0: descend, if there is a child
+    if children and act < 3:
+        key, child = rnd.choice(children)
+        value[key] = _mutated(child, rnd)
+    elif act == 3 and isinstance(value, dict) and value:
+        del value[rnd.choice(sorted(value))]
+    elif act == 4 and isinstance(value, dict):
+        value[rnd.choice(["bogus", "L", "s", "N", "family", "kernel"])] = \
+            rnd.choice(_JSON_ODDITIES)
+    elif act == 5:
+        return rnd.choice(_JSON_ODDITIES)
+    return value
+
+
+def _accepts(config, schema=None) -> bool:
+    try:
+        if schema is None:
+            cli.validate_config(config)
+        else:
+            cli.validate(config, schema)
+    except cli.ConfigError:
+        return False
+    return True
+
+
+class TestSchemaValidator:
+    """The built-in validator accepts exactly what jsonschema accepts."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(config=st.builds(_mutated, _from_schema(SCHEMA),
+                            st.randoms(use_true_random=False)))
+    def test_agrees_with_jsonschema(self, config):
+        assert _accepts(config) == ORACLE.is_valid(config)
+
+    @pytest.mark.parametrize("schema,good,bad,keyword", [
+        ({"type": "object"}, {}, [], "type"),
+        ({"type": "array"}, [], {}, "type"),
+        ({"type": "string"}, "a", 1, "type"),
+        ({"type": "number"}, 1, True, "type"),
+        ({"type": "integer"}, 64.0, 64.5, "type"),
+        ({"type": "integer"}, 3, False, "type"),
+        ({"properties": {"a": {"type": "number"}}}, {"b": "x"}, {"a": "x"}, "type"),
+        ({"required": ["a"]}, {"a": None}, {"b": 1}, "required"),
+        ({"properties": {"a": {}}, "additionalProperties": False}, {"a": 1}, {"b": 1},
+         "additionalProperties"),
+        ({"enum": ["a", 1]}, 1.0, True, "enum"),
+        ({"const": 1}, 1.0, True, "const"),
+        ({"const": [1, {"a": False}]}, [1.0, {"a": False}], [1, {"a": 0}], "const"),
+        ({"minimum": 2}, 2, 1.5, "minimum"),
+        ({"exclusiveMinimum": 0}, 1e-300, 0, "exclusiveMinimum"),
+        ({"exclusiveMaximum": 1}, 0.5, 1.0, "exclusiveMaximum"),
+        ({"items": {"type": "number"}}, [1, 2.5], [1, "2"], "type"),
+        ({"minItems": 2}, [1, 2], [1], "minItems"),
+        ({"maxItems": 2}, [1, 2], [1, 2, 3], "maxItems"),
+        ({"allOf": [{"minimum": 0}, {"exclusiveMaximum": 1}]}, 0, 1, "exclusiveMaximum"),
+        ({"if": {"properties": {"a": {"const": 1}}}, "then": {"required": ["b"]}},
+         {"a": 2}, {"c": 1}, "required"),
+    ], ids=["object", "array", "string", "bool-not-number", "float-integer",
+            "bool-not-integer", "properties", "required", "additionalProperties",
+            "enum", "const", "const-nested", "minimum", "exclusiveMinimum",
+            "exclusiveMaximum", "items", "minItems", "maxItems", "allOf",
+            "if-absent-property-holds"])
+    def test_each_keyword(self, schema, good, bad, keyword):
+        oracle = validator_for(schema)(schema)
+        assert oracle.is_valid(good) and _accepts(good, schema)
+        assert not oracle.is_valid(bad) and not _accepts(bad, schema)
+        with pytest.raises(cli.ConfigError, match=rf"\({keyword}\)$"):
+            cli.validate(bad, schema)
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "object", "patternProperties": {}},
+        {"properties": {"a": {"format": "email"}}},
+        {"allOf": [{"if": {"maximum": 1}, "then": {}, "else": {}}]},
+        {"type": ["number", "null"]},
+        {"additionalProperties": {"type": "number"}},
+    ], ids=["top-level", "unreached-property", "else", "type-list",
+            "additionalProperties-schema"])
+    def test_unsupported_keyword_raises(self, schema):
+        with pytest.raises(ValueError, match="not supported"):
+            cli.validate({}, schema)
+
+
 # prints the scipy modules loaded after the CLI (or, without arguments, the
 # package import) has run, then exits with the CLI's exit code
 _CHILD = """
@@ -239,11 +435,21 @@ sys.exit(code)
 """
 
 
-def run_fresh(args):
+# prints which of jsonschema, importlib.metadata and scipy the CLI loaded
+_CHILD_WATCH = """
+import sys
+from nonlocper import cli
+code = cli.main(sys.argv[1:])
+print(sorted(m for m in ("importlib.metadata", "jsonschema", "scipy") if m in sys.modules))
+sys.exit(code)
+"""
+
+
+def run_fresh(args, child=_CHILD):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, "-c", _CHILD, *map(str, args)],
+    return subprocess.run([sys.executable, "-c", child, *map(str, args)],
                           env=env, capture_output=True, text=True, timeout=120)
 
 
@@ -277,3 +483,29 @@ class TestImportCost:
         proc = run_fresh(args + ["--out", tmp_path])
         assert proc.returncode == cli.EXIT_OK, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("args,loaded", [
+        (["symbol", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 128], []),
+        (["apply", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64,
+          "--function", "u.csv", "--mode", "pv"], []),
+        (["energy", "--kernel", "delaunay", "--n", 2, "--s", 0.5, "--a", 1.0,
+          "--L", L, "--N", 64, "--function", "u.csv"], ["importlib.metadata", "scipy"]),
+        (["rearrange", "--L", L, "--N", 64, "--function", "u.csv"], []),
+        (["polya-szego", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64,
+          "--function", "u.csv"], []),
+        (["riesz", "--L", L, "--N", 64, "--seed", 7], []),
+        (["minimize", "--kernel", "fraclap", "--s", 0.5, "--L", 12.566, "--N", 256,
+          "--constraint", 5, "--seed", 1], []),
+        (["maxprinciple", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64], []),
+        (["kernel-class", "--kernel", "sinetail", "--s", 0.5], []),
+        (["regularity", "--s", 0.2, "--beta", 0.4], []),
+        (["dtn-check", "--N", 128], []),
+    ], ids=["symbol", "apply", "energy", "rearrange", "polya-szego", "riesz",
+            "minimize", "maxprinciple", "kernel-class", "regularity", "dtn-check"])
+    def test_readme_command_loads_no_jsonschema(self, tmp_path, args, loaded):
+        # the validator is built in and the report version is a constant;
+        # scipy.special, which the Delaunay symbol needs, loads importlib.metadata
+        args = [write_samples(tmp_path / a) if a == "u.csv" else a for a in args]
+        proc = run_fresh(args + ["--out", tmp_path], child=_CHILD_WATCH)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == repr(loaded)

@@ -335,6 +335,29 @@ class TestClassification:
         rep = nl.classify_kernel(nl.indicator_kernel(1.3 * L), L=L)
         assert not rep.wrapped_monotone
 
+    def test_laplace_without_growth_bound_is_wrapped(self):
+        # a tabulated Laplace kernel wraps in closed form with no Lambda; its
+        # periodization, a sum of periodized Gaussians, decreases on (0, L)
+        r = np.geomspace(1e-2, 1e2, 50)
+        k = nl.kernel_from_spec({"family": "laplace", "s": 0.5,
+                                 "profile": np.column_stack([r, np.exp(-r)]).tolist()})
+        assert not math.isfinite(k.Lambda_hi)
+        rep = nl.classify_kernel(k)
+        assert rep.wrapped_monotone
+        assert math.isfinite(rep.monotonicity_margin) and rep.monotonicity_margin < 0
+
+    def test_custom_without_growth_bound_is_not_wrapped(self):
+        rep = nl.classify_kernel(nl.CustomKernel(lambda t: t ** -2.0, s=0.5))
+        assert math.isnan(rep.monotonicity_margin)
+        assert rep.wrapped_monotone is False
+
+    @pytest.mark.parametrize("kernel", [
+        nl.FractionalKernel(0.5), nl.CustomKernel(lambda t: t ** -2.0, s=0.5)],
+        ids=["fraclap", "custom-without-bound"])
+    def test_nonpositive_half_period_raises(self, kernel):
+        with pytest.raises(nl.DomainError, match="half period"):
+            nl.classify_kernel(kernel, L=-1.0)
+
 
 class TestKernelFromSpec:
     def test_families(self):

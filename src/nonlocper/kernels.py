@@ -601,7 +601,7 @@ class WrappedKernel:
         """Distance folded into [0, L] using evenness and 2L-periodicity."""
         t = np.abs(np.asarray(t, dtype=float))
         L = self.half_period
-        t = np.mod(t, 2.0 * L)
+        t = np.fmod(t, 2.0 * L)  # t >= 0 here, where fmod equals mod and is faster
         return np.minimum(t, 2.0 * L - t)
 
     def require_period(self, half_period: float) -> None:
@@ -666,6 +666,10 @@ def _exact_remainder(kernel: Kernel, L: float) -> Callable:
     smooth and tiny there), fitted on first use and shared by every later
     call of the returned function."""
     sup = kernel.support
+    if sup is not None and sup <= L:
+        # every image |t +- 2kL| >= 2L - t >= L of a t in [0, L] lies outside
+        # the support, so the sum is zero
+        return lambda t: np.zeros(np.shape(t))
     n_img = K_DIRECT if sup is None else min(K_DIRECT, int((sup / L + 1.0) / 2.0) + 1)
     shifts = 2.0 * L * np.arange(1, n_img + 1)
     edge = 2.0 * (K_DIRECT + 0.5) * L

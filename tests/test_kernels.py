@@ -212,6 +212,18 @@ class TestWrappedKernel:
         assert wk(L) == pytest.approx(2.0, abs=1e-12)
         assert wk.breakpoints == pytest.approx((L - eps,))
 
+    @pytest.mark.parametrize("support", [0.6, 1.0])
+    def test_support_within_half_period_has_no_images(self, support):
+        # every image |t +- 2kL| of t in (0, L] is at least L, outside the
+        # support, so Kbar is K itself, both from the table and the exact sum
+        L = math.pi
+        tt = np.linspace(1e-3, support * L, 64)
+        kernel = nl.CompactKernel(tt, 1.0 - tt / (support * L), s=0.5)
+        wk = nl.wrap_kernel(kernel, L)
+        ts = np.linspace(0.0, L, 3001)[1:]
+        assert np.array_equal(wk(ts), kernel(ts))
+        assert np.array_equal(wk.grid_values(ts), kernel(ts))
+
     def test_monotone_for_fraclap(self):
         wk = nl.wrap_kernel(nl.FractionalKernel(0.5), math.pi, tol=1e-12)
         ts = np.linspace(0.05, math.pi, 200)

@@ -5,6 +5,8 @@ import pytest
 from scipy import integrate
 
 import nonlocper as nl
+from nonlocper import operator as op
+from nonlocper.grids import EVAL_BLOCK
 
 
 def band_limited(grid, rng, k_max=8):
@@ -222,6 +224,19 @@ class TestApplyPV:
         with pytest.raises(nl.DomainError):
             nl.apply_pv(nl.FractionalKernel(0.5), u, 0.0, eps_seq=(10.0, 1.0))
 
+    @pytest.mark.parametrize("eps_seq", [
+        (1e-2, 0.0), (1e-2, -1e-3), (0.0,), (-1e-3,),
+        (1e-2, math.nan), (math.nan,), (1e-2, math.inf), (math.inf, 1e-3)],
+        ids=["zero", "negative", "only-zero", "only-negative",
+             "nan", "only-nan", "inf", "leading-inf"])
+    def test_eps_seq_entries_must_be_finite_and_positive(self, eps_seq):
+        # the panels double up from each eps, which never reaches L from a
+        # zero or negative eps, and a NaN eps makes every value NaN
+        g = nl.PeriodicGrid(math.pi, 64)
+        u = nl.PeriodicFunction.from_callable(g, np.cos)
+        with pytest.raises(nl.DomainError):
+            nl.apply_pv(nl.FractionalKernel(0.5), u, 0.3, eps_seq=eps_seq)
+
     def test_indicator_kernel_breakpoint_handling(self):
         # bounded kernel with a wrap jump inside (0, L): PV must still agree
         # with the spectral route
@@ -247,6 +262,92 @@ class TestApplyPV:
         tol = 1e-9 * np.max(np.abs(spec.samples))
         for x in (0.0, 0.7, 2.0, -1.3):
             assert nl.apply_pv(k, u, x, wrapped=wk) == pytest.approx(spec.eval(x), abs=tol)
+
+
+class TestPVRule:
+    """The panels and cos table that _pv_fold caches per
+    (L, N/2 + 1, eps_seq, breakpoints)."""
+
+    @staticmethod
+    def setup_case():
+        g = nl.PeriodicGrid(math.pi, 64)
+        u = band_limited(g, np.random.default_rng(3))
+        kernel = nl.CompactKernel([1e-3, 0.5, 1.5], [1.0, 0.6, 0.0], s=0.5)
+        return u, kernel, nl.wrap_kernel(kernel, math.pi)
+
+    @staticmethod
+    def clear():
+        op._pv_rule.cache_clear()
+        op._pv_panels.cache_clear()
+
+    def test_cold_and_warm_cache_agree_bitwise(self):
+        u, kernel, wk = self.setup_case()
+        nl.apply_pv(kernel, u, 0.3, wrapped=wk)
+        warm = [nl.apply_pv(kernel, u, x, wrapped=wk) for x in (-2.0, 0.3, 1.7)]
+        warm_grid = op._pv_fold(u, u.grid.nodes, wk, wk.breakpoints, op.DEFAULT_EPS_SEQ)
+        cold = []
+        for x in (-2.0, 0.3, 1.7):
+            self.clear()
+            cold.append(nl.apply_pv(kernel, u, x, wrapped=wk))
+        self.clear()
+        cold_grid = op._pv_fold(u, u.grid.nodes, wk, wk.breakpoints, op.DEFAULT_EPS_SEQ)
+        assert warm == cold
+        assert np.array_equal(warm_grid, cold_grid)
+
+    def test_list_eps_seq_matches_tuple(self):
+        u, kernel, wk = self.setup_case()
+        eps = [2e-2, 2e-3, 2e-4]
+        assert (nl.apply_pv(kernel, u, 0.3, eps_seq=eps, wrapped=wk)
+                == nl.apply_pv(kernel, u, 0.3, eps_seq=tuple(eps), wrapped=wk))
+
+    def test_cached_arrays_are_read_only(self):
+        zs, w, cuts, cos_large = op._pv_rule(math.pi, 33, op.DEFAULT_EPS_SEQ, (0.5,))
+        for a in (zs, w, cos_large):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        # each rule's nodes ascend, and its small-z prefix ends at z_switch
+        assert [c[0] for c in cuts] == [0, *(c[2] for c in cuts[:-1])]
+        assert cuts[-1][2] == zs.size
+        large = np.concatenate([zs[b:c] for _, b, c in cuts])
+        assert cos_large.shape == (large.size, 33)
+        for start, switch, stop in cuts:
+            assert np.all(np.diff(zs[start:stop]) > 0)
+            assert zs[switch - 1] < 1e-3 * math.pi <= zs[switch]
+
+    def test_cache_is_bounded(self):
+        for i in range(op.PV_RULE_CACHE + 5):
+            op._pv_rule(math.pi, 17, (1e-2 / (i + 1),), ())
+        for fn in (op._pv_rule, op._pv_panels):
+            info = fn.cache_info()
+            assert info.maxsize == op.PV_RULE_CACHE
+            assert info.currsize <= info.maxsize
+
+    def test_kbar_called_once_per_block(self):
+        u, kernel, wk = self.setup_case()
+        sizes = []
+
+        def counting(z):
+            sizes.append(np.size(z))
+            return wk(z)
+
+        op._pv_fold(u, [0.3], counting, wk.breakpoints, op.DEFAULT_EPS_SEQ)
+        assert len(sizes) == 1
+        xs = np.linspace(-math.pi, math.pi, 2 * EVAL_BLOCK + 1, endpoint=False)
+        sizes.clear()
+        op._pv_fold(u, xs, counting, wk.breakpoints, op.DEFAULT_EPS_SEQ)
+        # every call takes the nodes of all three eps rules at once
+        zs = op._pv_rule(math.pi, 33, op.DEFAULT_EPS_SEQ, wk.breakpoints)[0]
+        assert sizes == [zs.size] * 3
+
+    def test_circle_half_laplacian_shares_the_plan(self):
+        # the chord kernel has no breakpoints, like the fractional kernel
+        g = nl.PeriodicGrid(math.pi, 64)
+        u = nl.PeriodicFunction.from_callable(g, np.cos)
+        nl.apply_pv(nl.FractionalKernel(0.5), u, 0.3)
+        hits = op._pv_rule.cache_info().hits
+        nl.half_lap_pv_circle(u, 0.3)
+        assert op._pv_rule.cache_info().hits == hits + 1
 
 
 class TestBilinearForm:

@@ -1,6 +1,6 @@
 """Hoelder-exponent calculus for semilinear kernel equations, the bootstrap
-exponent sequence, the scalar truncation inequality used by Moser-type
-iterations, and an L-infinity sanity report.
+exponent sequence, and the scalar truncation inequality used by Moser-type
+iterations.
 """
 
 from __future__ import annotations
@@ -10,9 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .grids import PeriodicFunction
-from .operator import SymbolTable
-from .energy import seminorm_sq_fourier
 
 CASE_SUBCRITICAL = "subcritical_i"
 CASE_SUPERCRITICAL = "supercritical_ii"
@@ -99,16 +96,3 @@ def moser_scalar_check(a, b, M, r) -> dict:
     if np.ndim(holds) == 0:
         return {"lhs": float(lhs), "rhs": float(rhs), "holds": bool(holds)}
     return {"lhs": lhs, "rhs": rhs, "holds": holds}
-
-
-def linf_sanity(u: PeriodicFunction, sym: SymbolTable, s: float) -> dict:
-    """Report the pair (||u||_inf, ||u||_L2 + [u]_K) whose comparability (up
-    to an unknown constant) is guaranteed for s > 1/2; only finiteness is
-    asserted.  For s <= 1/2 the bound needs the nonlinearity and is out of
-    scope here."""
-    if s <= 0.5:
-        return {"out_of_scope": True, "reason": "requires s > 1/2"}
-    sup = float(np.max(np.abs(u.samples)))
-    pair = u.l2_norm() + float(np.sqrt(max(seminorm_sq_fourier(sym, u), 0.0)))
-    return {"out_of_scope": False, "sup_norm": sup, "bound_rhs": pair,
-            "holds": bool(np.isfinite(sup) and np.isfinite(pair))}

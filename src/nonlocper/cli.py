@@ -238,8 +238,7 @@ def resolve_seed(config: dict) -> int:
 def cmd_symbol(config: dict, out: Path) -> dict:
     grid = build_grid(config)
     kern = build_kernel(config)
-    tol = config.get("tolerances", {}).get("symbol", 1e-9)
-    sym = operator_mod.symbol_of_kernel(kern, grid, tol=tol)
+    sym = operator_mod.symbol_of_kernel(kern, grid)
     ks = np.arange(grid.size // 2 + 1)
     write_csv(out / "symbol.csv", "k,xi,ell",
               (ks, grid.frequencies(), sym.values))

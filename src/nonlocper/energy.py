@@ -32,13 +32,12 @@ class Nonlinearity:
     Gt: Callable | None = None
     gt: Callable | None = None
     homogeneity: float | None = None
-    name: str = "custom"
 
     def has_constraint(self) -> bool:
         return self.Gt is not None
 
 
-def polynomial_nonlinearity(G_coeffs, Gt_coeffs=None, name="polynomial") -> Nonlinearity:
+def polynomial_nonlinearity(G_coeffs, Gt_coeffs=None) -> Nonlinearity:
     """Primitives as coefficient lists c_0 + c_1 u + c_2 u^2 + ..."""
     Gp = np.polynomial.Polynomial(np.asarray(G_coeffs, dtype=float))
     gp = Gp.deriv()
@@ -47,7 +46,7 @@ def polynomial_nonlinearity(G_coeffs, Gt_coeffs=None, name="polynomial") -> Nonl
         Gtp = np.polynomial.Polynomial(np.asarray(Gt_coeffs, dtype=float))
         gtp = Gtp.deriv()
         Gt, gt = Gtp, gtp
-    return Nonlinearity(G=Gp, g=gp, Gt=Gt, gt=gt, name=name)
+    return Nonlinearity(G=Gp, g=gp, Gt=Gt, gt=gt)
 
 
 def power_constraint(p: float) -> Nonlinearity:
@@ -58,15 +57,14 @@ def power_constraint(p: float) -> Nonlinearity:
     return Nonlinearity(
         Gt=lambda u: np.abs(u) ** (p + 1) / (p + 1),
         gt=lambda u: np.abs(u) ** (p - 1) * u,
-        homogeneity=p + 1, name=f"power(p={p})")
+        homogeneity=p + 1)
 
 
 def benjamin_ono_type(p: float = 2.0) -> Nonlinearity:
     """G(u) = -u^2/2 with the power constraint Gtilde = |u|^(p+1)/(p+1)."""
     pc = power_constraint(p)
     return Nonlinearity(G=lambda u: -0.5 * u**2, g=lambda u: -np.asarray(u, float),
-                        Gt=pc.Gt, gt=pc.gt, homogeneity=p + 1,
-                        name=f"quadratic+power(p={p})")
+                        Gt=pc.Gt, gt=pc.gt, homogeneity=p + 1)
 
 
 def double_well() -> Nonlinearity:
@@ -74,22 +72,7 @@ def double_well() -> Nonlinearity:
     double-well potential u^4/4 - u^2/2 (unconstrained descent reaches the
     constant wells u = +-1)."""
     return Nonlinearity(G=lambda u: 0.5 * u**2 - 0.25 * u**4,
-                        g=lambda u: np.asarray(u, float) - np.asarray(u, float) ** 3,
-                        name="double-well")
-
-
-def derivative_consistency(nl: Nonlinearity, rng: np.random.Generator) -> float:
-    """Worst |g - dG/du| mismatch against central finite differences at 100
-    random points of [-3, 3]."""
-    pts = rng.uniform(-3.0, 3.0, 100)
-    worst = 0.0
-    eh = 1e-6
-    for fn, dfn in ((nl.G, nl.g), (nl.Gt, nl.gt)):
-        if fn is None:
-            continue
-        fd = (np.asarray(fn(pts + eh)) - np.asarray(fn(pts - eh))) / (2 * eh)
-        worst = max(worst, float(np.max(np.abs(fd - np.asarray(dfn(pts))))))
-    return worst
+                        g=lambda u: np.asarray(u, float) - np.asarray(u, float) ** 3)
 
 
 @dataclass(frozen=True)
@@ -135,8 +118,7 @@ def seminorm_sq_offdiag(kbar_at_cells: np.ndarray, u: PeriodicFunction) -> float
                     - float(np.sum(kbar_at_cells * acf[1:])))
 
 
-def seminorm_sq_realspace(wk: WrappedKernel, u: PeriodicFunction,
-                          diagonal_correction: bool = True) -> float:
+def seminorm_sq_realspace(wk: WrappedKernel, u: PeriodicFunction) -> float:
     """[u]_K^2 by the double trapezoid sum over one period square,
 
         (1/2) h^2 sum_{i != j} |u_i - u_j|^2 Kbar(x_i - x_j),
@@ -148,8 +130,6 @@ def seminorm_sq_realspace(wk: WrappedKernel, u: PeriodicFunction,
     h = u.grid.spacing
     kbar = wk.grid_values(h * np.arange(1, u.grid.size))  # distances d = 1..N-1 cells
     off_diag = seminorm_sq_offdiag(kbar, u)
-    if not diagonal_correction:
-        return off_diag
     from scipy import integrate
 
     # diagonal strip: model g(z) = u'(x)^2 z^2 Kbar(z); the missing piece is

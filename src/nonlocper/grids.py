@@ -192,13 +192,6 @@ def _require_same_grid(u: PeriodicFunction, v: PeriodicFunction) -> None:
         raise GridMismatchError("functions live on different grids")
 
 
-def to_coeff_table(u: PeriodicFunction) -> np.ndarray:
-    """Rows (k, Re u_k, Im u_k) for |k| <= N/2."""
-    n = u.grid.size
-    coeffs = [(k, u.coeff(k)) for k in range(-n // 2, n // 2 + 1)]
-    return np.array([(k, c.real, c.imag) for k, c in coeffs])
-
-
 def decay_exponent(u: PeriodicFunction) -> float:
     """Least-squares decay rate of |u_k| ~ k^(-r) over 2 <= k <= N/2.
 
@@ -214,11 +207,3 @@ def decay_exponent(u: PeriodicFunction) -> float:
             f"only {np.count_nonzero(keep)} modes above noise floor in [{lo}, {hi}]")
     slope = np.polyfit(np.log(ks[keep]), np.log(mags[keep]), 1)[0]
     return float(-slope)
-
-
-def parseval_gap(u: PeriodicFunction) -> float:
-    """Relative gap between (1/N) sum u_j^2 and sum |u_k|^2."""
-    lhs = np.mean(u.samples**2)
-    rhs = np.sum(np.abs(u.coeffs()) ** 2)
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale

@@ -18,7 +18,6 @@ Families shipped:
 from __future__ import annotations
 
 import functools
-import importlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
@@ -30,13 +29,7 @@ from .errors import (DomainError, GridMismatchError, IntegrationError,
                      UnsupportedKernelError)
 
 # scipy is imported inside the functions that call it, so that importing
-# the library loads none of it.  kernels.integrate still names scipy.integrate.
-
-
-def __getattr__(name: str):
-    if name == "integrate":
-        return importlib.import_module(f"scipy.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# the library loads none of it.
 
 
 def frac_lap_constant(s: float) -> float:
@@ -593,10 +586,6 @@ class WrappedKernel:
     _exact: Callable = field(default=None, repr=False, compare=False)  # R summed
     _remainder: Callable = field(default=None, repr=False, compare=False)  # R for calls
 
-    @property
-    def L(self) -> float:
-        return self.half_period
-
     def fold(self, t) -> np.ndarray:
         """Distance folded into [0, L] using evenness and 2L-periodicity."""
         t = np.abs(np.asarray(t, dtype=float))
@@ -656,7 +645,8 @@ def _exact_remainder(kernel: Kernel, L: float) -> Callable:
     """The function t -> sum_{k != 0} K(|t + 2kL|) for t in [0, L].
 
     The images k = +-1..K_DIRECT of a row block go through one profile call
-    (with a support, only those that can reach inside it).  Beyond them
+    (with a support, only those whose smallest argument on [0, L] lies
+    inside it: 2kL for t + 2kL and (2k - 1)L for 2kL - t).  Beyond them
     comes the midpoint Euler-Maclaurin series with step h = 2L from
     a = edge +- t, to its third term:
         (1/h) int_a^inf K + (h/24) K'(a) - (7 h^3/5760) K'''(a).
@@ -666,12 +656,16 @@ def _exact_remainder(kernel: Kernel, L: float) -> Callable:
     smooth and tiny there), fitted on first use and shared by every later
     call of the returned function."""
     sup = kernel.support
-    if sup is not None and sup <= L:
-        # every image |t +- 2kL| >= 2L - t >= L of a t in [0, L] lies outside
-        # the support, so the sum is zero
-        return lambda t: np.zeros(np.shape(t))
-    n_img = K_DIRECT if sup is None else min(K_DIRECT, int((sup / L + 1.0) / 2.0) + 1)
-    shifts = 2.0 * L * np.arange(1, n_img + 1)
+    # image columns in the order k = 1, -1, 2, -2, ...: arguments shifts + signs * t
+    shifts = 2.0 * L * np.repeat(np.arange(1, K_DIRECT + 1), 2)
+    signs = np.tile([1.0, -1.0], K_DIRECT)
+    if sup is not None:
+        # the other columns are zero for every t in [0, L]; dropping them
+        # leaves each sum bitwise unchanged
+        inside = np.where(signs > 0, shifts, shifts - L) < sup
+        shifts, signs = shifts[inside], signs[inside]
+        if shifts.size == 0:  # support <= L
+            return lambda t: np.zeros(np.shape(t))
     edge = 2.0 * (K_DIRECT + 0.5) * L
     lo, hi = edge - L, edge + L
 
@@ -691,9 +685,8 @@ def _exact_remainder(kernel: Kernel, L: float) -> Callable:
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
         out = np.empty_like(flat)
-        for blk in _row_blocks(flat.size, 2 * n_img):
-            tb = flat[blk, None]
-            args = np.stack([shifts + tb, shifts - tb], axis=2).reshape(tb.size, -1)
+        for blk in _row_blocks(flat.size, shifts.size):
+            args = shifts + signs * flat[blk, None]
             vals = _safe_profile(kernel, args.ravel()).reshape(args.shape)
             if sup is not None:
                 vals = np.where(args < sup, vals, 0.0)

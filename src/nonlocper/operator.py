@@ -33,26 +33,27 @@ class SymbolTable:
         object.__setattr__(self, "values", v)
         v.setflags(write=False)
 
-    def value_at(self, k: int) -> float:
-        return float(self.values[abs(int(k))])
-
     def full_multiplier(self) -> np.ndarray:
         """Multiplier in fft mode order, length N."""
         return self.values[np.abs(self.grid.wavenumbers)]
 
 
-def symbol_value(kernel: Kernel, xi: float, tol: float = 1e-9) -> float:
+# relative tolerance of the adaptive symbol quadrature
+SYMBOL_RTOL = 1e-9
+
+
+def symbol_value(kernel: Kernel, xi: float) -> float:
     """ell_K(xi) = 2 int_0^inf (1 - cos(xi t)) K(t) dt, adaptive quadrature.
 
     The integrand is split at t = 1/xi (i.e. z = xi t = 1): the near part is
     integrable like t^(1-2s), and the far part separates into the kernel tail
     integral minus an oscillatory cosine integral.
 
-    tol is a target, not a bound.  Against a split quadrature the result is
-    7.6e-9 off for SineTailKernel(0.5) at xi = 3, unchanged at tol = 1e-11,
-    and 3.5e-8 off at s = 0.95.  For a tabulated LaplaceKernel it integrates
-    the profile past the ends of the r grid, so it misses the cutoffs that
-    LaplaceKernel.symbol keeps: 1.8e-3 off for
+    SYMBOL_RTOL is a target, not a bound.  Against a split quadrature the
+    result is 7.6e-9 off for SineTailKernel(0.5) at xi = 3, unchanged at a
+    target of 1e-11, and 3.5e-8 off at s = 0.95.  For a tabulated
+    LaplaceKernel it integrates the profile past the ends of the r grid, so
+    it misses the cutoffs that LaplaceKernel.symbol keeps: 1.8e-3 off for
     laplace_measure_of(FractionalKernel(0.2)) at xi = 1.
     """
     from scipy import integrate
@@ -64,63 +65,47 @@ def symbol_value(kernel: Kernel, xi: float, tol: float = 1e-9) -> float:
         b = kernel.support
         val, err = integrate.quad(
             lambda t: (1.0 - math.cos(xi * t)) * float(kernel(t)),
-            0.0, b, limit=400, epsabs=1e-13, epsrel=tol,
+            0.0, b, limit=400, epsabs=1e-13, epsrel=SYMBOL_RTOL,
             points=[min(1.0 / xi, b)] if 1.0 / xi < b else None)
         return 2.0 * val
 
     a = 1.0 / xi
     near, e1 = integrate.quad(
         lambda t: (1.0 - math.cos(xi * t)) * float(kernel(t)),
-        0.0, a, limit=400, epsabs=1e-13, epsrel=tol)
+        0.0, a, limit=400, epsabs=1e-13, epsrel=SYMBOL_RTOL)
     tail = kernel.tail_integral(a)
     osc, e3 = integrate.quad(lambda t: float(kernel(t)), a, np.inf,
                              weight="cos", wvar=xi, limit=400)
     val = 2.0 * (near + tail - osc)
     est = 2.0 * (e1 + e3)
-    # QAWF error estimates are conservative; gate well above the target tol
-    if not math.isfinite(val) or est > max(1e3 * tol * abs(val), 1e-7):
+    # QAWF error estimates are conservative; gate well above the target
+    if not math.isfinite(val) or est > max(1e3 * SYMBOL_RTOL * abs(val), 1e-7):
         raise IntegrationError(
             f"symbol quadrature at xi={xi:g}: value {val:g}, error estimate {est:g}")
     return val
 
 
-def symbol_of_kernel(kernel: Kernel, grid: PeriodicGrid, tol: float = 1e-9,
+def symbol_of_kernel(kernel: Kernel, grid: PeriodicGrid,
                      force_quadrature: bool = False) -> SymbolTable:
     """Tabulate the multiplier at xi = pi*k/L, k = 0..N/2.
 
     Fractional, Delaunay, compact (the indicator included) and Laplace
     kernels have closed forms (provenance "exact").  SineTail integrates all
     frequencies at once by a fixed rule, and custom kernels by adaptive
-    quadrature per frequency with relative tolerance tol (both "quadrature").
+    quadrature per frequency at SYMBOL_RTOL (both "quadrature").
     force_quadrature=True sends every family through symbol_value, the
     independent check on the others.
     """
     xis = grid.frequencies()
     if kernel.symbol_rule is not None and not force_quadrature:
         return SymbolTable(grid, kernel.symbol(xis), kernel.symbol_rule)
-    vals = np.array([symbol_value(kernel, xi, tol) for xi in xis])
+    vals = np.array([symbol_value(kernel, xi) for xi in xis])
     return SymbolTable(grid, vals, "quadrature")
 
 
 def symbol_from_values(grid: PeriodicGrid, values) -> SymbolTable:
     """Wrap user-supplied multiplier values (may be sign-changing)."""
     return SymbolTable(grid, np.asarray(values, dtype=float), "user")
-
-
-def cosine_normalization(s: float) -> float:
-    """int_R (1 - cos z)/|z|^(1+2s) dz, which equals 1/c_s."""
-    from scipy import integrate
-
-    # near part termwise from the cosine series: sum (-1)^(m+1)/((2m)!(2m-2s))
-    near = 0.0
-    fact = 1.0
-    for m in range(1, 30):
-        fact *= (2 * m - 1) * (2 * m)
-        near += (-1.0) ** (m + 1) / (fact * (2 * m - 2.0 * s))
-    tail = 1.0 / (2.0 * s)  # int_1^inf z^(-1-2s) dz
-    osc, _ = integrate.quad(lambda z: z ** (-1.0 - 2.0 * s), 1.0, np.inf,
-                            weight="cos", wvar=1.0, limit=200)
-    return 2.0 * (near + tail - osc)
 
 
 def apply_spectral(sym: SymbolTable, u: PeriodicFunction) -> PeriodicFunction:
@@ -257,22 +242,6 @@ def apply_pv_grid(kernel: Kernel, u: PeriodicFunction) -> PeriodicFunction:
     wrapped = wrap_kernel(kernel, u.grid.half_period)
     return PeriodicFunction(u.grid, _pv_fold(u, u.grid.nodes, wrapped,
                                              wrapped.breakpoints, DEFAULT_EPS_SEQ))
-
-
-def integrate_by_parts_check(kernel: Kernel, u: PeriodicFunction,
-                             psi: PeriodicFunction,
-                             sym: SymbolTable | None = None) -> float:
-    """|int u (L psi) dx  -  <u, psi>_K| with the two sides computed by
-    independent routes (PV quadrature vs the Fourier-side bilinear form)."""
-    if u.grid != psi.grid:
-        raise GridMismatchError("functions live on different grids")
-    grid = u.grid
-    lpsi = apply_pv_grid(kernel, psi)
-    lhs = grid.spacing * float(np.sum(u.samples * lpsi.samples))
-    if sym is None:
-        sym = symbol_of_kernel(kernel, grid)
-    rhs = bilinear_fourier(sym, u, psi)
-    return abs(lhs - rhs)
 
 
 def bilinear_fourier(sym: SymbolTable, u: PeriodicFunction,

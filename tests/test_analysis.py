@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,19 +81,3 @@ class TestMoser:
        st.floats(0, 10, allow_nan=False))
 def test_moser_property(a, b, M, r):
     assert nl.moser_scalar_check(a, b, M, r)["holds"]
-
-
-class TestLinfSanity:
-    def test_in_scope(self):
-        g = nl.PeriodicGrid(math.pi, 64)
-        sym = nl.symbol_of_kernel(nl.FractionalKernel(0.6), g)
-        u = nl.PeriodicFunction.from_callable(g, lambda x: np.cos(x) + 0.3 * np.sin(2 * x))
-        res = nl.linf_sanity(u, sym, 0.6)
-        assert not res["out_of_scope"]
-        assert res["holds"]
-
-    def test_out_of_scope(self):
-        g = nl.PeriodicGrid(math.pi, 64)
-        sym = nl.symbol_of_kernel(nl.FractionalKernel(0.4), g)
-        u = nl.PeriodicFunction.from_callable(g, np.cos)
-        assert nl.linf_sanity(u, sym, 0.4)["out_of_scope"]

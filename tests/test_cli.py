@@ -258,6 +258,19 @@ class TestExitCodeContract:
         assert err.startswith("configuration error: $.kernel.s:")
         assert "(exclusiveMaximum)" in err
 
+    def test_tolerances_accepts_only_grad(self, tmp_path, capsys):
+        # "symbol" was accepted and then ignored: every CLI kernel family
+        # tabulates its symbol without adaptive quadrature
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"tolerances": {"symbol": 1e-9}}))
+        code = run_cli(["symbol", "--kernel", "fraclap", "--s", 0.5, "--L", L,
+                        "--N", 64, "--config", p, "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("configuration error: $.tolerances:")
+        assert "symbol" in err and "(additionalProperties)" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("args", [
         ["symbol"],
         ["apply", "--function", "u.csv", "--mode", "pv"],

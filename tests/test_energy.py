@@ -13,9 +13,12 @@ def grid(N=256, L=math.pi):
 
 class TestNonlinearities:
     def test_polynomial_consistency(self):
+        # g = G' against central finite differences at random points
         nlty = nl.polynomial_nonlinearity([0.0, 0.0, 0.5, 1.0 / 3.0])
-        rng = np.random.default_rng(0)
-        assert nl.derivative_consistency(nlty, rng)
+        pts = np.random.default_rng(0).uniform(-3.0, 3.0, 100)
+        eh = 1e-6
+        fd = (nlty.G(pts + eh) - nlty.G(pts - eh)) / (2 * eh)
+        assert np.max(np.abs(fd - nlty.g(pts))) < 1e-7
 
     def test_benjamin_ono_values(self):
         nlty = nl.benjamin_ono_type(2.0)
@@ -67,7 +70,7 @@ class TestSeminorm:
         u = nl.PeriodicFunction.from_callable(g, np.cos)
         four = nl.seminorm_sq_fourier(sym, u)
         with_corr = nl.seminorm_sq_realspace(wk, u)
-        without = nl.seminorm_sq_realspace(wk, u, diagonal_correction=False)
+        without = nl.seminorm_sq_offdiag(wk.grid_values(g.spacing * np.arange(1, g.size)), u)
         assert abs(with_corr - four) < abs(without - four)
 
     def test_two_bump_exact_finite_sum(self):

@@ -146,7 +146,8 @@ class TestDiagnostics:
         g = make_grid(N=128)
         rng = np.random.default_rng(0)
         u = nl.PeriodicFunction(g, rng.standard_normal(g.size))
-        assert nl.parseval_gap(u) < 1e-12
+        assert np.mean(u.samples**2) == pytest.approx(
+            np.sum(np.abs(u.coeffs()) ** 2), rel=1e-12)
 
     def test_decay_exponent_exact_power_law(self):
         g = make_grid(N=256)
@@ -170,13 +171,6 @@ class TestDiagnostics:
         with pytest.raises(nl.DegenerateFitError):
             nl.decay_exponent(u)
 
-    def test_coeff_table_shape(self):
-        g = make_grid(N=32)
-        u = nl.PeriodicFunction.from_callable(g, np.cos)
-        table = nl.to_coeff_table(u)  # rows (k, Re, Im) for |k| <= N/2
-        assert table.shape == (g.size + 1, 3)
-        assert table[0, 0] == -g.size // 2
-
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=31),
@@ -197,4 +191,5 @@ def test_roundtrip_random_samples(seed):
     u = nl.PeriodicFunction(g, rng.standard_normal(g.size))
     v = nl.PeriodicFunction.from_coeffs(g, u.coeffs())
     assert np.allclose(u.samples, v.samples, atol=1e-12)
-    assert nl.parseval_gap(u) < 1e-12
+    assert np.mean(u.samples**2) == pytest.approx(
+        np.sum(np.abs(u.coeffs()) ** 2), rel=1e-12)

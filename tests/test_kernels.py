@@ -224,6 +224,24 @@ class TestWrappedKernel:
         assert np.array_equal(wk(ts), kernel(ts))
         assert np.array_equal(wk.grid_values(ts), kernel(ts))
 
+    @pytest.mark.parametrize("support, columns", [(1.3, 1), (2.7, 2), (5.5, 5)])
+    def test_remainder_profiles_only_images_inside_support(self, monkeypatch,
+                                                           support, columns):
+        # over t in [0, L], t + 2kL reaches the support only if 2kL < support
+        # and 2kL - t only if (2k - 1)L < support: one profile point per such
+        # image and remainder point
+        L = math.pi
+        kernel = nl.indicator_kernel(support * L)
+        remainder = nl.kernels._exact_remainder(kernel, L)
+        ts = np.linspace(0.0, L, 101)
+        brute = sum(kernel(np.abs(ts + 2 * k * L)) for k in (*range(-4, 0), *range(1, 5)))
+        points = []
+        profile = type(kernel).profile
+        monkeypatch.setattr(type(kernel), "profile",
+                            lambda self, t: points.append(np.size(t)) or profile(self, t))
+        assert np.allclose(remainder(ts), brute, rtol=0.0, atol=1e-15)
+        assert sum(points) == columns * ts.size
+
     def test_monotone_for_fraclap(self):
         wk = nl.wrap_kernel(nl.FractionalKernel(0.5), math.pi, tol=1e-12)
         ts = np.linspace(0.05, math.pi, 200)

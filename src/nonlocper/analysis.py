@@ -5,7 +5,7 @@ iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,11 +32,7 @@ class RegularityVerdict:
     sharpness_open: bool = False
 
     def to_dict(self) -> dict:
-        return {"s": self.s, "beta": self.beta, "case": self.case,
-                "exponent_family": self.exponent_family,
-                "bootstrap_trace": list(self.bootstrap_trace),
-                "epsilon_open": self.epsilon_open,
-                "sharpness_open": self.sharpness_open}
+        return asdict(self)
 
 
 def bootstrap_exponents(s: float, beta: float) -> tuple:

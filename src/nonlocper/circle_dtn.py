@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .energy import seminorm_sq_offdiag
 from .errors import DomainError, StepSizeError
 from .grids import PeriodicFunction, PeriodicGrid
 from .kernels import FractionalKernel, WrappedKernel, wrap_kernel
-from .operator import DEFAULT_EPS_SEQ, _pv_fold
+from .operator import _pv_fold
 
 
 def circle_grid(n: int) -> PeriodicGrid:
@@ -38,7 +37,7 @@ def dtn_multiplier(u: PeriodicFunction) -> PeriodicFunction:
     return PeriodicFunction.from_coeffs(u.grid, u.coeffs() * k)
 
 
-DEFAULT_DELTA_SEQ = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
+DTN_DELTA_SEQ = (1e-2, 5e-3, 2.5e-3, 1.25e-3)  # radial steps of dtn_poisson
 
 
 def poisson_extension(u: PeriodicFunction, radius: float) -> np.ndarray:
@@ -62,16 +61,12 @@ def poisson_extension(u: PeriodicFunction, radius: float) -> np.ndarray:
     return conv[:: m // n]
 
 
-def dtn_poisson(u: PeriodicFunction,
-                delta_seq: Sequence[float] = DEFAULT_DELTA_SEQ) -> PeriodicFunction:
+def dtn_poisson(u: PeriodicFunction) -> PeriodicFunction:
     """Radial difference quotient (u(p) - u_D((1-delta)p))/delta of the
-    Poisson-quadrature extension, Richardson-extrapolated to delta = 0."""
+    Poisson-quadrature extension at each delta of DTN_DELTA_SEQ,
+    Richardson-extrapolated to delta = 0."""
     _require_circle(u)
-    deltas = np.array([float(d) for d in delta_seq])
-    if deltas.size < 2 or np.any(np.diff(deltas) >= 0):
-        raise DomainError("delta_seq must be strictly decreasing, length >= 2")
-    if deltas[-1] < 1e-6:
-        raise StepSizeError("delta below stable quadrature resolution")
+    deltas = np.array(DTN_DELTA_SEQ)
     quots = np.array([(u.samples - poisson_extension(u, 1.0 - d)) / d
                       for d in deltas])
     # difference quotient is analytic in delta: fit and evaluate at 0
@@ -88,7 +83,7 @@ def half_lap_pv_circle(u: PeriodicFunction, x: float) -> float:
     """
     _require_circle(u)
     return float(_pv_fold(u, [x], lambda t: 1.0 / (4.0 * math.pi * np.sin(0.5 * t) ** 2),
-                          (), DEFAULT_EPS_SEQ)[0])
+                          ())[0])
 
 
 @functools.cache

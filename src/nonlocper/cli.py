@@ -25,6 +25,7 @@ import math
 import numbers
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +76,9 @@ def validate_config(config: dict) -> None:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Number) and not isinstance(value, bool)
+    # JSON has no NaN or Infinity, though json.load and float() accept them
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 _TYPES = {
@@ -134,7 +137,11 @@ def validate(instance, schema: dict) -> None:
     minimum, exclusiveMinimum, exclusiveMaximum, items, minItems,
     maxItems, allOf and if/then; $schema and title are annotations.  Any
     other keyword raises ValueError, so the schema cannot outgrow this
-    validator unnoticed."""
+    validator unnoticed.
+
+    One divergence from JSON Schema validators is intended: NaN and the
+    infinities, which json.load and argparse's float accept and which such
+    validators take for numbers, are not numbers here."""
     _check_schema(schema, "#")
     _validate(instance, schema, "$")
 
@@ -223,16 +230,18 @@ def build_nonlinearity(config: dict) -> Nonlinearity:
     if name == "double_well":
         return double_well()
     if name == "power":
-        return power_constraint(spec["p"])
+        return power_constraint(spec.get("p", 2.0))
     return polynomial_nonlinearity(
         spec.get("G_coeffs", [0.0]), spec.get("Gt_coeffs"))
 
 
 def resolve_seed(config: dict) -> int:
     env = os.environ.get("NONLOC_SEED")
-    if env is not None:
-        return int(env)
-    return int(config.get("seed", 0))
+    if env is None:
+        return int(config.get("seed", 0))
+    if not (env.isascii() and env.isdigit()):  # the schema's bound on a config seed
+        raise ConfigError(f"NONLOC_SEED must be an integer >= 0, not {env!r}")
+    return int(env)
 
 
 def cmd_symbol(config: dict, out: Path) -> dict:
@@ -311,10 +320,9 @@ def cmd_minimize(config: dict, out: Path) -> dict:
     base = 1.0 + np.cos(np.pi * grid.nodes / grid.half_period)
     noise = rng.standard_normal(grid.size) * 0.1
     initial = PeriodicFunction(grid, base + noise)
-    cfg = MinimizeConfig(
-        sym=sym, nl=nl, initial=initial, c=config.get("constraint"),
-        grad_tol=config.get("tolerances", {}).get("grad", 1e-8),
-        max_iters=config.get("max_iters", 50000))
+    cfg = from_config(MinimizeConfig, sym, nl, initial, config.get("constraint"),
+                      config.get("tolerances", {}).get("grad", 1e-8),
+                      config.get("max_iters", 50000))
     result = run_minimize(cfg)
     if not result.converged:
         raise NonlocError(
@@ -349,15 +357,8 @@ def cmd_regularity(config: dict, out: Path) -> dict:
 
 
 def cmd_kernel_class(config: dict, out: Path) -> dict:
-    kern = build_kernel(config)
-    L = config.get("kernel", {}).get("L", math.pi)
-    rep = kernels.classify_kernel(kern, L=L)
-    return {"convex": rep.convex, "convexity_margin": rep.convexity_margin,
-            "wrapped_monotone": rep.wrapped_monotone,
-            "monotonicity_margin": rep.monotonicity_margin,
-            "laplace_consistent": rep.laplace_consistent,
-            "laplace_error": rep.laplace_error,
-            "sqrt_profile_cm": rep.sqrt_profile_cm, "notes": rep.notes}
+    L = config.get("grid", {}).get("L", math.pi)
+    return asdict(kernels.classify_kernel(build_kernel(config), L=L))
 
 
 def cmd_dtn_check(config: dict, out: Path) -> dict:
@@ -423,15 +424,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _object_at(config: dict, key: str) -> dict:
-    """config[key] (created empty if absent) for flags to write into."""
-    entry = config.setdefault(key, {})
-    if not isinstance(entry, dict):
-        raise ConfigError(f"the {key} entry is {entry!r}, not a JSON object")
-    return entry
+# the config path that each flag writes; regularity's --s is the verdict's
+# order, so there it writes the top-level "s" instead of kernel.s
+_FLAG_PATHS = {
+    "kernel": ("kernel", "family"), "s": ("kernel", "s"), "n": ("kernel", "n"),
+    "a": ("kernel", "a"), "cutoff": ("kernel", "cutoff"),
+    "L": ("grid", "L"), "N": ("grid", "N"),
+    "beta": ("beta",), "function": ("function",), "mode": ("mode",),
+    "constraint": ("constraint",), "x0": ("x0",), "seed": ("seed",),
+    "max_iters": ("max_iters",),
+}
 
 
 def merge_config(args: argparse.Namespace) -> dict:
+    """The config file (if any) with every flag that is set written over it."""
     config: dict = {}
     if args.config:
         with open(args.config) as fh:
@@ -439,31 +445,19 @@ def merge_config(args: argparse.Namespace) -> dict:
         if not isinstance(config, dict):
             raise ConfigError(f"the top level of {args.config} is not a JSON object")
     config["command"] = args.command
-    if args.kernel is not None or args.cutoff is not None:
-        kspec = _object_at(config, "kernel")
-        if args.kernel is not None:
-            kspec["family"] = args.kernel
-        for key in ("s", "n", "a", "cutoff"):
-            val = getattr(args, key)
-            if val is not None:
-                kspec[key] = val
+    paths = _FLAG_PATHS
     if args.command == "regularity":
-        if args.s is not None:
-            config["s"] = args.s
-        if args.beta is not None:
-            config["beta"] = args.beta
-    if args.L is not None or args.N is not None:
-        gspec = _object_at(config, "grid")
-        if args.L is not None:
-            gspec["L"] = args.L
-        if args.N is not None:
-            gspec["N"] = args.N
-        if args.command == "dtn-check":  # the circle has half period pi
-            gspec.setdefault("L", math.pi)
-    for key in ("function", "mode", "constraint", "x0", "seed", "max_iters"):
-        val = getattr(args, key)
-        if val is not None:
-            config[key] = val
+        paths = {**_FLAG_PATHS, "s": ("s",)}
+    for flag, path in paths.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        entry = config
+        for key in path[:-1]:
+            entry = entry.setdefault(key, {})
+            if not isinstance(entry, dict):
+                raise ConfigError(f"the {key} entry is {entry!r}, not a JSON object")
+        entry[path[-1]] = value
     return config
 
 

@@ -6,7 +6,7 @@ monotonicity diagnostics, and the maximum-principle probe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -80,10 +80,7 @@ class SymmetryDiagnostics:
     degenerate: bool  # constant input: center/counts meaningless
 
     def to_dict(self) -> dict:
-        return {"center": self.center, "evenness_defect": self.evenness_defect,
-                "monotonicity_defect": self.monotonicity_defect,
-                "critical_points": self.critical_points,
-                "degenerate": self.degenerate}
+        return asdict(self)
 
 
 def symmetry_diagnostics(u: PeriodicFunction) -> SymmetryDiagnostics:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -116,19 +115,19 @@ def apply_spectral(sym: SymbolTable, u: PeriodicFunction) -> PeriodicFunction:
     return PeriodicFunction.from_coeffs(u.grid, u.coeffs() * sym.full_multiplier())
 
 
-DEFAULT_EPS_SEQ = (1e-2, 1e-3, 1e-4)
+PV_EPS_SEQ = (1e-2, 1e-3, 1e-4)  # where the graded panels of each PV estimate start
 PV_STABILITY_TOL = 1e-6
 PV_RULE_CACHE = 8  # entries kept by _pv_rule and by _pv_panels, least recent dropped
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 @functools.lru_cache(maxsize=PV_RULE_CACHE)
-def _pv_panels(L: float, eps_seq: tuple, breakpoints: tuple) -> tuple:
+def _pv_panels(L: float, breakpoints: tuple) -> tuple:
     """(zs, w, cuts) of _pv_rule, shared by the plans of every N."""
     # below z_switch the direct second difference is pure cancellation noise
     z_switch = 1e-3 * L
     zs, w, cuts, start = [], [], [], 0
-    for eps in eps_seq:
+    for eps in PV_EPS_SEQ:
         # geometric panels toward z = 0 resolve the z^(1-2s) behavior; the
         # dropped sliver [0, eps*2^-120] contributes O(eps^(2-2s) 2^-48)
         bounds = [eps * 2.0 ** j for j in range(-120, 1)]
@@ -148,11 +147,11 @@ def _pv_panels(L: float, eps_seq: tuple, breakpoints: tuple) -> tuple:
 
 
 @functools.lru_cache(maxsize=PV_RULE_CACHE)
-def _pv_rule(L: float, n_modes: int, eps_seq: tuple, breakpoints: tuple) -> tuple:
+def _pv_rule(L: float, n_modes: int, breakpoints: tuple) -> tuple:
     """The part of _pv_fold's quadrature that depends on neither the kernel
     nor u, built once per key: (zs, w, cuts, cos_large), all read-only.
 
-    zs holds the panel nodes of every eps rule, concatenated in eps_seq
+    zs holds the panel nodes of every eps rule, concatenated in PV_EPS_SEQ
     order, and w their Gauss-Legendre weights.  Rule i owns
     zs[start:stop] for (start, switch, stop) = cuts[i]; its nodes ascend,
     so those below z_switch = 1e-3 L are the prefix zs[start:switch].
@@ -161,10 +160,10 @@ def _pv_rule(L: float, n_modes: int, eps_seq: tuple, breakpoints: tuple) -> tupl
 
     An entry holds 8 n_modes bytes per node at or above z_switch; zs and w
     (16 bytes per node) come from _pv_panels and are shared by the entries
-    of every N.  For L = pi and DEFAULT_EPS_SEQ, 374 of the 4752 nodes lie
+    of every N.  For L = pi, 374 of the 4752 nodes lie
     at or above z_switch: 0.10 MB at N = 64, 0.39 MB at N = 256 and 6.1 MB
     at N = 4096, plus 0.08 MB of panels."""
-    zs, w, cuts = _pv_panels(L, eps_seq, breakpoints)
+    zs, w, cuts = _pv_panels(L, breakpoints)
     large = np.concatenate([zs[switch:stop] for _, switch, stop in cuts])
     cos_large = np.outer(large, np.pi * np.arange(n_modes) / L)
     np.cos(cos_large, out=cos_large)
@@ -172,29 +171,23 @@ def _pv_rule(L: float, n_modes: int, eps_seq: tuple, breakpoints: tuple) -> tupl
     return zs, w, cuts, cos_large
 
 
-def _pv_fold(u: PeriodicFunction, xs, kbar, breakpoints,
-             eps_seq: Sequence[float]) -> np.ndarray:
+def _pv_fold(u: PeriodicFunction, xs, kbar, breakpoints) -> np.ndarray:
     """int_0^L (2u(x) - u(x+z) - u(x-z)) kbar(z) dz at every x in xs on graded
     Gauss-Legendre panels, which never straddle a breakpoint of kbar.  The
-    estimates for all eps in eps_seq (where the grading starts) must agree
+    estimates for all eps in PV_EPS_SEQ (where the grading starts) must agree
     within PV_STABILITY_TOL relative to max(1, |value|), which certifies
     that the principal-value limit has stabilized.  The panels come from
     _pv_rule; kbar is evaluated once per EVAL_BLOCK points, on the nodes of
     every eps rule at once."""
-    eps_seq = tuple(float(e) for e in eps_seq)
-    if not all(math.isfinite(e) and e > 0 for e in eps_seq):
-        raise DomainError(f"eps_seq entries must be finite and positive: {eps_seq}")
-    if not eps_seq or any(b >= a for a, b in zip(eps_seq, eps_seq[1:])):
-        raise DomainError("eps_seq must be strictly decreasing and nonempty")
     L = u.grid.half_period
-    if eps_seq[0] >= L:
-        raise DomainError("eps_seq must start below the half period")
+    if PV_EPS_SEQ[0] >= L:
+        raise DomainError(f"the half period must exceed the first eps, {PV_EPS_SEQ[0]:g}")
     xs = np.asarray(xs, dtype=float)
     if xs.size > EVAL_BLOCK:  # caps the point-by-mode tables at EVAL_BLOCK rows
-        return np.concatenate([_pv_fold(u, xs[i:i + EVAL_BLOCK], kbar, breakpoints, eps_seq)
+        return np.concatenate([_pv_fold(u, xs[i:i + EVAL_BLOCK], kbar, breakpoints)
                                for i in range(0, xs.size, EVAL_BLOCK)])
     omega = u.grid.frequencies()
-    zs, w, cuts, cos_large = _pv_rule(L, omega.size, eps_seq, tuple(breakpoints))
+    zs, w, cuts, cos_large = _pv_rule(L, omega.size, tuple(breakpoints))
     wk = w * kbar(zs)
     ux = u.eval(xs)
     # addition theorem: u(x+z) + u(x-z) = 2 sum_k a_k(x) cos(omega_k z) over
@@ -216,13 +209,12 @@ def _pv_fold(u: PeriodicFunction, xs, kbar, breakpoints,
     spread = np.max(np.abs(np.diff(vals, axis=0)), axis=0, initial=0.0)
     bad = np.flatnonzero(spread > PV_STABILITY_TOL * np.maximum(1.0, np.abs(vals[-1])))
     if bad.size:
-        raise IntegrationError(f"principal value unstable across eps_seq at "
+        raise IntegrationError(f"principal value unstable across PV_EPS_SEQ at "
                                f"x={xs[bad[0]]:g}: {[float(v[bad[0]]) for v in vals]}")
     return vals[-1]
 
 
 def apply_pv(kernel: Kernel, u: PeriodicFunction, x: float,
-             eps_seq: Sequence[float] = DEFAULT_EPS_SEQ,
              wrapped: WrappedKernel | None = None) -> float:
     """Evaluate the operator at x by principal-value quadrature.
 
@@ -234,14 +226,13 @@ def apply_pv(kernel: Kernel, u: PeriodicFunction, x: float,
     if wrapped is None:
         wrapped = wrap_kernel(kernel, u.grid.half_period)
     wrapped.require_period(u.grid.half_period)
-    return float(_pv_fold(u, [x], wrapped, wrapped.breakpoints, eps_seq)[0])
+    return float(_pv_fold(u, [x], wrapped, wrapped.breakpoints)[0])
 
 
 def apply_pv_grid(kernel: Kernel, u: PeriodicFunction) -> PeriodicFunction:
     """apply_pv at every grid node (cross-validation helper)."""
     wrapped = wrap_kernel(kernel, u.grid.half_period)
-    return PeriodicFunction(u.grid, _pv_fold(u, u.grid.nodes, wrapped,
-                                             wrapped.breakpoints, DEFAULT_EPS_SEQ))
+    return PeriodicFunction(u.grid, _pv_fold(u, u.grid.nodes, wrapped, wrapped.breakpoints))
 
 
 def bilinear_fourier(sym: SymbolTable, u: PeriodicFunction,

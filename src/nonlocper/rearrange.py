@@ -6,7 +6,7 @@ counterexample regime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,12 +53,7 @@ class RearrangementReport:
     equality_inconclusive: bool = False
 
     def to_dict(self) -> dict:
-        return {"seminorm_before": self.seminorm_before,
-                "seminorm_after": self.seminorm_after,
-                "inequality_holds": self.inequality_holds,
-                "relative_gap": self.relative_gap,
-                "equality_case": self.equality_case,
-                "equality_inconclusive": self.equality_inconclusive}
+        return asdict(self)
 
 
 EQUALITY_BAND = 1e-8  # relative gap below which equality cases are examined

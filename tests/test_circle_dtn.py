@@ -37,9 +37,10 @@ class TestDtnPoisson:
         assert np.max(np.abs(poisson.samples - direct.samples)) < 1e-6
 
     def test_unsafe_delta_rejected(self):
+        # a radius this close to 1 needs more than 2^22 quadrature nodes
         u = boundary()
         with pytest.raises(nl.StepSizeError):
-            nl.dtn_poisson(u, delta_seq=(1e-7, 1e-8))
+            nl.circle_dtn.poisson_extension(u, 1 - 1e-7)
 
 
 class TestPoissonExtension:

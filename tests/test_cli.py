@@ -88,6 +88,65 @@ class TestConfigHandling:
         assert a == b
 
 
+class TestFlagsWin:
+    """Each flag writes one config path and wins over the file's value there,
+    whatever other flags are given."""
+
+    @pytest.mark.parametrize("spec,flags,merged", [
+        ({"family": "fraclap", "s": 0.5}, ["--s", 0.2], {"s": 0.2}),
+        ({"family": "delaunay", "n": 2, "s": 0.5, "a": 1.0}, ["--n", 3], {"n": 3}),
+        ({"family": "delaunay", "n": 2, "s": 0.5, "a": 1.0}, ["--a", 2.0], {"a": 2.0}),
+    ], ids=["s", "n", "a"])
+    def test_kernel_flag_over_file(self, tmp_path, spec, flags, merged):
+        tables = []
+        for sub, kernel, extra in (("flag", spec, flags), ("file", {**spec, **merged}, [])):
+            p = tmp_path / f"{sub}.json"
+            p.write_text(json.dumps({"kernel": kernel, "grid": {"L": L, "N": 64}}))
+            assert run_cli(["symbol", "--config", p, *extra,
+                            "--out", tmp_path / sub]) == cli.EXIT_OK
+            tables.append(np.loadtxt(tmp_path / sub / "symbol.csv", delimiter=",",
+                                     skiprows=1))
+        assert np.array_equal(tables[0], tables[1])
+        if spec["family"] == "fraclap":
+            assert np.allclose(tables[0][:, 2], np.abs(tables[0][:, 1]) ** 0.4)
+
+    def test_kernel_class_reads_the_grid_half_period(self, tmp_path):
+        # a cutoff in (L, 2L) folds the indicator onto a profile that rises
+        # again near L; at the default L = pi the cutoff 2.5 lies below L
+        code = run_cli(["kernel-class", "--kernel", "indicator", "--cutoff", 2.5,
+                        "--L", 2.0, "--out", tmp_path])
+        assert code == cli.EXIT_OK
+        assert load_report(tmp_path, "kernel-class")["result"]["wrapped_monotone"] is False
+
+    def test_dtn_check_needs_only_N(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"grid": {"N": 32}}))
+        assert run_cli(["dtn-check", "--config", p, "--out", tmp_path]) == cli.EXIT_OK
+
+    def test_kernel_L_is_not_a_key(self, tmp_path, capsys):
+        # the half period has one key, grid.L
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"kernel": {"family": "indicator", "cutoff": 2.5,
+                                            "L": 2.0}}))
+        code = run_cli(["kernel-class", "--config", p, "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("configuration error: $.kernel:")
+        assert "L" in err and "(additionalProperties)" in err
+
+    def test_power_nonlinearity_defaults_to_p_2(self, tmp_path):
+        fpath = write_samples(tmp_path / "u.csv")
+        results = []
+        for sub, spec in (("bare", {"name": "power"}), ("p2", {"name": "power", "p": 2})):
+            p = tmp_path / f"{sub}.json"
+            p.write_text(json.dumps({"nonlinearity": spec}))
+            assert run_cli(["energy", "--kernel", "fraclap", "--s", 0.5, "--L", L,
+                            "--N", 64, "--function", fpath, "--config", p,
+                            "--out", tmp_path / sub]) == cli.EXIT_OK
+            results.append(load_report(tmp_path / sub, "energy")["result"])
+        assert results[0] == results[1]
+
+
 class TestCommands:
     def test_symbol(self, tmp_path):
         code = run_cli(["symbol", "--kernel", "fraclap", "--s", 0.5,
@@ -222,8 +281,11 @@ class TestExitCodeContract:
         ["regularity", "--s", 0.3],
         ["apply", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64,
          "--function", "/nonexistent.csv"],
+        ["regularity", "--kernel", "fraclap", "--s", 0.2, "--beta", 0.4],
+        ["riesz", "--L", L, "--N", 64, "--s", 0.3],
     ], ids=["N-not-power-of-two", "x0-outside", "no-grid", "indicator-no-cutoff",
-            "regularity-no-beta", "missing-function-file"])
+            "regularity-no-beta", "missing-function-file",
+            "regularity-s-is-not-the-kernel-s", "s-without-kernel-family"])
     def test_bad_config_exits_2(self, tmp_path, capsys, args):
         code = run_cli(args + ["--out", tmp_path])
         err = capsys.readouterr().err
@@ -270,6 +332,51 @@ class TestExitCodeContract:
         assert err.startswith("configuration error: $.tolerances:")
         assert "symbol" in err and "(additionalProperties)" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text,args,path", [
+        ('{"grid": {"L": NaN, "N": 16}, "kernel": {"family": "fraclap", "s": 0.5}}',
+         ["symbol"], "$.grid.L"),
+        ("{}", ["symbol", "--kernel", "fraclap", "--s", 0.5, "--L", "inf", "--N", 16],
+         "$.grid.L"),
+        ("{}", ["minimize", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64,
+                "--constraint", "nan"], "$.constraint"),
+        ("{}", ["regularity", "--s", 0.2, "--beta", "inf"], "$.beta"),
+    ], ids=["file-NaN", "flag-inf", "flag-nan", "regularity-inf"])
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, text, args, path):
+        # json.load and argparse accept NaN and Infinity; JSON has neither
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        code = run_cli(args + ["--config", p, "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith(f"configuration error: {path}:")
+        assert "(type)" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("config,args,seed", [
+        ({"functions": {"f": "u.csv"}}, ["riesz"], None),
+        ({"kernel": {"family": "compact", "profile": []}}, ["symbol"], None),
+        ({"kernel": {"family": "laplace", "profile": []}}, ["symbol"], None),
+        ({"nonlinearity": {"name": "double_well"}},
+         ["minimize", "--kernel", "fraclap", "--s", 0.5, "--constraint", 5], None),
+        ({}, ["riesz"], "abc"),
+        ({}, ["riesz"], "-1"),
+    ], ids=["riesz-functions-without-g-h", "compact-empty-profile",
+            "laplace-empty-profile", "constraint-without-gtilde", "seed-not-integer",
+            "seed-negative"])
+    def test_config_inputs_that_reach_the_commands_exit_2(
+            self, tmp_path, capsys, monkeypatch, config, args, seed):
+        monkeypatch.delenv("NONLOC_SEED", raising=False)
+        if seed is not None:
+            monkeypatch.setenv("NONLOC_SEED", seed)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"grid": {"L": L, "N": 64}, **config}))
+        write_samples(tmp_path / "u.csv")
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(args + ["--config", p, "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("configuration error")
+        assert "numerical failure" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("args", [
         ["symbol"],

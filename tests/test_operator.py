@@ -218,25 +218,11 @@ class TestApplyPV:
         assert nl.apply_pv(k, u, 0.7) == pytest.approx(math.cos(0.7), abs=1e-9)
 
     def test_bad_eps_seq(self):
-        g = nl.PeriodicGrid(math.pi, 64)
-        u = nl.PeriodicFunction.from_callable(g, np.cos)
+        # the first eps rule starts at 1e-2, which must lie inside (0, L)
+        g = nl.PeriodicGrid(5e-3, 64)
+        u = nl.PeriodicFunction.from_callable(g, lambda x: np.cos(np.pi * x / 5e-3))
         with pytest.raises(nl.DomainError):
-            nl.apply_pv(nl.FractionalKernel(0.5), u, 0.0, eps_seq=(1e-3, 1e-2))
-        with pytest.raises(nl.DomainError):
-            nl.apply_pv(nl.FractionalKernel(0.5), u, 0.0, eps_seq=(10.0, 1.0))
-
-    @pytest.mark.parametrize("eps_seq", [
-        (1e-2, 0.0), (1e-2, -1e-3), (0.0,), (-1e-3,),
-        (1e-2, math.nan), (math.nan,), (1e-2, math.inf), (math.inf, 1e-3)],
-        ids=["zero", "negative", "only-zero", "only-negative",
-             "nan", "only-nan", "inf", "leading-inf"])
-    def test_eps_seq_entries_must_be_finite_and_positive(self, eps_seq):
-        # the panels double up from each eps, which never reaches L from a
-        # zero or negative eps, and a NaN eps makes every value NaN
-        g = nl.PeriodicGrid(math.pi, 64)
-        u = nl.PeriodicFunction.from_callable(g, np.cos)
-        with pytest.raises(nl.DomainError):
-            nl.apply_pv(nl.FractionalKernel(0.5), u, 0.3, eps_seq=eps_seq)
+            nl.apply_pv(nl.FractionalKernel(0.5), u, 0.0)
 
     def test_indicator_kernel_breakpoint_handling(self):
         # bounded kernel with a wrap jump inside (0, L): PV must still agree
@@ -267,7 +253,7 @@ class TestApplyPV:
 
 class TestPVRule:
     """The panels and cos table that _pv_fold caches per
-    (L, N/2 + 1, eps_seq, breakpoints)."""
+    (L, N/2 + 1, breakpoints)."""
 
     @staticmethod
     def setup_case():
@@ -285,24 +271,18 @@ class TestPVRule:
         u, kernel, wk = self.setup_case()
         nl.apply_pv(kernel, u, 0.3, wrapped=wk)
         warm = [nl.apply_pv(kernel, u, x, wrapped=wk) for x in (-2.0, 0.3, 1.7)]
-        warm_grid = op._pv_fold(u, u.grid.nodes, wk, wk.breakpoints, op.DEFAULT_EPS_SEQ)
+        warm_grid = op._pv_fold(u, u.grid.nodes, wk, wk.breakpoints)
         cold = []
         for x in (-2.0, 0.3, 1.7):
             self.clear()
             cold.append(nl.apply_pv(kernel, u, x, wrapped=wk))
         self.clear()
-        cold_grid = op._pv_fold(u, u.grid.nodes, wk, wk.breakpoints, op.DEFAULT_EPS_SEQ)
+        cold_grid = op._pv_fold(u, u.grid.nodes, wk, wk.breakpoints)
         assert warm == cold
         assert np.array_equal(warm_grid, cold_grid)
 
-    def test_list_eps_seq_matches_tuple(self):
-        u, kernel, wk = self.setup_case()
-        eps = [2e-2, 2e-3, 2e-4]
-        assert (nl.apply_pv(kernel, u, 0.3, eps_seq=eps, wrapped=wk)
-                == nl.apply_pv(kernel, u, 0.3, eps_seq=tuple(eps), wrapped=wk))
-
     def test_cached_arrays_are_read_only(self):
-        zs, w, cuts, cos_large = op._pv_rule(math.pi, 33, op.DEFAULT_EPS_SEQ, (0.5,))
+        zs, w, cuts, cos_large = op._pv_rule(math.pi, 33, (0.5,))
         for a in (zs, w, cos_large):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -318,7 +298,7 @@ class TestPVRule:
 
     def test_cache_is_bounded(self):
         for i in range(op.PV_RULE_CACHE + 5):
-            op._pv_rule(math.pi, 17, (1e-2 / (i + 1),), ())
+            op._pv_rule(math.pi / (i + 1), 17, ())
         for fn in (op._pv_rule, op._pv_panels):
             info = fn.cache_info()
             assert info.maxsize == op.PV_RULE_CACHE
@@ -332,13 +312,13 @@ class TestPVRule:
             sizes.append(np.size(z))
             return wk(z)
 
-        op._pv_fold(u, [0.3], counting, wk.breakpoints, op.DEFAULT_EPS_SEQ)
+        op._pv_fold(u, [0.3], counting, wk.breakpoints)
         assert len(sizes) == 1
         xs = np.linspace(-math.pi, math.pi, 2 * EVAL_BLOCK + 1, endpoint=False)
         sizes.clear()
-        op._pv_fold(u, xs, counting, wk.breakpoints, op.DEFAULT_EPS_SEQ)
+        op._pv_fold(u, xs, counting, wk.breakpoints)
         # every call takes the nodes of all three eps rules at once
-        zs = op._pv_rule(math.pi, 33, op.DEFAULT_EPS_SEQ, wk.breakpoints)[0]
+        zs = op._pv_rule(math.pi, 33, wk.breakpoints)[0]
         assert sizes == [zs.size] * 3
 
     def test_circle_half_laplacian_shares_the_plan(self):

@@ -382,58 +382,65 @@ def cmd_dtn_check(config: dict, out: Path) -> dict:
             "energy_spread": max(eid.values()) - min(eid.values())}
 
 
-COMMANDS = {
-    "symbol": cmd_symbol,
-    "apply": cmd_apply,
-    "energy": cmd_energy,
-    "rearrange": cmd_rearrange,
-    "polya-szego": cmd_polya_szego,
-    "riesz": cmd_riesz,
-    "minimize": cmd_minimize,
-    "maxprinciple": cmd_maxprinciple,
-    "regularity": cmd_regularity,
-    "kernel-class": cmd_kernel_class,
-    "dtn-check": cmd_dtn_check,
+# flag -> (argparse type, help, the config path it writes); regularity's
+# --s is the verdict's order, so there it writes the top-level "s" instead
+_FLAGS = {
+    "--kernel": (str, "kernel family", ("kernel", "family")),
+    "--s": (float, "kernel order (regularity: the verdict's order)", ("kernel", "s")),
+    "--n": (int, "kernel dimension parameter", ("kernel", "n")),
+    "--a": (float, "kernel core width", ("kernel", "a")),
+    "--cutoff": (float, "indicator kernel cutoff", ("kernel", "cutoff")),
+    "--L": (float, "half period", ("grid", "L")),
+    "--N": (int, "grid size (power of two)", ("grid", "N")),
+    "--beta": (float, "regularity exponent beta", ("beta",)),
+    "--function": (str, "input samples CSV (x,u)", ("function",)),
+    "--mode": (str, "spectral or pv", ("mode",)),
+    "--constraint": (float, "constraint level c", ("constraint",)),
+    "--x0": (float, "probe point in (0, L)", ("x0",)),
+    "--seed": (int, "random seed", ("seed",)),
+    "--max-iters": (int, "iteration budget", ("max_iters",)),
 }
+_KERNEL = ("--kernel", "--s", "--n", "--a", "--cutoff")
+_SYMBOL = _KERNEL + ("--L", "--N")
+
+# command -> (handler, the flags it reads)
+COMMANDS = {
+    "symbol": (cmd_symbol, _SYMBOL),
+    "apply": (cmd_apply, _SYMBOL + ("--function", "--mode")),
+    "energy": (cmd_energy, _SYMBOL + ("--function",)),
+    "rearrange": (cmd_rearrange, ("--L", "--N", "--function")),
+    "polya-szego": (cmd_polya_szego, _SYMBOL + ("--function",)),
+    "riesz": (cmd_riesz, ("--L", "--N", "--seed")),
+    "minimize": (cmd_minimize, _SYMBOL + ("--constraint", "--seed", "--max-iters")),
+    "maxprinciple": (cmd_maxprinciple, _SYMBOL + ("--function", "--x0")),
+    "regularity": (cmd_regularity, ("--s", "--beta")),
+    "kernel-class": (cmd_kernel_class, _KERNEL + ("--L",)),
+    "dtn-check": (cmd_dtn_check, ("--N",)),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse failure is a configuration error (exit 2), not SystemExit.
+    Flags are not abbreviated: riesz would read --s as --seed."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nonlocper",
+    parser = _Parser(
+        prog="nonlocper", allow_abbrev=False,
         description="Periodic 1-D nonlocal operators: symbols, energies, "
                     "rearrangement checks, constrained minimization.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
+    for name, (_, flags) in COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--kernel", help="kernel family")
-        p.add_argument("--s", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--n", type=int, help="kernel dimension parameter")
-        p.add_argument("--a", type=float, help="kernel core width")
-        p.add_argument("--cutoff", type=float, help="indicator kernel cutoff")
-        p.add_argument("--L", type=float, help="half period")
-        p.add_argument("--N", type=int, help="grid size (power of two)")
-        p.add_argument("--function", help="input samples CSV (x,u)")
-        p.add_argument("--mode", choices=["spectral", "pv"])
-        p.add_argument("--constraint", type=float)
-        p.add_argument("--x0", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--max-iters", type=int, dest="max_iters")
+        for flag in flags:
+            kind, text, _ = _FLAGS[flag]
+            p.add_argument(flag, type=kind, help=text)
     return parser
-
-
-# the config path that each flag writes; regularity's --s is the verdict's
-# order, so there it writes the top-level "s" instead of kernel.s
-_FLAG_PATHS = {
-    "kernel": ("kernel", "family"), "s": ("kernel", "s"), "n": ("kernel", "n"),
-    "a": ("kernel", "a"), "cutoff": ("kernel", "cutoff"),
-    "L": ("grid", "L"), "N": ("grid", "N"),
-    "beta": ("beta",), "function": ("function",), "mode": ("mode",),
-    "constraint": ("constraint",), "x0": ("x0",), "seed": ("seed",),
-    "max_iters": ("max_iters",),
-}
 
 
 def merge_config(args: argparse.Namespace) -> dict:
@@ -445,13 +452,11 @@ def merge_config(args: argparse.Namespace) -> dict:
         if not isinstance(config, dict):
             raise ConfigError(f"the top level of {args.config} is not a JSON object")
     config["command"] = args.command
-    paths = _FLAG_PATHS
-    if args.command == "regularity":
-        paths = {**_FLAG_PATHS, "s": ("s",)}
-    for flag, path in paths.items():
-        value = getattr(args, flag)
+    for flag in COMMANDS[args.command][1]:
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is None:
             continue
+        path = ("s",) if args.command == "regularity" and flag == "--s" else _FLAGS[flag][2]
         entry = config
         for key in path[:-1]:
             entry = entry.setdefault(key, {})
@@ -475,7 +480,7 @@ def run(config: dict, out_dir: str = ".") -> int:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        payload = COMMANDS[config["command"]](config, out)
+        payload = COMMANDS[config["command"]][0](config, out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -507,8 +512,8 @@ def _json_default(obj):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = merge_config(args)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

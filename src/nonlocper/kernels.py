@@ -289,6 +289,8 @@ class LaplaceKernel(Kernel):
                  lambda_lo: float = 0.0, Lambda_hi: float = math.inf):
         r_grid = np.asarray(r_grid, dtype=float)
         density = np.asarray(density, dtype=float)
+        if r_grid.size < 2:  # one node has zero trapezoid weight: K = 0
+            raise DomainError("a Laplace profile needs at least two r nodes")
         if np.any(r_grid <= 0) or np.any(np.diff(r_grid) <= 0):
             raise DomainError("r grid must be positive increasing")
         if np.any(density < 0):
@@ -538,14 +540,12 @@ def laplace_measure_of(kernel: Kernel) -> LaplaceKernel:
     if not isinstance(kernel, (FractionalKernel, DelaunayKernel)):
         raise UnsupportedKernelError(
             f"no closed-form Laplace density for {type(kernel).__name__}")
-    from scipy.special import gamma as gamma_fn
-
     r = DEFAULT_R_GRID
     if isinstance(kernel, FractionalKernel):
-        dens = kernel.constant * r ** (kernel.s - 0.5) / gamma_fn(kernel.s + 0.5)
+        dens = kernel.constant * r ** (kernel.s - 0.5) / math.gamma(kernel.s + 0.5)
     else:
         g = (kernel.n + kernel.s) / 2.0
-        dens = np.exp((g - 1.0) * np.log(r) - kernel.a**2 * r) / gamma_fn(g)
+        dens = np.exp((g - 1.0) * np.log(r) - kernel.a**2 * r) / math.gamma(g)
     return LaplaceKernel(r, dens, s=kernel.s,
                          lambda_lo=kernel.lambda_lo, Lambda_hi=kernel.Lambda_hi)
 
@@ -650,11 +650,10 @@ def _exact_remainder(kernel: Kernel, L: float) -> Callable:
     comes the midpoint Euler-Maclaurin series with step h = 2L from
     a = edge +- t, to its third term:
         (1/h) int_a^inf K + (h/24) K'(a) - (7 h^3/5760) K'''(a).
-    The integral is closed-form for the fractional kernel, exact per limit
-    for up to _TAIL_POINTS limits, and otherwise read from its Chebyshev
-    interpolant at _TAIL_POINTS points of [edge - L, edge + L] (it is
-    smooth and tiny there), fitted on first use and shared by every later
-    call of the returned function."""
+    The integral is read from its Chebyshev interpolant at _TAIL_POINTS
+    points of [edge - L, edge + L] (it is smooth and tiny there), fitted on
+    first use and shared by every later call of the returned function, so
+    the tail of a value does not depend on the batch it arrives in."""
     sup = kernel.support
     # image columns in the order k = 1, -1, 2, -2, ...: arguments shifts + signs * t
     shifts = 2.0 * L * np.repeat(np.arange(1, K_DIRECT + 1), 2)
@@ -673,13 +672,6 @@ def _exact_remainder(kernel: Kernel, L: float) -> Callable:
     def tail_fit() -> np.ndarray:
         nodes = _cheb_points(lo, hi, _TAIL_POINTS)
         return _cheb_coeffs(np.array([kernel.tail_integral(x) for x in nodes]))
-
-    def tail_integral(a: np.ndarray) -> np.ndarray:
-        if isinstance(kernel, FractionalKernel):
-            return kernel.constant * a ** (-2.0 * kernel.s) / (2.0 * kernel.s)
-        if a.size <= _TAIL_POINTS:
-            return np.array([kernel.tail_integral(ai) for ai in a])
-        return chebval((2.0 * a - lo - hi) / (hi - lo), tail_fit())
 
     def remainder(t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -703,7 +695,8 @@ def _exact_remainder(kernel: Kernel, L: float) -> Callable:
             k2, k1, m1, m2 = (_safe_profile(kernel, a + j * d) for j in (2.0, 1.0, -1.0, -2.0))
             dK = (8.0 * (k1 - m1) - (k2 - m2)) / (12.0 * d)
             d3K = ((k2 - m2) - 2.0 * (k1 - m1)) / (2.0 * d**3)
-            tail = tail_integral(a) / h + h * dK / 24.0 - 7.0 * h**3 * d3K / 5760.0
+            tail_int = chebval((2.0 * a - lo - hi) / (hi - lo), tail_fit())
+            tail = tail_int / h + h * dK / 24.0 - 7.0 * h**3 * d3K / 5760.0
             out = out + tail[:flat.size] + tail[flat.size:]
         return out.reshape(t.shape)
 

@@ -15,7 +15,7 @@ from .errors import (DivergenceError, DomainError, HypothesisViolationError,
 from .grids import PeriodicFunction
 from .kernels import Kernel
 from .operator import SymbolTable, apply_pv
-from .energy import Nonlinearity, constraint_value, energy, potential_integral
+from .energy import Nonlinearity, energy, potential_integral
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def multiplier_and_residual(u: PeriodicFunction, sym: SymbolTable,
     r = rep.gradient
     if not constrained:
         return None, r, rep
-    _, gt = constraint_value(u, nl)
+    gt = PeriodicFunction(u.grid, np.asarray(nl.gt(u.samples), dtype=float))
     denom = _inner(gt, gt)
     if denom < 1e-30:
         return None, r, rep  # degenerate constraint direction
@@ -183,14 +183,15 @@ def minimize(cfg: MinimizeConfig) -> MinimizeResult:
     u = project_constraint(cfg.initial, cfg.nl, cfg.c) if constrained else cfg.initial
     lam, pg, rep = multiplier_and_residual(u, cfg.sym, cfg.nl, constrained)
     trace = [rep.total]
+    d = _precondition(cfg.sym, pg)
+    d_norm = d.l2_norm()
     step = 1.0
     it = 0
     converged = False
     stagnant = 0
     while it < cfg.max_iters:
         it += 1
-        d = _precondition(cfg.sym, pg)
-        if d.l2_norm() < cfg.grad_tol:
+        if d_norm < cfg.grad_tol:
             converged = True
             break
         slope = _inner(pg, d)  # positive: d is a descent direction
@@ -213,19 +214,20 @@ def minimize(cfg: MinimizeConfig) -> MinimizeResult:
                 else:
                     stagnant = 0
                 u, lam, pg = cand, lam_c, pg_c
+                d = _precondition(cfg.sym, pg)
+                d_norm = d.l2_norm()
                 trace.append(rep_c.total)
                 step = min(step * 1.5, 1e6)
                 accepted = True
                 break
             step *= ARMIJO_SHRINK
-        if accepted and stagnant >= 50 and _precondition(
-                cfg.sym, pg).l2_norm() < 100 * cfg.grad_tol:
+        if accepted and stagnant >= 50 and d_norm < 100 * cfg.grad_tol:
             converged = True
             break
         if not accepted:
             # Armijo stalled at machine precision: treat as converged if the
             # projected gradient is already small, otherwise report failure
-            if _precondition(cfg.sym, pg).l2_norm() < 100 * cfg.grad_tol:
+            if d_norm < 100 * cfg.grad_tol:
                 converged = True
                 break
             raise DivergenceError(
@@ -233,11 +235,10 @@ def minimize(cfg: MinimizeConfig) -> MinimizeResult:
                 f"(energy {trace[-1]:g})")
         if trace[-1] < -1e12:
             raise DivergenceError("energy unbounded along the trajectory")
-    lam, resid, rep = multiplier_and_residual(u, cfg.sym, cfg.nl, constrained)
     defect = None
     if constrained:
         defect = abs(potential_integral(u, cfg.nl.Gt) - cfg.c)
-    return MinimizeResult(u=u, multiplier=lam, residual_norm=resid.l2_norm(),
+    return MinimizeResult(u=u, multiplier=lam, residual_norm=pg.l2_norm(),
                           constraint_defect=defect, iterations=it,
                           converged=converged, energy_trace=np.array(trace),
                           diagnostics=symmetry_diagnostics(u),

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -145,6 +146,91 @@ class TestFlagsWin:
                             "--out", tmp_path / sub]) == cli.EXIT_OK
             results.append(load_report(tmp_path / sub, "energy")["result"])
         assert results[0] == results[1]
+
+
+# the flags each command reads, besides --config and --out
+_KERNEL_FLAGS = ["--kernel", "--s", "--n", "--a", "--cutoff"]
+_SYMBOL_FLAGS = _KERNEL_FLAGS + ["--L", "--N"]
+READS = {
+    "symbol": _SYMBOL_FLAGS,
+    "apply": _SYMBOL_FLAGS + ["--function", "--mode"],
+    "energy": _SYMBOL_FLAGS + ["--function"],
+    "rearrange": ["--L", "--N", "--function"],
+    "polya-szego": _SYMBOL_FLAGS + ["--function"],
+    "riesz": ["--L", "--N", "--seed"],
+    "minimize": _SYMBOL_FLAGS + ["--constraint", "--seed", "--max-iters"],
+    "maxprinciple": _SYMBOL_FLAGS + ["--function", "--x0"],
+    "regularity": ["--s", "--beta"],
+    "kernel-class": _KERNEL_FLAGS + ["--L"],
+    "dtn-check": ["--N"],
+}
+FLAG_VALUES = {"--kernel": "fraclap", "--s": 0.5, "--n": 2, "--a": 1.0, "--cutoff": 1.0,
+               "--L": 2.0, "--N": 64, "--beta": 0.3, "--function": "u.csv",
+               "--mode": "pv", "--constraint": 5, "--x0": 1.0, "--seed": 1,
+               "--max-iters": 10}
+# a run that each command completes; the unread flag is appended to it
+BASE_ARGS = {
+    "symbol": ["--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64],
+    "apply": ["--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64,
+              "--function", "u.csv"],
+    "energy": ["--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64,
+               "--function", "u.csv"],
+    "rearrange": ["--L", L, "--N", 64, "--function", "u.csv"],
+    "polya-szego": ["--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64,
+                    "--function", "u.csv"],
+    "riesz": ["--L", L, "--N", 64],
+    "minimize": ["--kernel", "fraclap", "--s", 0.5, "--L", 4 * math.pi, "--N", 128,
+                 "--constraint", 5],
+    "maxprinciple": ["--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64],
+    "regularity": ["--s", 0.2, "--beta", 0.4],
+    "kernel-class": ["--kernel", "sinetail", "--s", 0.5],
+    "dtn-check": ["--N", 32],
+}
+UNREAD = [(cmd, flag) for cmd, reads in READS.items() for flag in FLAG_VALUES
+          if flag not in reads]
+
+
+class TestFlagTable:
+    """Each command registers only the flags it reads; any other flag, and
+    any other argparse failure, exits 2 through cli.main."""
+
+    def test_parser_registers_exactly_the_read_flags(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        registered = {(name, opt) for name, sub in commands.items()
+                      for action in sub._actions for opt in action.option_strings
+                      if opt not in ("-h", "--help", "--config", "--out")}
+        expected = {(cmd, flag) for cmd, reads in READS.items() for flag in reads}
+        assert registered == expected
+        assert len(registered) == 66 and len(UNREAD) == 88
+
+    @pytest.mark.parametrize("command,flag", UNREAD,
+                             ids=[f"{c}{f}" for c, f in UNREAD])
+    def test_unread_flag_exits_2(self, tmp_path, capsys, monkeypatch, command, flag):
+        write_samples(tmp_path / "u.csv")
+        monkeypatch.chdir(tmp_path)
+        code = run_cli([command, *BASE_ARGS[command], flag, FLAG_VALUES[flag],
+                        "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith(f"configuration error: unrecognized arguments: {flag}")
+        assert "Traceback" not in err
+        assert not (tmp_path / f"{command}_report.json").exists()
+
+    @pytest.mark.parametrize("args,message", [
+        (["dtn-check", "--N", "abc"], "argument --N: invalid int value"),
+        (["nosuch", "--N", 32], "argument command: invalid choice"),
+        ([], "the following arguments are required: command"),
+        # riesz has --seed but no --s: a prefix is not read as the flag
+        (["riesz", "--L", L, "--N", 64, "--s", 3], "unrecognized arguments: --s"),
+    ], ids=["N-not-an-integer", "unknown-command", "no-command", "no-abbreviation"])
+    def test_argparse_failure_returns_2(self, tmp_path, capsys, args, message):
+        code = run_cli(args + (["--out", tmp_path] if args else []))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith(f"configuration error: {message}")
+        assert "Traceback" not in err
 
 
 class TestCommands:
@@ -360,9 +446,10 @@ class TestExitCodeContract:
          ["minimize", "--kernel", "fraclap", "--s", 0.5, "--constraint", 5], None),
         ({}, ["riesz"], "abc"),
         ({}, ["riesz"], "-1"),
+        ({"kernel": {"family": "laplace", "profile": [[1.0, 1.0]]}}, ["symbol"], None),
     ], ids=["riesz-functions-without-g-h", "compact-empty-profile",
             "laplace-empty-profile", "constraint-without-gtilde", "seed-not-integer",
-            "seed-negative"])
+            "seed-negative", "laplace-one-node-profile"])
     def test_config_inputs_that_reach_the_commands_exit_2(
             self, tmp_path, capsys, monkeypatch, config, args, seed):
         monkeypatch.delenv("NONLOC_SEED", raising=False)
@@ -594,10 +681,11 @@ class TestImportCost:
          "--function", "u.csv"],
         ["maxprinciple", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64],
         ["kernel-class", "--kernel", "sinetail", "--s", 0.5],
+        ["kernel-class", "--kernel", "fraclap", "--s", 0.5],
     ], ids=["regularity", "rearrange", "riesz", "symbol-fraclap", "symbol-indicator",
             "dtn-check",
             "apply-pv-fraclap", "polya-szego-fraclap", "maxprinciple-fraclap",
-            "kernel-class-sinetail"])
+            "kernel-class-sinetail", "kernel-class-fraclap"])
     def test_command_loads_no_scipy(self, tmp_path, args):
         args = [write_samples(tmp_path / a) if a == "u.csv" else a for a in args]
         proc = run_fresh(args + ["--out", tmp_path])

@@ -147,6 +147,11 @@ class TestLaplaceRepresentations:
         with pytest.raises(nl.UnsupportedKernelError):
             nl.laplace_measure_of(nl.SineTailKernel(0.5))
 
+    def test_one_node_profile_rejected(self):
+        # one node has zero trapezoid weight, so the kernel would vanish
+        with pytest.raises(nl.DomainError, match="two r nodes"):
+            nl.LaplaceKernel([1.0], [1.0], s=0.5)
+
     def test_laplace_kernel_direct_oracle(self):
         # K(t) = int e^-r e^{-t^2 r} dr = 1/(1 + t^2), density kappa = e^-r
         r = nl.kernels.DEFAULT_R_GRID
@@ -335,6 +340,16 @@ class TestWrappedKernel:
         ref = sum(w * nl.heat_kernel_phi(L, rj, ts) for w, rj in zip(weights, r))
         for vals in (wk.grid_values(ts), wk(ts)):
             assert np.max(np.abs(vals - ref) / ref) < 1e-13
+
+    def test_grid_value_does_not_depend_on_the_batch(self):
+        # the Euler-Maclaurin tail integral is read from one fit for every
+        # call; an exact value per limit for small calls moved the last bits
+        # of 6 of these 40 points, whose tail is comparable to the sum
+        L = math.pi
+        wk = nl.wrap_kernel(nl.CustomKernel(lambda t: t ** -1.2, s=0.1, Lambda_hi=1.0), L)
+        ts = np.linspace(0.05, L, 40)
+        alone = np.array([wk.grid_values(np.array([t]))[0] for t in ts])
+        assert np.array_equal(wk.grid_values(ts), alone)
 
     def test_requires_growth_bound(self):
         k = nl.CustomKernel(lambda t: t ** -2.0, s=0.5)  # no Lambda declared

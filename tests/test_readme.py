@@ -17,3 +17,20 @@ def test_library_quick_start_runs():
     namespace = {"__name__": "quick_start"}
     for i, block in enumerate(blocks):
         exec(compile(block, f"{README}:quick-start-{i}", "exec"), namespace)
+
+
+def test_cli_block_parses():
+    # every command of the CLI section's sh block against the parser, which
+    # registers only the flags each command reads
+    from nonlocper import cli
+
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"^## CLI\n(.*?)(?=^## )", text, re.MULTILINE | re.DOTALL)
+    block = re.search(r"^```sh\n(.*?)^```", section.group(1), re.MULTILINE | re.DOTALL)
+    commands = [line.split() for line in block.group(1).replace("\\\n", " ").splitlines()
+                if line.strip()]
+    assert len(commands) == len(cli.COMMANDS)
+    parser = cli.build_parser()
+    for argv in commands:
+        assert argv[0] == "nonlocper"
+        assert parser.parse_args(argv[1:]).command == argv[1]

@@ -11,7 +11,7 @@ being skipped.  The CLI imports only what the command runs: no schema
 library, no package metadata.
 
 Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
-failure.
+failure; _exit_code maps every failure of run and main onto them.
 """
 
 from __future__ import annotations
@@ -51,13 +51,20 @@ class ConfigError(Exception):
     """The configuration names an input that cannot be used (exit 2)."""
 
 
-def from_config(build, *args):
-    """Call a constructor on configuration values: a DomainError it raises
-    means the configuration is invalid, not that a computation failed."""
-    try:
-        return build(*args)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+# what a bad input raises, in whichever layer notices it: the CLI, an input
+# check of the library, the file system, or the decoding of a config file
+_CONFIG_ERRORS = (ConfigError, DomainError, OSError, json.JSONDecodeError,
+                  UnicodeDecodeError)
+
+
+def _exit_code(exc: Exception) -> int:
+    """The exit code of a failed run, after its one-line message on stderr:
+    2 for a bad input, 3 for any other NonlocError (a numerical failure)."""
+    if isinstance(exc, _CONFIG_ERRORS):
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    print(f"numerical failure: {exc}", file=sys.stderr)
+    return EXIT_NUMERICAL
 
 
 def load_schema() -> dict:
@@ -201,6 +208,8 @@ def read_function_csv(path: str, grid: PeriodicGrid) -> PeriodicFunction:
     if samples.size != grid.size:
         raise ConfigError(
             f"function CSV has {samples.size} samples, grid needs {grid.size}")
+    if not np.all(np.isfinite(samples)):
+        raise ConfigError(f"function CSV {path} has a non-finite sample")
     return PeriodicFunction(grid, samples)
 
 
@@ -214,17 +223,17 @@ def write_function_csv(path: Path, u: PeriodicFunction) -> None:
 
 
 def build_kernel(config: dict) -> kernels.Kernel:
-    return from_config(kernels.kernel_from_spec, config["kernel"])
+    return kernels.kernel_from_spec(config["kernel"])
 
 
 def build_grid(config: dict) -> PeriodicGrid:
     g = config["grid"]
-    return from_config(PeriodicGrid, float(g["L"]), int(g["N"]))
+    return PeriodicGrid(float(g["L"]), int(g["N"]))
 
 
 def build_nonlinearity(config: dict) -> Nonlinearity:
     spec = config.get("nonlinearity", {"name": "benjamin_ono", "p": 2})
-    name = spec.get("name", "polynomial")
+    name = spec["name"]
     if name == "benjamin_ono":
         return benjamin_ono_type(spec.get("p", 2.0))
     if name == "double_well":
@@ -320,9 +329,9 @@ def cmd_minimize(config: dict, out: Path) -> dict:
     base = 1.0 + np.cos(np.pi * grid.nodes / grid.half_period)
     noise = rng.standard_normal(grid.size) * 0.1
     initial = PeriodicFunction(grid, base + noise)
-    cfg = from_config(MinimizeConfig, sym, nl, initial, config.get("constraint"),
-                      config.get("tolerances", {}).get("grad", 1e-8),
-                      config.get("max_iters", 50000))
+    cfg = MinimizeConfig(sym, nl, initial, config.get("constraint"),
+                         config.get("tolerances", {}).get("grad", 1e-8),
+                         config.get("max_iters", 50000))
     result = run_minimize(cfg)
     if not result.converged:
         raise NonlocError(
@@ -363,7 +372,7 @@ def cmd_kernel_class(config: dict, out: Path) -> dict:
 
 def cmd_dtn_check(config: dict, out: Path) -> dict:
     n = config.get("grid", {}).get("N", 64)
-    grid = from_config(circle_dtn.circle_grid, n)
+    grid = circle_dtn.circle_grid(n)
     u = PeriodicFunction.from_callable(
         grid, lambda x: np.cos(x) + 0.5 * np.sin(2 * x))
     mult = circle_dtn.dtn_multiplier(u)
@@ -468,56 +477,31 @@ def merge_config(args: argparse.Namespace) -> dict:
 
 def run(config: dict, out_dir: str = ".") -> int:
     """Validate, dispatch, and write the report; returns the exit code."""
-    try:
-        validate_config(config)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     out = Path(out_dir)
     try:
+        validate_config(config)
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot create output directory: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         payload = COMMANDS[config["command"]][0](config, out)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NonlocError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    report = {"command": config["command"],
-              "version": __version__,
-              "config_hash": config_hash(config),
-              "timestamp": datetime.datetime.now(
-                  datetime.timezone.utc).isoformat(),
-              "result": payload}
-    path = out / f"{config['command']}_report.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True,
-                               default=_json_default) + "\n")
-    print(json.dumps(report["result"], indent=2, sort_keys=True,
-                     default=_json_default))
+        report = {"command": config["command"],
+                  "version": __version__,
+                  "config_hash": config_hash(config),
+                  "timestamp": datetime.datetime.now(
+                      datetime.timezone.utc).isoformat(),
+                  "result": payload}
+        path = out / f"{config['command']}_report.json"
+        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    except (*_CONFIG_ERRORS, NonlocError) as exc:
+        return _exit_code(exc)
+    print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = merge_config(args)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (*_CONFIG_ERRORS, NonlocError) as exc:
+        return _exit_code(exc)
     return run(config, args.out)
 
 

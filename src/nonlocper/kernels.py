@@ -588,10 +588,7 @@ class WrappedKernel:
 
     def fold(self, t) -> np.ndarray:
         """Distance folded into [0, L] using evenness and 2L-periodicity."""
-        t = np.abs(np.asarray(t, dtype=float))
-        L = self.half_period
-        t = np.fmod(t, 2.0 * L)  # t >= 0 here, where fmod equals mod and is faster
-        return np.minimum(t, 2.0 * L - t)
+        return _fold(t, self.half_period)
 
     def require_period(self, half_period: float) -> None:
         """Reject a function of another period: the fold and the image sum
@@ -600,6 +597,17 @@ class WrappedKernel:
             raise GridMismatchError(
                 f"kernel wrapped at half period {self.half_period:g}, "
                 f"function lives on half period {half_period:g}")
+
+    def require_kernel(self, kernel: Kernel) -> None:
+        """Reject another kernel than the one wrapped, which a caller that
+        takes both would otherwise silently ignore.  An equality that
+        raises (array fields) counts as a mismatch."""
+        try:
+            same = self.kernel is kernel or bool(self.kernel == kernel)
+        except ValueError:
+            same = False
+        if not same:
+            raise DomainError("wrapped= must wrap the kernel passed with it")
 
     def __call__(self, t) -> np.ndarray | float:
         out = self._kbar(np.atleast_1d(self.fold(t)), self._remainder)
@@ -703,16 +711,16 @@ def _exact_remainder(kernel: Kernel, L: float) -> Callable:
     return remainder
 
 
+def _fold(t, L: float) -> np.ndarray:
+    """Distances t folded into [0, L] using evenness and 2L-periodicity."""
+    t = np.fmod(np.abs(np.asarray(t, dtype=float)), 2.0 * L)  # fmod is mod for t >= 0
+    return np.minimum(t, 2.0 * L - t)
+
+
 def _fold_breakpoints(L: float, ts) -> tuple:
     """Points of (0, L) where Kbar breaks when K breaks at the radii ts:
     |t + 2kL| crosses a radius exactly where t folds onto it."""
-    out = set()
-    for t in ts:
-        folded = abs(math.remainder(t, 2.0 * L))
-        folded = min(folded, 2.0 * L - folded)
-        if 0.0 < folded < L:
-            out.add(folded)
-    return tuple(sorted(out))
+    return tuple(sorted({float(f) for f in _fold(ts, L) if 0.0 < f < L}))
 
 
 _CHEB_START = 17  # first level of the nested Chebyshev fit, 2^4 + 1 points
@@ -837,6 +845,8 @@ def classify_kernel(kernel: Kernel, L: float = math.pi) -> KernelClassReport:
     Laplace representation is available) reconstruction consistency.
     Margins are worst violations; a passing check is evidence, never a proof.
     """
+    if L <= 0:
+        raise DomainError("half period must be positive")
     grid = np.geomspace(1e-2, 10.0, 400)
     kv = _safe_profile(kernel, grid)
     # second differences on the (generally nonuniform) grid
@@ -846,18 +856,18 @@ def classify_kernel(kernel: Kernel, L: float = math.pi) -> KernelClassReport:
     margin = float(np.min(chord - kv[1:-1]))
     convex = margin >= -1e-12 * max(1.0, float(np.max(np.abs(kv))))
 
+    tt = np.linspace(L / 512, L, 512)
     try:
-        wk = wrap_kernel(kernel, L)
+        # wrap_kernel(kernel, L).grid_values(tt), without the call table
+        vals = _safe_profile(kernel, tt) + _exact_remainder(kernel, L)(tt)
     except DomainError:
         # only the adaptive Kernel.tail_integral's missing growth bound
-        # leaves the wrap undefined; an L <= 0 propagates
-        if L <= 0 or kernel.support is not None or math.isfinite(kernel.Lambda_hi):
+        # leaves the wrap undefined
+        if kernel.support is not None or math.isfinite(kernel.Lambda_hi):
             raise
         mono_margin = math.nan
         wrapped_monotone = False
     else:
-        tt = np.linspace(L / 512, L, 512)
-        vals = wk.grid_values(tt)
         mono_margin = float(np.max(np.diff(vals)))
         wrapped_monotone = mono_margin <= 1e-10 * max(1.0, float(np.max(np.abs(vals))))
 

@@ -222,9 +222,11 @@ def apply_pv(kernel: Kernel, u: PeriodicFunction, x: float,
     whose integrand is even in z and, being 2L-periodic in z, folds exactly
     onto (0, L] against the wrapped kernel:
         int_0^L (2u(x) - u(x+z) - u(x-z)) Kbar(z) dz.
+    A wrapped= given for speed must wrap kernel (DomainError otherwise).
     """
     if wrapped is None:
         wrapped = wrap_kernel(kernel, u.grid.half_period)
+    wrapped.require_kernel(kernel)
     wrapped.require_period(u.grid.half_period)
     return float(_pv_fold(u, [x], wrapped, wrapped.breakpoints)[0])
 

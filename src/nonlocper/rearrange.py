@@ -87,10 +87,12 @@ def polya_szego_check(kernel: Kernel, u: PeriodicFunction,
     Both seminorms use identical off-diagonal weights, so the comparison is
     exact at grid level and the inequality direction is meaningful down to
     rounding; it holds unless [u*]_K^2 exceeds [u]_K^2 by 1e-9 relative.
+    A wrapped= given for speed must wrap kernel (DomainError otherwise).
     """
     grid = u.grid
     if wrapped is None:
         wrapped = wrap_kernel(kernel, grid.half_period)
+    wrapped.require_kernel(kernel)
     wrapped.require_period(grid.half_period)
     kbar = wrapped.grid_values(grid.spacing * np.arange(1, grid.size))
     ustar = rearrange_periodic(u)

@@ -398,6 +398,14 @@ class TestExitCodeContract:
         assert err.startswith("configuration error")
         assert "Traceback" not in err
 
+    def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(b'\xff{"s": 0.2, "beta": 0.4}')
+        code = run_cli(["regularity", "--config", p, "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("configuration error") and "Traceback" not in err
+
     def test_schema_violation_names_path_and_keyword(self, tmp_path, capsys):
         code = run_cli(["symbol", "--kernel", "fraclap", "--s", 7.5,
                         "--L", L, "--N", 64, "--out", tmp_path])
@@ -447,9 +455,23 @@ class TestExitCodeContract:
         ({}, ["riesz"], "abc"),
         ({}, ["riesz"], "-1"),
         ({"kernel": {"family": "laplace", "profile": [[1.0, 1.0]]}}, ["symbol"], None),
+        ({"nonlinearity": {"name": "power", "q": 3}},
+         ["energy", "--kernel", "fraclap", "--s", 0.5, "--function", "u.csv"], None),
+        ({"nonlinearity": {"p": 3}},
+         ["energy", "--kernel", "fraclap", "--s", 0.5, "--function", "u.csv"], None),
+        ({"functions": {"f": "u.csv", "g": "u.csv", "h": "u.csv", "k": "u.csv"}},
+         ["riesz"], None),
+        ({"grid": {"L": 0.005, "N": 64}},
+         ["apply", "--kernel", "fraclap", "--s", 0.5, "--function", "u.csv",
+          "--mode", "pv"], None),
+        ({"grid": {"L": 0.005, "N": 64}},
+         ["maxprinciple", "--kernel", "fraclap", "--s", 0.5], None),
     ], ids=["riesz-functions-without-g-h", "compact-empty-profile",
             "laplace-empty-profile", "constraint-without-gtilde", "seed-not-integer",
-            "seed-negative", "laplace-one-node-profile"])
+            "seed-negative", "laplace-one-node-profile", "nonlinearity-unknown-key",
+            "nonlinearity-without-name", "riesz-functions-unknown-key",
+            "apply-pv-half-period-below-first-eps",
+            "maxprinciple-half-period-below-first-eps"])
     def test_config_inputs_that_reach_the_commands_exit_2(
             self, tmp_path, capsys, monkeypatch, config, args, seed):
         monkeypatch.delenv("NONLOC_SEED", raising=False)
@@ -464,6 +486,46 @@ class TestExitCodeContract:
         assert code == cli.EXIT_CONFIG
         assert err.startswith("configuration error")
         assert "numerical failure" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("blocker,args", [
+        ("symbol.csv", ["symbol", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64]),
+        ("regularity_report.json", ["regularity", "--s", 0.2, "--beta", 0.4]),
+    ], ids=["csv-is-a-directory", "report-is-a-directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, blocker, args):
+        (tmp_path / blocker).mkdir()
+        code = run_cli(args + ["--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("configuration error") and blocker in err
+        assert "numerical failure" not in err and "Traceback" not in err
+
+    def test_output_directory_under_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        code = run_cli(["regularity", "--s", 0.2, "--beta", 0.4,
+                        "--out", tmp_path / "f" / "out"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("configuration error") and "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        ["apply", "--kernel", "fraclap", "--s", 0.5, "--mode", "spectral"],
+        ["energy", "--kernel", "fraclap", "--s", 0.5],
+        ["rearrange"],
+        ["polya-szego", "--kernel", "fraclap", "--s", 0.5],
+        ["maxprinciple", "--kernel", "fraclap", "--s", 0.5],
+    ], ids=["apply", "energy", "rearrange", "polya-szego", "maxprinciple"])
+    def test_non_finite_sample_exits_2(self, tmp_path, capsys, args):
+        # a NaN sample made reports with bare NaN tokens, which are not JSON,
+        # and polya-szego report a false counterexample
+        fpath = write_samples(tmp_path / "u.csv", lambda x: np.where(
+            np.arange(x.size) == 5, np.nan, 1.0 + np.cos(x)))
+        code = run_cli(args + ["--L", L, "--N", 64, "--function", fpath,
+                               "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("configuration error") and "non-finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / f"{args[0]}_report.json").exists()
 
     @pytest.mark.parametrize("args", [
         ["symbol"],

@@ -403,6 +403,25 @@ class TestClassification:
         with pytest.raises(nl.DomainError, match="half period"):
             nl.classify_kernel(kernel, L=-1.0)
 
+    @pytest.mark.parametrize("kernel", [
+        nl.FractionalKernel(0.2), nl.DelaunayKernel(2, 0.5, 1.0), nl.SineTailKernel(0.5),
+        nl.CompactKernel([0.5, 1.0, 2.5], [2.0, 1.0, 0.3], s=0.5),
+        nl.indicator_kernel(2.0), nl.laplace_measure_of(nl.DelaunayKernel(2, 0.5, 1.0))],
+        ids=["fraclap", "delaunay", "sinetail", "compact", "indicator",
+             "laplace-of-delaunay"])
+    def test_monotonicity_reads_the_exact_sum_without_a_wrap(self, kernel, monkeypatch):
+        # the margin is that of wrap_kernel(kernel, L).grid_values, bitwise,
+        # but classify_kernel builds no call table to get it
+        L = 2.0
+        vals = nl.wrap_kernel(kernel, L).grid_values(np.linspace(L / 512, L, 512))
+
+        def no_wrap(*args, **kwargs):
+            raise AssertionError("classify_kernel wrapped the kernel")
+
+        monkeypatch.setattr(nl.kernels, "wrap_kernel", no_wrap)
+        rep = nl.classify_kernel(kernel, L=L)
+        assert rep.monotonicity_margin == float(np.max(np.diff(vals)))
+
 
 class TestKernelFromSpec:
     def test_families(self):

@@ -190,6 +190,43 @@ class TestApplySpectral:
             nl.seminorm_sq_realspace(wk, u)
 
 
+def _tabulated_laplace():
+    r = np.geomspace(1e-2, 1e2, 50)
+    return nl.LaplaceKernel(r, np.exp(-r), s=0.5)
+
+
+class TestWrappedMustWrapTheKernel:
+    """apply_pv and polya_szego_check take a kernel and its wrap; a wrap of
+    another kernel is rejected instead of silently used."""
+
+    @pytest.mark.parametrize("check", ["apply_pv", "polya_szego_check"])
+    @pytest.mark.parametrize("given,wrapped", [
+        (lambda: nl.FractionalKernel(0.2), lambda: nl.FractionalKernel(0.8)),
+        (lambda: nl.FractionalKernel(0.5), lambda: nl.DelaunayKernel(2, 0.5, 1.0)),
+        # two LaplaceKernels built alike: their == raises on the array fields
+        (_tabulated_laplace, _tabulated_laplace),
+    ], ids=["fraclap-other-s", "other-family", "equality-raises"])
+    def test_mismatch_raises(self, check, given, wrapped):
+        u = nl.PeriodicFunction.from_callable(nl.PeriodicGrid(math.pi, 32),
+                                              lambda x: 1.0 + np.cos(x))
+        wk = nl.wrap_kernel(wrapped(), math.pi)
+        args = (u, 0.3) if check == "apply_pv" else (u,)
+        with pytest.raises(nl.DomainError, match="wrapped="):
+            getattr(nl, check)(given(), *args, wrapped=wk)
+
+    @pytest.mark.parametrize("check", ["apply_pv", "polya_szego_check"])
+    def test_same_or_equal_kernel_accepted(self, check):
+        u = nl.PeriodicFunction.from_callable(nl.PeriodicGrid(math.pi, 32),
+                                              lambda x: 1.0 + np.cos(x))
+        args = (u, 0.3) if check == "apply_pv" else (u,)
+        laplace = _tabulated_laplace()
+        for given, wrapped in ((laplace, laplace),
+                               (nl.FractionalKernel(0.2), nl.FractionalKernel(0.2))):
+            wk = nl.wrap_kernel(wrapped, math.pi)
+            assert getattr(nl, check)(given, *args, wrapped=wk) == \
+                getattr(nl, check)(given, *args)
+
+
 class TestApplyPV:
     @pytest.mark.parametrize("kernel", [
         nl.FractionalKernel(0.5), nl.FractionalKernel(0.2),

@@ -95,44 +95,53 @@ class Kernel:
         raise NotImplementedError
 
     def tail_integral(self, a: float) -> float:
-        """int_a^infinity K(t) dt by adaptive quadrature; every shipped
-        family but the custom kernel overrides it.
-
-        Without a support the integral runs in v = log(t/a), where
-        K(a e^v) a e^v decays like e^(-2sv) at least, on the pieces
-        [0, 4], [4, 8], [8, 16], ...  It stops at the first V where the
-        bound Lambda_hi (a e^V)^(-2s)/(2s) on the rest is below 1e-16 of
-        the sum, or where a e^V reaches 1e300, so it needs a finite
-        Lambda_hi.  No absolute tolerance applies: the tail at a large a can
-        be far below quad's default."""
-        if self.support is None and not math.isfinite(self.Lambda_hi):
+        """int_a^infinity K(t) dt by one fixed double-exponential rule
+        (Takahasi & Mori, 1974): tanh-sinh on [a, b] for a support b, and
+        otherwise exp-sinh, t = a (1 + e^((pi/2) sinh tau)).  Exp-sinh
+        assumes what the wrap's Euler-Maclaurin tail assumes, that K is smooth
+        on [a, inf) and decays like t^(-1-2s), and it needs a finite
+        Lambda_hi (see _exp_sinh_rule).  At a = 0 it is tanh-sinh on [0, 1]
+        plus exp-sinh from 1."""
+        if a < 0.0:
+            raise DomainError("the tail integral starts at a >= 0")
+        if self.support is not None:
+            return _tanh_sinh(self, a, self.support) if a < self.support else 0.0
+        if not math.isfinite(self.Lambda_hi):
             raise DomainError("cannot bound the tail integral without a "
                               "finite upper growth constant")
-        from scipy import integrate
+        if a == 0.0:
+            return _tanh_sinh(self, 0.0, 1.0) + self.tail_integral(1.0)
+        x, w = _exp_sinh_rule(self.s)
+        n = int(np.searchsorted(x, 1e300 / a))
+        return a * float(_safe_profile(self, a * x[:n]) @ w[:n])
 
-        def profile(t: float) -> float:
-            return float(self.profile(np.array([t]))[0])
 
-        if self.support is not None:
-            if a >= self.support:
-                return 0.0
-            return integrate.quad(profile, a, self.support, limit=200)[0]
-        if a <= 0.0:  # the log substitution needs a > 0
-            return integrate.quad(profile, a, 1.0, limit=200)[0] + self.tail_integral(1.0)
+_DE_STEP = 1.0 / 32  # step in tau of both double-exponential rules
 
-        def in_log(v: float) -> float:
-            t = a * math.exp(v)
-            return profile(t) * t
 
-        v_max = math.log(1e300 / a)
-        total, lo, hi = 0.0, 0.0, 4.0
-        while True:
-            hi = min(hi, v_max)
-            total += integrate.quad(in_log, lo, hi, epsabs=0.0, limit=200)[0]
-            rest = self.Lambda_hi * (a * math.exp(hi)) ** (-2.0 * self.s) / (2.0 * self.s)
-            if rest <= 1e-16 * abs(total) or hi >= v_max:
-                return total
-            lo, hi = hi, 2.0 * hi
+@functools.lru_cache(maxsize=8)
+def _exp_sinh_rule(s: float) -> tuple:
+    """Nodes x = 1 + e^((pi/2) sinh tau) and weights w, with
+    int_a^inf f(t) dt = a sum_j w_j f(a x_j), for tau from -4, where w is
+    below 1e-18, to where x^(-2s) falls below 1e-17 or x reaches 1e300.  The
+    bound Lambda_hi t^(-2s)/(2s) on the rest is then below 1e-17 of
+    Lambda_hi a^(-2s)/(2s), which is the sum when K(t) t^(1+2s) is near
+    Lambda_hi."""
+    v_max = min(17.0 * math.log(10.0) / (2.0 * s), math.log(1e300))
+    tau = np.arange(-4.0, math.asinh(v_max / (0.5 * math.pi)) + _DE_STEP / 2, _DE_STEP)
+    u = np.exp(0.5 * math.pi * np.sinh(tau))
+    return 1.0 + u, _DE_STEP * 0.5 * math.pi * np.cosh(tau) * u
+
+
+def _tanh_sinh(kernel: Kernel, a: float, b: float) -> float:
+    """int_a^b K(t) dt for 0 <= a < b, with t = a + (b - a) y and
+    y = 1/(1 + e) for e = e^(-pi sinh tau), on the tau grid of the exp-sinh
+    rule cut at |tau| = 4, where the weights fall below 1e-35."""
+    tau = np.arange(-4.0, 4.0 + _DE_STEP / 2, _DE_STEP)
+    e = np.exp(-math.pi * np.sinh(tau))
+    y = 1.0 / (1.0 + e)
+    w = _DE_STEP * math.pi * np.cosh(tau) * e * y**2  # dy/dtau, with 1 - y = e y
+    return (b - a) * float(_safe_profile(kernel, a + (b - a) * y) @ w)
 
 
 @dataclass(frozen=True)
@@ -152,9 +161,6 @@ class FractionalKernel(Kernel):
 
     def symbol(self, xi):
         return np.abs(np.asarray(xi, dtype=float)) ** (2.0 * self.s)
-
-    def tail_integral(self, a: float) -> float:
-        return self.constant * a ** (-2.0 * self.s) / (2.0 * self.s)
 
 
 @dataclass(frozen=True)
@@ -198,17 +204,6 @@ class DelaunayKernel(Kernel):
         out[pos] = math.sqrt(math.pi) / gamma_fn(mu) * (
             gamma_fn(nu) * a ** (-2.0 * nu) - 2.0 * bessel)
         return out
-
-    def tail_integral(self, a: float) -> float:
-        """With u = c^2/(t^2 + c^2), c the core width, int_a^inf K is
-        c^(1-2mu)/2 B(nu, 1/2) I_x(nu, 1/2) at x = c^2/(a^2 + c^2),
-        mu = (n+s)/2, nu = mu - 1/2 (regularized incomplete beta I)."""
-        from scipy.special import beta as beta_fn, betainc
-
-        c = self.a
-        nu = 0.5 * (self.n + self.s) - 0.5
-        x = c * c / (a * a + c * c)
-        return float(0.5 * c ** (-2.0 * nu) * beta_fn(nu, 0.5) * betainc(nu, 0.5, x))
 
 
 @dataclass(frozen=True)
@@ -861,8 +856,8 @@ def classify_kernel(kernel: Kernel, L: float = math.pi) -> KernelClassReport:
         # wrap_kernel(kernel, L).grid_values(tt), without the call table
         vals = _safe_profile(kernel, tt) + _exact_remainder(kernel, L)(tt)
     except DomainError:
-        # only the adaptive Kernel.tail_integral's missing growth bound
-        # leaves the wrap undefined
+        # only Kernel.tail_integral's missing growth bound leaves the wrap
+        # undefined
         if kernel.support is not None or math.isfinite(kernel.Lambda_hi):
             raise
         mono_margin = math.nan

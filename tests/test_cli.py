@@ -722,6 +722,9 @@ def run_fresh(args, child=_CHILD):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
+DELAUNAY = ["--kernel", "delaunay", "--n", 2, "--s", 0.5, "--a", 1.0]
+
+
 class TestImportCost:
     """Importing the library loads no scipy, nor do the commands that need none."""
 
@@ -744,10 +747,15 @@ class TestImportCost:
         ["maxprinciple", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64],
         ["kernel-class", "--kernel", "sinetail", "--s", 0.5],
         ["kernel-class", "--kernel", "fraclap", "--s", 0.5],
+        ["kernel-class", *DELAUNAY],
+        ["apply", *DELAUNAY, "--L", L, "--N", 64, "--function", "u.csv", "--mode", "pv"],
+        ["polya-szego", *DELAUNAY, "--L", L, "--N", 64, "--function", "u.csv"],
+        ["maxprinciple", *DELAUNAY, "--L", L, "--N", 64],
     ], ids=["regularity", "rearrange", "riesz", "symbol-fraclap", "symbol-indicator",
             "dtn-check",
             "apply-pv-fraclap", "polya-szego-fraclap", "maxprinciple-fraclap",
-            "kernel-class-sinetail", "kernel-class-fraclap"])
+            "kernel-class-sinetail", "kernel-class-fraclap", "kernel-class-delaunay",
+            "apply-pv-delaunay", "polya-szego-delaunay", "maxprinciple-delaunay"])
     def test_command_loads_no_scipy(self, tmp_path, args):
         args = [write_samples(tmp_path / a) if a == "u.csv" else a for a in args]
         proc = run_fresh(args + ["--out", tmp_path])

@@ -8,6 +8,7 @@ from scipy import integrate
 from scipy.integrate import IntegrationWarning
 
 import nonlocper as nl
+from _oracles import delaunay_tail, fraclap_tail
 
 
 class TestFracLapConstant:
@@ -534,6 +535,40 @@ class TestClosedFormTails:
             warnings.simplefilter("error", IntegrationWarning)
             for A in (1.0, 400.0, 1e5):
                 assert ck.tail_integral(A) == pytest.approx(dk.tail_integral(A), rel=1e-10)
+
+    @pytest.mark.parametrize("kernel,oracle", [
+        *[(nl.FractionalKernel(s), fraclap_tail) for s in (0.05, 0.1, 0.5, 0.95)],
+        *[(nl.DelaunayKernel(n, s, a), delaunay_tail)
+          for n, s, a in [(2, 0.5, 1.0), (3, 0.2, 0.5), (2, 0.8, 2.0)]],
+    ], ids=["fraclap-0.05", "fraclap-0.1", "fraclap-0.5", "fraclap-0.95",
+            "delaunay-2-0.5-1", "delaunay-3-0.2-0.5", "delaunay-2-0.8-2"])
+    def test_rule_vs_closed_form(self, kernel, oracle):
+        # the double-exponential rule against closed forms outside it
+        for A in np.geomspace(1e-3, 1e5, 33):
+            assert kernel.tail_integral(A) == pytest.approx(oracle(kernel, A), rel=1e-13)
+
+    def test_delaunay_whole_line(self):
+        # a = 0 is tanh-sinh on [0, 1] plus the tail from 1
+        k = nl.DelaunayKernel(2, 0.5, 1.0)
+        assert k.tail_integral(0.0) == pytest.approx(delaunay_tail(k, 0.0), rel=1e-13)
+
+    def test_custom_kernel_with_support_is_exact(self):
+        # K = (b - t)^2 on a support beyond the wrap's tail fit (128 L to 130 L)
+        L = math.pi
+        b = 135.0 * L
+        k = nl.CustomKernel(lambda t: (b - t) ** 2, s=0.5, Lambda_hi=1e12, support=b)
+        for A in (0.0, 1.0, L, *np.linspace(128.0 * L, 130.0 * L, 5), 134.0 * L):
+            assert k.tail_integral(A) == pytest.approx((b - A) ** 3 / 3.0, rel=1e-13)
+        assert k.tail_integral(b) == 0.0
+
+    @pytest.mark.parametrize("kernel", [
+        nl.FractionalKernel(0.5), nl.DelaunayKernel(2, 0.5, 1.0),
+        nl.CustomKernel(lambda t: 1.0 / (1.0 + t * t), s=0.5, Lambda_hi=1.0),
+        nl.CustomKernel(lambda t: 1.0 - t, s=0.5, Lambda_hi=1.0, support=1.0)],
+        ids=["fraclap", "delaunay", "custom", "custom-support"])
+    def test_negative_start_raises(self, kernel):
+        with pytest.raises(nl.DomainError):
+            kernel.tail_integral(-1.0)
 
     def test_compact_is_exact_area(self):
         # flat 1 on (0, 0.5], then linear down to 0.6 at 1.5, where it drops to 0

@@ -390,7 +390,8 @@ class TestBilinearForm:
 
 def test_no_adaptive_quadrature_outside_custom_kernels(monkeypatch):
     # every shipped family but custom/indicator tabulates its symbol, and
-    # SineTail wraps and classifies, without a single scipy quad call
+    # Delaunay, SineTail and a custom kernel wrap and classify, without a
+    # single scipy quad call
     def refuse(*args, **kwargs):
         raise AssertionError("adaptive quadrature called")
 
@@ -402,6 +403,6 @@ def test_no_adaptive_quadrature_outside_custom_kernels(monkeypatch):
               nl.CompactKernel([1e-3, 0.5, 1.5], [1.0, 0.6, 0.0], s=0.5),
               nl.laplace_measure_of(dk), st):
         nl.symbol_of_kernel(k, grid)
-    for k in (dk, st):
+    for k in (dk, st, nl.CustomKernel(dk.profile, s=0.5, Lambda_hi=dk.Lambda_hi)):
         nl.wrap_kernel(k, math.pi)
         nl.classify_kernel(k)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError, IntegrationError
 from .grids import EVAL_BLOCK, PeriodicFunction, PeriodicGrid
-from .kernels import Kernel, WrappedKernel, wrap_kernel
+from .kernels import Kernel, WrappedKernel, _row_blocks, wrap_kernel
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,40 @@ class SymbolTable:
         return self.values[np.abs(self.grid.wavenumbers)]
 
 
-# relative tolerance of the adaptive symbol quadrature
+# relative tolerance of the symbol quadrature: a target for the adaptive
+# route, and the bound on the fixed rule's error estimate beyond which a
+# frequency is redone adaptively
 SYMBOL_RTOL = 1e-9
 
 
-def symbol_value(kernel: Kernel, xi: float) -> float:
-    """ell_K(xi) = 2 int_0^inf (1 - cos(xi t)) K(t) dt, adaptive quadrature.
+def symbol_value(kernel: Kernel, xi):
+    """ell_K(xi) = 2 int_0^inf (1 - cos(xi t)) K(t) dt for a frequency or an
+    array of them; a scalar xi gives a float.  The symbol is even in xi.
+
+    A family that declares smooth_profile takes one fixed rule for all
+    frequencies at once (_fixed_rule), which loads no scipy.integrate.  A
+    frequency whose error estimate exceeds SYMBOL_RTOL relative to its value
+    is redone by _adaptive_value, and so is every frequency of the other
+    families (SineTail and custom kernels), whose profile may oscillate
+    where the estimate cannot see it.
+    """
+    xi_arr = np.abs(np.asarray(xi, dtype=float))
+    xs = xi_arr.ravel()
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("symbol frequencies must be finite")
+    out = np.zeros_like(xs)
+    todo = np.flatnonzero(xs > 0)
+    if kernel.smooth_profile and todo.size:
+        vals, est = _fixed_rule(kernel, xs[todo])
+        out[todo] = vals
+        todo = todo[~(est <= SYMBOL_RTOL * np.abs(vals))]  # a NaN is redone too
+    for i in todo:
+        out[i] = _adaptive_value(kernel, float(xs[i]))
+    return float(out[0]) if xi_arr.ndim == 0 else out.reshape(xi_arr.shape)
+
+
+def _adaptive_value(kernel: Kernel, xi: float) -> float:
+    """ell_K(xi) for one xi > 0 by adaptive quadrature.
 
     The integrand is split at t = 1/xi (i.e. z = xi t = 1): the near part is
     integrable like t^(1-2s), and the far part separates into the kernel tail
@@ -50,16 +78,13 @@ def symbol_value(kernel: Kernel, xi: float) -> float:
 
     SYMBOL_RTOL is a target, not a bound.  Against a split quadrature the
     result is 7.6e-9 off for SineTailKernel(0.5) at xi = 3, unchanged at a
-    target of 1e-11, and 3.5e-8 off at s = 0.95.  For a tabulated
-    LaplaceKernel it integrates the profile past the ends of the r grid, so
-    it misses the cutoffs that LaplaceKernel.symbol keeps: 1.8e-3 off for
-    laplace_measure_of(FractionalKernel(0.2)) at xi = 1.
+    target of 1e-11, and 1.4e-9 off for the fractional kernel at s = 0.95
+    and xi = 1.  For laplace_measure_of(FractionalKernel(0.2)), whose r-grid
+    cutoffs make the fixed rule's estimate flag every frequency, it is
+    within 5e-11 of LaplaceKernel.symbol at xi = 1, 4 and 32.
     """
     from scipy import integrate
 
-    if xi == 0.0:
-        return 0.0
-    xi = abs(float(xi))
     if kernel.support is not None:
         b = kernel.support
         val, err = integrate.quad(
@@ -84,22 +109,129 @@ def symbol_value(kernel: Kernel, xi: float) -> float:
     return val
 
 
+# The fixed rule works in z = xi t.  On the full line,
+#   ell(xi) = (2/xi) [int_0^(pi/2) 2 sin^2(z/2) K(z/xi) dz
+#                     + int_0^inf K((pi/2 + y)/xi) sin y dy] + 2 int_(pi/(2 xi))^inf K,
+# the last term by Kernel.tail_integral.  Each part has a fine rule and a
+# coarse one, whose difference estimates the coarse rule's error and so
+# bounds the fine one's.
+_NEAR_NODES = (48, 24)  # Gauss-Legendre nodes of the near part, fine and coarse
+_OSC_STEPS = (1.0 / 8, 1.0 / 4)  # Ooura-Mori steps, fine and coarse
+_OSC_TAU = 6.0  # the Ooura-Mori sums run over |tau| <= _OSC_TAU
+_PANEL_NODES = (16, 8)  # Gauss-Legendre nodes per panel on a support
+
+
+def _fine_and_coarse(nodes: list, weights: list) -> tuple:
+    """The nodes of a fine and a coarse rule, concatenated, and a (node x 2)
+    weight matrix whose columns apply one rule each."""
+    columns = np.zeros((nodes[0].size + nodes[1].size, 2))
+    columns[:nodes[0].size, 0] = weights[0]
+    columns[nodes[0].size:, 1] = weights[1]
+    return np.concatenate(nodes), columns
+
+
+def _ooura_mori(h: float) -> tuple:
+    """Nodes y and weights w with int_0^inf f(y) sin y dy = sum_j w_j f(y_j):
+    the double-exponential formula for Fourier-type integrals of Ooura and
+    Mori (J. Comput. Appl. Math. 112, 1999), y = M phi(tau) with M = pi/h and
+    phi(tau) = tau / (1 - exp(-2 tau - alpha (1 - e^-tau) - beta (e^tau - 1))).
+    For large tau the nodes approach the zeros n pi of sin y double
+    exponentially, so an algebraically decaying f needs no truncation term."""
+    m = math.pi / h
+    beta = 0.25
+    alpha = beta / math.sqrt(1.0 + m * math.log1p(m) / (4.0 * math.pi))
+    n = np.arange(-round(_OSC_TAU / h), round(_OSC_TAU / h) + 1)
+    tau = n * h
+    u = 2.0 * tau - alpha * np.expm1(-tau) + beta * np.expm1(tau)
+    du = 2.0 + alpha * np.exp(-tau) + beta * np.exp(tau)
+    mid = n == 0  # phi is 0/0 there: take its limits from u's Taylor series
+    d = -np.expm1(-np.where(mid, 1.0, u))
+    phi = np.where(mid, 0.0, tau) / d
+    dphi = 1.0 / d - tau * du * np.exp(-u) / d**2
+    c1, c2 = 2.0 + alpha + beta, 0.5 * (beta - alpha)
+    phi[mid] = 1.0 / c1
+    dphi[mid] = 0.5 - c2 / c1**2
+    y = m * phi
+    return y, m * h * dphi * np.sin(y)
+
+
+@functools.lru_cache(maxsize=8)
+def _line_rule(s: float) -> tuple:
+    """Nodes z and a (node x 2) weight matrix whose columns are the fine and
+    the coarse full-line rule, each weight holding its part's factor
+    2 sin^2(z/2) or sin y.  The near part is Gauss-Legendre in v on (0, 1),
+    with z = (pi/2) v^(1/(1-s)), which turns the z^(1-2s) endpoint into a
+    smooth one; the oscillatory part is _ooura_mori."""
+    p = 1.0 / (1.0 - s)
+    zs, ws = [], []
+    for n_near, h in zip(_NEAR_NODES, _OSC_STEPS):
+        v, w = np.polynomial.legendre.leggauss(n_near)
+        v, w = 0.5 * (v + 1.0), 0.5 * w
+        z = 0.5 * math.pi * v**p
+        y, wy = _ooura_mori(h)
+        zs.append(np.concatenate([z, 0.5 * math.pi + y]))
+        ws.append(np.concatenate([0.5 * math.pi * p * v ** (p - 1.0) * w
+                                  * 2.0 * np.sin(0.5 * z) ** 2, wy]))
+    z, weights = _fine_and_coarse(zs, ws)
+    z.setflags(write=False)
+    weights.setflags(write=False)
+    return z, weights
+
+
+def _support_panels(support: float, breaks: tuple, xi_max: float) -> tuple:
+    """Nodes t on (0, support) and a (node x 2) weight matrix of fine and
+    coarse Gauss-Legendre panels.  Panels split at every break and span at
+    most pi/xi_max, half a period of the fastest cosine."""
+    edges = sorted({0.0, support} | {b for b in breaks if 0.0 < b < support})
+    cuts = [np.linspace(lo, hi, max(1, math.ceil((hi - lo) * xi_max / math.pi)) + 1)[:-1]
+            for lo, hi in zip(edges[:-1], edges[1:])]
+    edges = np.append(np.concatenate(cuts), support)
+    lo, half = edges[:-1], 0.5 * np.diff(edges)
+    ts, ws = [], []
+    for n in _PANEL_NODES:
+        x, w = np.polynomial.legendre.leggauss(n)
+        ts.append(((lo + half)[:, None] + half[:, None] * x).ravel())
+        ws.append((half[:, None] * w).ravel())
+    return _fine_and_coarse(ts, ws)
+
+
+def _fixed_rule(kernel: Kernel, xi: np.ndarray) -> tuple:
+    """(values, error estimates) of ell at every xi > 0 by one fixed rule:
+    Gauss-Legendre panels on a support, and otherwise _line_rule plus
+    Kernel.tail_integral.  The (frequency x node) profile table is built in
+    row blocks, so memory stays bounded whatever the number of frequencies.
+    The estimate is the fine rule's distance from the coarse one."""
+    if kernel.support is not None:
+        t, weights = _support_panels(kernel.support, kernel.breaks, float(np.max(xi)))
+        wk = weights * kernel(t)[:, None]
+        sums = np.empty((xi.size, 2))
+        for blk in _row_blocks(xi.size, t.size):
+            sums[blk] = np.sin(0.5 * np.outer(xi[blk], t)) ** 2 @ wk
+        return 4.0 * sums[:, 0], 4.0 * np.abs(sums[:, 0] - sums[:, 1])
+    z, weights = _line_rule(kernel.s)
+    sums = np.empty((xi.size, 2))
+    for blk in _row_blocks(xi.size, z.size):
+        t = z / xi[blk, None]
+        sums[blk] = kernel(t.ravel()).reshape(t.shape) @ weights
+    tails = np.array([kernel.tail_integral(0.5 * math.pi / x) for x in xi])
+    return 2.0 / xi * sums[:, 0] + 2.0 * tails, 2.0 / xi * np.abs(sums[:, 0] - sums[:, 1])
+
+
 def symbol_of_kernel(kernel: Kernel, grid: PeriodicGrid,
                      force_quadrature: bool = False) -> SymbolTable:
     """Tabulate the multiplier at xi = pi*k/L, k = 0..N/2.
 
     Fractional, Delaunay, compact (the indicator included) and Laplace
     kernels have closed forms (provenance "exact").  SineTail integrates all
-    frequencies at once by a fixed rule, and custom kernels by adaptive
-    quadrature per frequency at SYMBOL_RTOL (both "quadrature").
-    force_quadrature=True sends every family through symbol_value, the
-    independent check on the others.
+    frequencies at once by its own fixed rule, and custom kernels go through
+    symbol_value (both "quadrature").  force_quadrature=True sends every
+    family through one symbol_value call for all frequencies, the
+    independent check on the closed forms.
     """
     xis = grid.frequencies()
     if kernel.symbol_rule is not None and not force_quadrature:
         return SymbolTable(grid, kernel.symbol(xis), kernel.symbol_rule)
-    vals = np.array([symbol_value(kernel, xi) for xi in xis])
-    return SymbolTable(grid, vals, "quadrature")
+    return SymbolTable(grid, symbol_value(kernel, xis), "quadrature")
 
 
 def symbol_from_values(grid: PeriodicGrid, values) -> SymbolTable:

@@ -714,6 +714,17 @@ sys.exit(code)
 """
 
 
+# prints the scipy modules loaded after the quadrature symbol table of the
+# kernel that the argument names, a Python expression in nl
+_CHILD_SYMBOL = """
+import sys
+import nonlocper as nl
+kernel = eval(sys.argv[1], {"nl": nl})
+nl.symbol_of_kernel(kernel, nl.PeriodicGrid(3.14159, 64), force_quadrature=True)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
 def run_fresh(args, child=_CHILD):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -760,6 +771,16 @@ class TestImportCost:
         args = [write_samples(tmp_path / a) if a == "u.csv" else a for a in args]
         proc = run_fresh(args + ["--out", tmp_path])
         assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("kernel", [
+        "nl.FractionalKernel(0.5)", "nl.DelaunayKernel(2, 0.5, 1.0)",
+        "nl.CompactKernel([0.2, 0.5, 1.0], [2.0, 1.2, 0.0], s=0.5)"],
+        ids=["fraclap", "delaunay", "compact"])
+    def test_fixed_symbol_rule_loads_no_scipy(self, kernel):
+        # force_quadrature takes the fixed rule, not scipy.integrate
+        proc = run_fresh([kernel], child=_CHILD_SYMBOL)
+        assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("args,loaded", [

@@ -183,15 +183,16 @@ class TestHeatKernelPhi:
 class TestWrappedKernel:
     @staticmethod
     def brute_wrap(kernel, L, t, k_max=2 * 10**5):
-        """Direct sum plus its own integral tail correction (the raw sum at
-        this k_max is only ~1e-8 accurate for s = 0.5)."""
+        """Direct sum plus an integral tail correction from the closed-form
+        tail, not from the rule that wrap_kernel uses (the raw sum at this
+        k_max is only ~1e-8 accurate for s = 0.5)."""
+        tail = {nl.FractionalKernel: fraclap_tail, nl.DelaunayKernel: delaunay_tail}[type(kernel)]
         ks = np.arange(1, k_max + 1)
         tot = kernel(t) if t > 0 else 0.0
         tot += float(np.sum(kernel(2 * ks * L + t)))
         tot += float(np.sum(kernel(np.abs(2 * ks * L - t))))
         edge = 2 * (k_max + 0.5) * L
-        tot += (kernel.tail_integral(edge + t)
-                + kernel.tail_integral(edge - t)) / (2 * L)
+        tot += (tail(kernel, edge + t) + tail(kernel, edge - t)) / (2 * L)
         return tot
 
     @pytest.mark.parametrize("kernel", [
@@ -546,6 +547,14 @@ class TestClosedFormTails:
         # the double-exponential rule against closed forms outside it
         for A in np.geomspace(1e-3, 1e5, 33):
             assert kernel.tail_integral(A) == pytest.approx(oracle(kernel, A), rel=1e-13)
+
+    @pytest.mark.parametrize("s", [0.005, 0.01, 0.02])
+    def test_rule_past_overflow(self, s):
+        # below s = 0.0284 the rule ends beyond t = 1e300, where its nodes
+        # overflow; dropping that part left 1.1e-3 of the tail at s = 0.005
+        k = nl.FractionalKernel(s)
+        for A in (1e-3, 1.0, 400.0):
+            assert k.tail_integral(A) == pytest.approx(fraclap_tail(k, A), rel=1e-13)
 
     def test_delaunay_whole_line(self):
         # a = 0 is tanh-sinh on [0, 1] plus the tail from 1

@@ -89,7 +89,7 @@ def _max_rel(a, b):
 
 
 class TestClosedFormSymbols:
-    """Each closed form against the adaptive per-frequency quadrature."""
+    """Each closed form against the quadrature route of symbol_value."""
 
     @pytest.mark.parametrize("n,s,a", [(2, 0.5, 1.0), (3, 0.2, 0.5), (2, 0.8, 2.0)])
     def test_delaunay(self, n, s, a):
@@ -149,6 +149,57 @@ class TestClosedFormSymbols:
         # the adaptive route itself is off by up to 7.6e-9 here (against a
         # split quadrature, which the batch matches to 2e-12)
         assert _max_rel(batch.values, quad.values) < 2e-8
+
+
+_LINEAR_T = np.linspace(1e-3, 0.6 * math.pi, 64)
+_SMOOTH = {
+    "fraclap": nl.FractionalKernel(0.5),
+    "delaunay": nl.DelaunayKernel(2, 0.5, 1.0),
+    "laplace-of-delaunay": nl.laplace_measure_of(nl.DelaunayKernel(2, 0.5, 1.0)),
+    "compact": nl.CompactKernel(_LINEAR_T, 1.0 - _LINEAR_T / (0.6 * math.pi), s=0.5),
+    "indicator": nl.indicator_kernel(1.3 * math.pi),
+}
+
+
+class TestFixedSymbolRule:
+    """symbol_value takes one fixed rule for the families with a smooth,
+    non-oscillating profile, and adaptive quadrature for the rest."""
+
+    @staticmethod
+    def adaptive_calls(monkeypatch):
+        calls = []
+        monkeypatch.setattr(op, "_adaptive_value", lambda kernel, xi: calls.append(xi) or 1.0)
+        return calls
+
+    @pytest.mark.parametrize("kernel", [
+        nl.SineTailKernel(0.5),
+        nl.CustomKernel(lambda t: 1.0 / (1.0 + t * t), s=0.5, Lambda_hi=1.0)],
+        ids=["sinetail", "custom"])
+    def test_other_families_integrate_every_frequency_adaptively(self, kernel, monkeypatch):
+        # the fixed rule's error estimate cannot see a profile that oscillates
+        calls = self.adaptive_calls(monkeypatch)
+        grid = nl.PeriodicGrid(math.pi, 64)
+        nl.symbol_of_kernel(kernel, grid, force_quadrature=True)
+        assert calls == list(grid.frequencies()[1:])
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("name", _SMOOTH)
+    def test_smooth_families_take_the_fixed_rule(self, name, n, monkeypatch):
+        calls = self.adaptive_calls(monkeypatch)
+        kernel = _SMOOTH[name]
+        exact, quad = _symbol_routes(kernel, n=n)
+        assert calls == []
+        assert _max_rel(quad.values, exact.values) < 1e-12
+
+    def test_scalar_and_even(self):
+        k = nl.DelaunayKernel(2, 0.5, 1.0)
+        v = op.symbol_value(k, 3.0)
+        assert type(v) is float
+        assert op.symbol_value(k, -3.0) == v
+        table = op.symbol_value(k, np.array([[-3.0, 0.0, 3.0]]))
+        assert table.shape == (1, 3)
+        assert table[0, 0] == table[0, 2] == pytest.approx(v, rel=1e-14)
+        assert table[0, 1] == 0.0
 
 
 class TestNormalization:

@@ -130,14 +130,11 @@ def seminorm_sq_realspace(wk: WrappedKernel, u: PeriodicFunction) -> float:
     h = u.grid.spacing
     kbar = wk.grid_values(h * np.arange(1, u.grid.size))  # distances d = 1..N-1 cells
     off_diag = seminorm_sq_offdiag(kbar, u)
-    from scipy import integrate
-
     # diagonal strip: model g(z) = u'(x)^2 z^2 Kbar(z); the missing piece is
     #   int_{-h}^{h} g - h g(h) + (h^2/6) g'(h)
     # (the h g(h) and g' terms undo the double-counted edge weight and the
     # leading Euler-Maclaurin defect of the off-diagonal trapezoid).
-    cell, _ = integrate.quad(lambda z: z * z * float(wk(z)), 0.0, h,
-                             limit=200, epsabs=1e-14, epsrel=1e-10)
+    cell = _diagonal_cell(wk, h)
     kb_h = float(wk(h))
     dz = 1e-3 * h
     kb_hp = float(wk(h + dz))
@@ -146,6 +143,30 @@ def seminorm_sq_realspace(wk: WrappedKernel, u: PeriodicFunction) -> float:
     j_eff = 2.0 * cell - h**3 * kb_h + (h**2 / 6.0) * (2 * h * kb_h + h**2 * dkb_h)
     du = u.derivative().samples
     return off_diag + 0.5 * h * float(np.sum(du**2)) * j_eff
+
+
+_CELL_NODES = 10  # Gauss-Legendre nodes per panel of _diagonal_cell
+_CELL_HALVINGS = 24  # its panels [h 2^-(j+1), h 2^-j] for j < 24
+
+
+def _diagonal_cell(wk: WrappedKernel, h: float) -> float:
+    """int_0^h z^2 Kbar(z) dz by a fixed rule graded toward 0: Gauss-Legendre
+    on the panels [h 2^-(j+1), h 2^-j], j < _CELL_HALVINGS, split at the
+    breakpoints of wk in (0, h), where Kbar may jump or kink.  The z^(1-2s)
+    singularity of z^2 K at 0 is analytic on every panel.  Below
+    z0 = h 2^-24, z^2 Kbar is taken as the power z^(1-2s) through its value
+    at z0, which adds z0^3 Kbar(z0)/(2 - 2s).  Against adaptive quadrature
+    split at the same breakpoints it is within 5e-15 relative for fraclap
+    s from 0.01 to 0.999, Delaunay, compact, indicator, SineTail and
+    Laplace kernels, at N = 64 and 1024."""
+    edges = sorted({h * 2.0 ** -j for j in range(_CELL_HALVINGS + 1)}
+                   | {b for b in wk.breakpoints if 0.0 < b < h})
+    x, w = np.polynomial.legendre.leggauss(_CELL_NODES)
+    lo, half = np.array(edges[:-1]), 0.5 * np.diff(edges)
+    z = np.append(((lo + half)[:, None] + half[:, None] * x).ravel(), edges[0])
+    g = z * z * wk(z)
+    return float((half[:, None] * w).ravel() @ g[:-1]
+                 + g[-1] * edges[0] / (2.0 - 2.0 * wk.kernel.s))
 
 
 def potential_integral(u: PeriodicFunction, fn: Callable) -> float:

@@ -50,6 +50,14 @@ class PeriodicGrid:
         k.setflags(write=False)
         return k
 
+    @cached_property
+    def node_signs(self) -> np.ndarray:
+        """(-1)^k in fft order, the phase of mode k at the first node x = -L
+        (cached, read-only)."""
+        signs = np.power(-1.0, self.wavenumbers)
+        signs.setflags(write=False)
+        return signs
+
     def frequencies(self) -> np.ndarray:
         """Physical frequencies pi*k/L for k = 0..N/2."""
         return np.pi * np.arange(self.size // 2 + 1) / self.half_period
@@ -57,16 +65,14 @@ class PeriodicGrid:
 
 def _coeffs_from_samples(grid: PeriodicGrid, samples: np.ndarray) -> np.ndarray:
     # nodes start at -L: the DFT picks up a (-1)^k phase per mode.
-    k = grid.wavenumbers
-    c = np.fft.fft(samples) / grid.size * np.power(-1.0, k)
+    c = np.fft.fft(samples) / grid.size * grid.node_signs
     half = grid.size // 2
     c[half] = c[half].real + 0.0j
     return c
 
 
 def _samples_from_coeffs(grid: PeriodicGrid, coeffs: np.ndarray) -> np.ndarray:
-    k = grid.wavenumbers
-    return np.real(np.fft.ifft(coeffs * np.power(-1.0, k) * grid.size))
+    return np.real(np.fft.ifft(coeffs * grid.node_signs * grid.size))
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,9 @@ ARMIJO_SHRINK = 0.5  # step factor per backtrack
 def project_constraint(u: PeriodicFunction, nl: Nonlinearity, c: float) -> PeriodicFunction:
     """Scale u so that int Gtilde(sigma u) = c, with defect < 1e-12.
 
-    Homogeneous constraints are solved in closed form; otherwise a
-    safeguarded bracketed root find on sigma (the shipped Gtilde families
-    are monotone in sigma > 0).
+    Homogeneous constraints are solved in closed form; otherwise sigma is
+    bracketed in [1e-8, 2^200] and found by _illinois (the shipped Gtilde
+    families are monotone in sigma > 0).
     """
     base = potential_integral(u, nl.Gt)
     if nl.homogeneity is not None:
@@ -56,19 +56,48 @@ def project_constraint(u: PeriodicFunction, nl: Nonlinearity, c: float) -> Perio
         return potential_integral(sigma * u, nl.Gt) - c
 
     lo, hi = 1e-8, 1.0
+    f_hi = defect(hi)
     grow = 0
-    while defect(hi) < 0 and grow < 200:
+    while f_hi < 0 and grow < 200:
         hi *= 2.0
+        f_hi = defect(hi)
         grow += 1
-    if defect(lo) > 0 or defect(hi) < 0:
+    f_lo = defect(lo)
+    if f_lo > 0 or f_hi < 0:
         raise ProjectionError("could not bracket the constraint level")
-    from scipy.optimize import brentq
-
-    sigma = brentq(defect, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    out = sigma * u
+    out = _illinois(defect, lo, hi, f_lo, f_hi) * u
     if abs(potential_integral(out, nl.Gt) - c) > 1e-12 * max(1.0, abs(c)):
         raise ProjectionError("projection defect above tolerance")
     return out
+
+
+def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """A root of f in [lo, hi], given f(lo) <= 0 <= f(hi): regula falsi with
+    the Illinois step (Dowell & Jarratt, BIT 11, 1971), which halves the
+    value kept at one end when the other end has moved twice in a row, so
+    that both ends close in.  A secant point that is not strictly inside
+    the bracket becomes its midpoint.  It stops when f vanishes or no double
+    is left between the ends, and returns the end where |f| is smaller."""
+    g_lo, g_hi = f_lo, f_hi  # the values the secant takes, halved by the step
+    moved = 0  # -1 when lo moved last, +1 when hi did
+    while f_lo != 0.0 and f_hi != 0.0:
+        x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        fx = f(x)
+        if fx < 0.0:
+            lo, f_lo, g_lo = x, fx, fx
+            if moved == -1:
+                g_hi *= 0.5
+            moved = -1
+        else:
+            hi, f_hi, g_hi = x, fx, fx
+            if moved == 1:
+                g_lo *= 0.5
+            moved = 1
+    return lo if abs(f_lo) < abs(f_hi) else hi
 
 
 @dataclass(frozen=True)

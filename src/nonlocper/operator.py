@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError, IntegrationError
+from .errors import (DomainError, GridMismatchError, IntegrationError,
+                     UnsupportedKernelError)
 from .grids import EVAL_BLOCK, PeriodicFunction, PeriodicGrid
 from .kernels import Kernel, WrappedKernel, _row_blocks, wrap_kernel
 
@@ -33,8 +34,14 @@ class SymbolTable:
         v.setflags(write=False)
 
     def full_multiplier(self) -> np.ndarray:
-        """Multiplier in fft mode order, length N."""
-        return self.values[np.abs(self.grid.wavenumbers)]
+        """Multiplier in fft mode order, length N (cached, read-only)."""
+        return self._full_multiplier
+
+    @functools.cached_property
+    def _full_multiplier(self) -> np.ndarray:
+        full = self.values[np.abs(self.grid.wavenumbers)]
+        full.setflags(write=False)
+        return full
 
 
 # relative tolerance of the symbol quadrature: a target for the adaptive
@@ -48,11 +55,12 @@ def symbol_value(kernel: Kernel, xi):
     array of them; a scalar xi gives a float.  The symbol is even in xi.
 
     A family that declares smooth_profile takes one fixed rule for all
-    frequencies at once (_fixed_rule), which loads no scipy.integrate.  A
-    frequency whose error estimate exceeds SYMBOL_RTOL relative to its value
-    is redone by _adaptive_value, and so is every frequency of the other
-    families (SineTail and custom kernels), whose profile may oscillate
-    where the estimate cannot see it.
+    frequencies at once (_fixed_rule), in numpy alone.  A frequency whose
+    error estimate exceeds SYMBOL_RTOL relative to its value is redone by
+    _adaptive_value, and so is every frequency of the other families
+    (SineTail and custom kernels), whose profile may oscillate where the
+    estimate cannot see it.  _adaptive_value needs the optional
+    "quadrature" extra; without it, UnsupportedKernelError.
     """
     xi_arr = np.abs(np.asarray(xi, dtype=float))
     xs = xi_arr.ravel()
@@ -82,8 +90,16 @@ def _adaptive_value(kernel: Kernel, xi: float) -> float:
     and xi = 1.  For laplace_measure_of(FractionalKernel(0.2)), whose r-grid
     cutoffs make the fixed rule's estimate flag every frequency, it is
     within 5e-11 of LaplaceKernel.symbol at xi = 1, 4 and 32.
+
+    It is the one place that uses scipy, which nonlocper[quadrature]
+    installs; without it, UnsupportedKernelError names that extra.
     """
-    from scipy import integrate
+    try:
+        from scipy import integrate
+    except ImportError as exc:
+        raise UnsupportedKernelError(
+            f"the symbol of {type(kernel).__name__} at xi={xi:g} needs adaptive "
+            "quadrature from scipy: pip install 'nonlocper[quadrature]'") from exc
 
     if kernel.support is not None:
         b = kernel.support

@@ -31,6 +31,26 @@ def run_cli(args):
     return cli.main([str(a) for a in args])
 
 
+def write_config(tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+# a minimize whose constraint functional is a polynomial, not a power
+POLYNOMIAL_MINIMIZE = {
+    "command": "minimize", "kernel": {"family": "fraclap", "s": 0.5},
+    "grid": {"L": 12.566, "N": 64}, "constraint": 5, "seed": 1,
+    "nonlinearity": {"name": "polynomial", "G_coeffs": [0, 0, -0.5],
+                     "Gt_coeffs": [0, 0, 1, 1]}}
+
+# a tabulated Laplace kernel, K(t) = sum of e^-r e^(-t^2 r) over a log r grid
+_R = np.geomspace(1e-3, 1e3, 60)
+LAPLACE = {"kernel": {"family": "laplace", "s": 0.5,
+                      "profile": np.column_stack([_R, np.exp(-_R)]).tolist()},
+           "grid": {"L": L, "N": 64}}
+
+
 def load_report(out_dir, command):
     with open(os.path.join(out_dir, f"{command}_report.json")) as fh:
         return json.load(fh)
@@ -312,6 +332,16 @@ class TestCommands:
         assert res["converged"]
         assert (tmp_path / "minimizer.csv").exists()
         assert (tmp_path / "energy_trace.csv").exists()
+
+    def test_minimize_with_polynomial_constraint(self, tmp_path):
+        # Gtilde = u^2 + u^3 is not homogeneous, so every projection takes the
+        # bracketed root find of project_constraint
+        code = run_cli(["minimize", "--config", write_config(tmp_path, POLYNOMIAL_MINIMIZE),
+                        "--out", tmp_path])
+        assert code == cli.EXIT_OK
+        res = load_report(tmp_path, "minimize")["result"]
+        assert res["converged"] and res["constraint_defect"] < 1e-12
+        assert res["diagnostics"]["critical_points"] == 2
 
     def test_minimize_budget_exhaustion_is_numerical_failure(self, tmp_path):
         code = run_cli(["minimize", "--kernel", "fraclap", "--s", 0.5,
@@ -762,13 +792,22 @@ class TestImportCost:
         ["apply", *DELAUNAY, "--L", L, "--N", 64, "--function", "u.csv", "--mode", "pv"],
         ["polya-szego", *DELAUNAY, "--L", L, "--N", 64, "--function", "u.csv"],
         ["maxprinciple", *DELAUNAY, "--L", L, "--N", 64],
+        ["symbol", *DELAUNAY, "--L", L, "--N", 128],
+        ["energy", *DELAUNAY, "--L", L, "--N", 64, "--function", "u.csv"],
+        ["minimize", *DELAUNAY, "--L", 12.566, "--N", 64, "--constraint", 5, "--seed", 1],
+        ["symbol", "--config", LAPLACE],
+        ["apply", "--config", LAPLACE, "--function", "u.csv", "--mode", "pv"],
+        ["minimize", "--config", POLYNOMIAL_MINIMIZE],
     ], ids=["regularity", "rearrange", "riesz", "symbol-fraclap", "symbol-indicator",
             "dtn-check",
             "apply-pv-fraclap", "polya-szego-fraclap", "maxprinciple-fraclap",
             "kernel-class-sinetail", "kernel-class-fraclap", "kernel-class-delaunay",
-            "apply-pv-delaunay", "polya-szego-delaunay", "maxprinciple-delaunay"])
+            "apply-pv-delaunay", "polya-szego-delaunay", "maxprinciple-delaunay",
+            "symbol-delaunay", "energy-delaunay", "minimize-delaunay",
+            "symbol-laplace", "apply-pv-laplace", "minimize-polynomial-constraint"])
     def test_command_loads_no_scipy(self, tmp_path, args):
-        args = [write_samples(tmp_path / a) if a == "u.csv" else a for a in args]
+        args = [write_samples(tmp_path / a) if a == "u.csv"
+                else write_config(tmp_path, a) if isinstance(a, dict) else a for a in args]
         proc = run_fresh(args + ["--out", tmp_path])
         assert proc.returncode == cli.EXIT_OK, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
@@ -783,28 +822,28 @@ class TestImportCost:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
-    @pytest.mark.parametrize("args,loaded", [
-        (["symbol", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 128], []),
-        (["apply", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64,
-          "--function", "u.csv", "--mode", "pv"], []),
-        (["energy", "--kernel", "delaunay", "--n", 2, "--s", 0.5, "--a", 1.0,
-          "--L", L, "--N", 64, "--function", "u.csv"], ["importlib.metadata", "scipy"]),
-        (["rearrange", "--L", L, "--N", 64, "--function", "u.csv"], []),
-        (["polya-szego", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64,
-          "--function", "u.csv"], []),
-        (["riesz", "--L", L, "--N", 64, "--seed", 7], []),
-        (["minimize", "--kernel", "fraclap", "--s", 0.5, "--L", 12.566, "--N", 256,
-          "--constraint", 5, "--seed", 1], []),
-        (["maxprinciple", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64], []),
-        (["kernel-class", "--kernel", "sinetail", "--s", 0.5], []),
-        (["regularity", "--s", 0.2, "--beta", 0.4], []),
-        (["dtn-check", "--N", 128], []),
+    @pytest.mark.parametrize("args", [
+        ["symbol", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 128],
+        ["apply", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64,
+         "--function", "u.csv", "--mode", "pv"],
+        ["energy", "--kernel", "delaunay", "--n", 2, "--s", 0.5, "--a", 1.0,
+         "--L", L, "--N", 64, "--function", "u.csv"],
+        ["rearrange", "--L", L, "--N", 64, "--function", "u.csv"],
+        ["polya-szego", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64,
+         "--function", "u.csv"],
+        ["riesz", "--L", L, "--N", 64, "--seed", 7],
+        ["minimize", "--kernel", "fraclap", "--s", 0.5, "--L", 12.566, "--N", 256,
+         "--constraint", 5, "--seed", 1],
+        ["maxprinciple", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64],
+        ["kernel-class", "--kernel", "sinetail", "--s", 0.5],
+        ["regularity", "--s", 0.2, "--beta", 0.4],
+        ["dtn-check", "--N", 128],
     ], ids=["symbol", "apply", "energy", "rearrange", "polya-szego", "riesz",
             "minimize", "maxprinciple", "kernel-class", "regularity", "dtn-check"])
-    def test_readme_command_loads_no_jsonschema(self, tmp_path, args, loaded):
-        # the validator is built in and the report version is a constant;
-        # scipy.special, which the Delaunay symbol needs, loads importlib.metadata
+    def test_readme_command_loads_no_jsonschema(self, tmp_path, args):
+        # the validator is built in, the report version is a constant, and
+        # no README command loads scipy, which would load importlib.metadata
         args = [write_samples(tmp_path / a) if a == "u.csv" else a for a in args]
         proc = run_fresh(args + ["--out", tmp_path], child=_CHILD_WATCH)
         assert proc.returncode == cli.EXIT_OK, proc.stderr
-        assert proc.stdout.splitlines()[-1] == repr(loaded)
+        assert proc.stdout.splitlines()[-1] == "[]"

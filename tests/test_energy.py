@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 import nonlocper as nl
+from nonlocper.energy import _diagonal_cell
 
 
 def grid(N=256, L=math.pi):
@@ -93,6 +94,44 @@ class TestSeminorm:
                         * kbar[d - 1]
         assert nl.rearrange.seminorm_sq_offdiag(kbar, u) == pytest.approx(
             brute, rel=1e-12)
+
+
+_TT = np.linspace(1e-3, 0.6 * math.pi, 64)
+
+
+class TestDiagonalCell:
+    @pytest.mark.parametrize("kernel", [
+        nl.FractionalKernel(0.1), nl.FractionalKernel(0.5), nl.FractionalKernel(0.9),
+        nl.DelaunayKernel(2, 0.5, 1.0),
+        nl.DelaunayKernel(3, 0.2, 0.5), nl.DelaunayKernel(2, 0.95, 1.0),
+        nl.CompactKernel(_TT, 1.0 - _TT / (0.6 * math.pi), s=0.5),
+        nl.indicator_kernel(1.3 * math.pi), nl.SineTailKernel(0.5)],
+        ids=["fraclap-0.1", "fraclap-0.5", "fraclap-0.9", "delaunay-2-0.5-1",
+             "delaunay-3-0.2-0.5", "delaunay-2-0.95-1", "compact", "indicator", "sinetail"])
+    def test_vs_adaptive_quadrature(self, kernel):
+        # the compact table's first knot, 1e-3, is a breakpoint inside the
+        # cell; quad is told about it, as the rule is
+        wk = nl.wrap_kernel(kernel, math.pi)
+        for n in (64, 1024):
+            h = 2.0 * math.pi / n
+            knots = [b for b in wk.breakpoints if 0.0 < b < h]
+            ref, _ = integrate.quad(lambda z: z * z * float(wk(z)), 0.0, h, limit=400,
+                                    epsabs=0.0, epsrel=1e-13, points=knots or None)
+            assert _diagonal_cell(wk, h) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [0.97, 0.99, 0.999])
+    def test_fraclap_near_one(self, s):
+        # most of the cell lies at z far below h; the power c z^(1-2s) is
+        # integrated in closed form and only the image sum by quadrature
+        k = nl.FractionalKernel(s)
+        wk = nl.wrap_kernel(k, math.pi)
+        for n in (64, 1024):
+            h = 2.0 * math.pi / n
+            power = k.constant * h ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+            images, _ = integrate.quad(lambda z: z * z * (float(wk(z)) - k(z)), 0.0, h,
+                                       epsabs=1e-16 * power, epsrel=1e-13)
+            ref = power + images
+            assert _diagonal_cell(wk, h) == pytest.approx(ref, rel=1e-13)
 
 
 class TestEnergyReport:

@@ -586,6 +586,20 @@ class TestClosedFormTails:
         assert k.tail_integral(1.0) == pytest.approx(0.5 * (0.8 + 0.6) / 2, rel=1e-15)
         assert k.tail_integral(2.0) == 0.0
 
+    @pytest.mark.parametrize("kernel", [
+        nl.laplace_measure_of(nl.DelaunayKernel(2, 0.5, 1.0)),
+        nl.LaplaceKernel(np.geomspace(1e-3, 1e3, 60), np.exp(-np.geomspace(1e-3, 1e3, 60)),
+                         s=0.5)], ids=["laplace-of-delaunay", "exponential-density"])
+    def test_laplace_vs_vectorized_erfc(self, kernel):
+        # the same sum of Gaussian tails, with scipy's erfc in place of math.erfc
+        from scipy.special import erfc
+
+        r = kernel.r_grid
+        for A in (0.0, 1e-3, 0.5, 1.0, 10.0, 400.0, 1e4):
+            ref = float(np.sum(kernel._trapezoid_weights() * 0.5 * np.sqrt(math.pi * r)
+                               * erfc(A * np.sqrt(r))))
+            assert kernel.tail_integral(A) == pytest.approx(ref, rel=1e-14, abs=1e-300)
+
     def test_laplace_matches_its_kernel(self):
         # the tabulated Delaunay measure reproduces the Delaunay tail until
         # the r grid's lower end (1e-14) cuts the kernel off near t = 1e7
@@ -593,3 +607,28 @@ class TestClosedFormTails:
         lk = nl.laplace_measure_of(dk)
         for A in (0.1, 1.0, 10.0):
             assert lk.tail_integral(A) == pytest.approx(dk.tail_integral(A), rel=1e-8)
+
+
+class TestDelaunaySymbol:
+    @pytest.mark.parametrize("n,s,a", [(2, 0.5, 1.0), (3, 0.2, 0.5), (2, 0.8, 2.0),
+                                       (5, 0.9, 0.3)])
+    def test_vs_high_precision(self, n, s, a):
+        # Basset's Bessel form at 40 digits, where the cancellation between
+        # its two terms at small xi costs nothing
+        mp = pytest.importorskip("mpmath")
+        xi = np.geomspace(math.pi / 40, 3000.0, 25)
+        got = nl.DelaunayKernel(n, s, a).symbol(xi)
+        with mp.workdps(40):
+            mu = (mp.mpf(n) + mp.mpf(s)) / 2
+            nu = mu - mp.mpf(1) / 2
+            c = mp.mpf(a)
+            ref = np.array([float(mp.sqrt(mp.pi) / mp.gamma(mu) * (
+                mp.gamma(nu) * c ** (-2 * nu)
+                - 2 * (mp.mpf(x) / (2 * c)) ** nu * mp.besselk(nu, c * mp.mpf(x))))
+                for x in xi])
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-13
+
+    def test_zero_frequency(self):
+        k = nl.DelaunayKernel(2, 0.5, 1.0)
+        assert np.array_equal(k.symbol(np.array([0.0, 0.0])), [0.0, 0.0])
+        assert k.symbol(np.array([0.0, 1.0]))[0] == 0.0

@@ -24,6 +24,25 @@ class TestProjection:
         val, _ = nl.constraint_value(v, nlty)
         assert val == pytest.approx(5.0, abs=1e-11)
 
+    def test_polynomial_grows_its_bracket(self):
+        # Gtilde = u^2 + u^4 is not homogeneous; at c = 1000 the root sigma
+        # lies beyond the starting bracket [1e-8, 1]
+        from scipy.optimize import brentq
+
+        g = nl.PeriodicGrid(math.pi, 64)
+        nlty = nl.polynomial_nonlinearity([0.0], Gt_coeffs=[0.0, 0.0, 1.0, 0.0, 1.0])
+        u = nl.PeriodicFunction.from_callable(g, lambda x: 1.0 + 0.3 * np.cos(x))
+        c = 1000.0
+        v = nl.project_constraint(u, nlty, c)
+        val, _ = nl.constraint_value(v, nlty)
+        assert abs(val - c) < 1e-12 * c
+        sigma = brentq(lambda x: nl.potential_integral(x * u, nlty.Gt) - c, 1e-8, 4.0,
+                       xtol=1e-15, rtol=8.9e-16)
+        assert sigma > 1.0
+        # v = sigma u, read back at the largest sample
+        i = int(np.argmax(u.samples))
+        assert v.samples[i] / u.samples[i] == pytest.approx(sigma, rel=4 * np.finfo(float).eps)
+
     def test_unreachable_level(self):
         g = nl.PeriodicGrid(math.pi, 64)
         nlty = nl.power_constraint(2.0)

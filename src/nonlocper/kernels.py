@@ -355,7 +355,9 @@ class LaplaceKernel(Kernel):
         t2 = np.ravel(t) ** 2
         vals = np.empty_like(t2)
         for blk in _row_blocks(t2.size, r.size):
-            vals[blk] = np.exp(-np.outer(t2[blk], r)) @ weights
+            # one dot product per row: a matvec's rounding would depend on
+            # how many rows share the block
+            vals[blk] = np.vecdot(np.exp(-np.outer(t2[blk], r)), weights)
         if not np.all(np.isfinite(vals)):
             raise IntegrationError("Laplace quadrature diverged")
         return vals
@@ -776,7 +778,12 @@ def _cheb_fit(fn: Callable, a: float, b: float) -> np.ndarray:
     2^j + 1 second-kind points.  The point count doubles, reusing every
     sample, until the trailing half of the coefficients falls below
     _CHOP_TOL of max|fn| (Aurentz & Trefethen, "Chopping a Chebyshev
-    series", 2017) or reaches _CHEB_MAX."""
+    series", 2017) or reaches _CHEB_MAX.  The test only ends the doubling:
+    all n coefficients of the last interpolant are returned, none chopped.
+    Since it reads the trailing half, n is about twice the significant
+    degree; the exact SineTail remainder at s = 0.5 on [0, 4 pi - 10] has its
+    last coefficient above the tolerance at degree 445, so it takes 1025
+    points."""
     n = _CHEB_START
     vals = fn(_cheb_points(a, b, n))
     while True:
@@ -788,6 +795,54 @@ def _cheb_fit(fn: Callable, a: float, b: float) -> np.ndarray:
         finer[::2] = vals
         finer[1::2] = fn(_cheb_points(a, b, n)[1::2])
         vals = finer
+
+
+_CLENSHAW_MAX = 65  # series up to this length keep numpy's Clenshaw loop
+
+
+def _cheb_value_slope(x: np.ndarray, c: np.ndarray) -> tuple:
+    """The Chebyshev series c and its derivative chebder(c) at x in [-1, 1].
+
+    Series of at most _CLENSHAW_MAX terms take chebval, a Python loop over
+    the terms.  Longer ones are summed by baby-step giant-step products
+    (Paterson & Stockmeyer, 1973): with z = x + i sqrt(1 - x^2) = e^(i theta),
+    T_k(x) = Re z^k, and for k = bq + r with b about sqrt(n),
+        Re z^k = Re z^(bq) Re z^r - Im z^(bq) Im z^r.
+    The powers z^r (r < b) and z^(bq) are cumulative products, Re z^r and
+    Im z^r each take one matmul against the (2q x b) matrix of c and
+    chebder(c), and a sum over q finishes each node, in blocks of nodes
+    whose temporaries stay small.  A node beyond +-1 (a table node just past
+    its piece) takes the value at the clipped point plus one Taylor step,
+    value + slope (x - clip(x)), and the slope there."""
+    d = chebder(c)
+    if c.size <= _CLENSHAW_MAX:
+        return chebval(x, c), chebval(x, d)
+    b = math.isqrt(c.size - 1) + 1
+    q = -(-c.size // b)
+    coef = np.zeros((2, q * b))
+    coef[0, :c.size] = c
+    coef[1, :d.size] = d
+    # coef[2j + m, r] is term bj + r of series m (c, then chebder(c))
+    coef = coef.reshape(2, q, b).transpose(1, 0, 2).reshape(2 * q, b)
+    xc = np.clip(x, -1.0, 1.0)
+    out = np.empty((2, x.size))
+    for blk in _row_blocks(x.size, 2 * q):
+        xb = xc[blk]
+        z = xb + 1j * np.sqrt((1.0 - xb) * (1.0 + xb))
+        baby = np.empty((b, xb.size), dtype=complex)
+        baby[0] = 1.0
+        baby[1:] = z
+        np.cumprod(baby, axis=0, out=baby)
+        giant = np.empty((q, xb.size), dtype=complex)
+        giant[0] = 1.0
+        giant[1:] = baby[-1] * z
+        np.cumprod(giant, axis=0, out=giant)
+        re = (coef @ baby.real).reshape(q, 2, -1)
+        im = (coef @ baby.imag).reshape(q, 2, -1)
+        out[:, blk] = (np.einsum("qm,qjm->jm", giant.real, re)
+                       - np.einsum("qm,qjm->jm", giant.imag, im))
+    values, slopes = out
+    return values + slopes * (x - xc), slopes
 
 
 @dataclass(frozen=True)
@@ -815,7 +870,7 @@ def _remainder_table(L: float, folds: tuple, exact: Callable) -> _HermiteTable:
     takes the other branch of the profile; folds within 2 gap of 0 or L
     (gap = 1e-12 L) are dropped, and every piece ends gap short of both of
     its ends, so that rounding puts no sample on the other branch.  Each
-    node takes R and R' (from chebder) of the piece it lies in."""
+    node takes R and R' of the piece it lies in, from _cheb_value_slope."""
     gap = 1e-12 * L
     folds = [f for f in folds if 2.0 * gap < f < L - 2.0 * gap]
     ends = [0.0, *folds, L]
@@ -827,9 +882,8 @@ def _remainder_table(L: float, folds: tuple, exact: Callable) -> _HermiteTable:
         a, b = lo + gap, hi - gap
         c = _cheb_fit(exact, a, b)
         sel = piece == j
-        x = (2.0 * t[sel] - a - b) / (b - a)
-        values[sel] = chebval(x, c)
-        slopes[sel] = chebval(x, chebder(c)) * (2.0 / (b - a))
+        values[sel], slope = _cheb_value_slope((2.0 * t[sel] - a - b) / (b - a), c)
+        slopes[sel] = slope * (2.0 / (b - a))
     h = L / _TABLE_CELLS
     y0, y1 = values[:-1], values[1:]
     d0, d1 = h * slopes[:-1], h * slopes[1:]
@@ -846,11 +900,11 @@ def wrap_kernel(kernel: Kernel, L: float, tol: float = 1e-10) -> WrappedKernel:
     _exact_remainder, built here and kept: K_DIRECT image terms on each
     side plus an Euler-Maclaurin tail.  grid_values reads that sum.
     Without a support, R is analytic on [0, L] between the same folds: it
-    is interpolated there at nested Chebyshev points until the
-    coefficients chop (see _cheb_fit), and R and R' are tabulated on
-    _TABLE_CELLS uniform cells that a call reads as a cubic Hermite.  With
-    a support, a call reads the exact sum too, which stays honest across
-    the jumps where an interpolant would ring.
+    is interpolated there at nested Chebyshev points until the trailing
+    coefficients are negligible (see _cheb_fit), and R and R' are
+    tabulated on _TABLE_CELLS uniform cells that a call reads as a cubic
+    Hermite.  With a support, a call reads the exact sum too, which stays
+    honest across the jumps where an interpolant would ring.
 
     tol sets nothing: the construction above fixes the accuracy.  It is
     still accepted, and values <= 0 are still rejected, for callers that

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebder, chebval
 from scipy import integrate
 from scipy.integrate import IntegrationWarning
 
@@ -353,10 +354,77 @@ class TestWrappedKernel:
         alone = np.array([wk.grid_values(np.array([t]))[0] for t in ts])
         assert np.array_equal(wk.grid_values(ts), alone)
 
+    @pytest.mark.parametrize("n", [1, 7, 40, 333])
+    def test_laplace_grid_value_does_not_depend_on_the_batch(self, n):
+        # LaplaceKernel.profile reduces each row on its own; a matvec over a
+        # block of rows moved the last bits of 16 of the 40 points
+        wk = nl.wrap_kernel(nl.laplace_measure_of(nl.DelaunayKernel(2, 0.5, 1.0)), math.pi)
+        ts = np.linspace(0.01, math.pi, n)
+        alone = np.array([wk.grid_values(np.array([t]))[0] for t in ts])
+        assert np.array_equal(wk.grid_values(ts), alone)
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    def test_sinetail_table_at_nodes_and_midpoints(self, s):
+        # the pieces of 1025-2049 (s = 0.1) and 257-513 points are summed by
+        # baby-step giant-step products; away from the fold of the profile's
+        # t = 10 switch, whose jump the exact sum carries, the table is
+        # within rounding of the exact sum
+        L = math.pi
+        h = L / nl.kernels._TABLE_CELLS
+        wk = nl.wrap_kernel(nl.SineTailKernel(s), L)
+        nodes = np.linspace(0.0, L, nl.kernels._TABLE_CELLS + 1)
+        ts = np.concatenate([nodes[1:], nodes[:-1] + 0.5 * h])
+        ts = ts[np.abs(ts - (4.0 * math.pi - 10.0)) > 2.0 * h]
+        exact = wk.grid_values(ts)
+        assert np.max(np.abs(wk(ts) - exact) / exact) < 5e-14
+
+    @pytest.mark.parametrize("kernel", [nl.FractionalKernel(0.5), nl.DelaunayKernel(2, 0.5, 1.0)],
+                             ids=["fraclap", "delaunay"])
+    def test_short_pieces_keep_clenshaw(self, kernel):
+        # one piece of 65 points: its table is chebval's, bit for bit
+        K = nl.kernels
+        L = math.pi
+        a, b = 1e-12 * L, L - 1e-12 * L
+        c = K._cheb_fit(K._exact_remainder(kernel, L), a, b)
+        assert c.size <= K._CLENSHAW_MAX
+        x = (2.0 * np.linspace(0.0, L, K._TABLE_CELLS + 1) - a - b) / (b - a)
+        y0, d0 = nl.wrap_kernel(kernel, L)._remainder.coeffs[:2]
+        assert np.array_equal(y0, chebval(x, c)[:-1])
+        slopes = chebval(x, chebder(c)) * (2.0 / (b - a))
+        assert np.array_equal(d0, (L / K._TABLE_CELLS) * slopes[:-1])
+
     def test_requires_growth_bound(self):
         k = nl.CustomKernel(lambda t: t ** -2.0, s=0.5)  # no Lambda declared
         with pytest.raises(nl.DomainError):
             nl.wrap_kernel(k, math.pi)
+
+
+class TestChebValueSlope:
+    """The evaluator of a Chebyshev series and its derivative that fills the
+    wrap's Hermite table, against numpy's Clenshaw recurrence."""
+
+    @pytest.mark.parametrize("n", [129, 257, 1025, 4097])
+    def test_matches_clenshaw(self, n):
+        rng = np.random.default_rng(n)
+        # decaying to 1e-14, as a chopped interpolant does
+        c = rng.standard_normal(n) * 10.0 ** (-14.0 * np.arange(n) / n)
+        # second-kind points (both ends included), random points, and table
+        # nodes just past a piece's ends
+        x = np.concatenate([np.cos(np.linspace(0.0, math.pi, 1001)),
+                            rng.uniform(-1.0, 1.0, 500),
+                            [-1.0 - 1e-12, 1.0 + 1e-12, -1.0 - 3e-12, 1.0 + 3e-12]])
+        values, slopes = nl.kernels._cheb_value_slope(x, c)
+        d = chebder(c)
+        ref_values, ref_slopes = chebval(x, c), chebval(x, d)
+        # Clenshaw's own rounding grows with n: 7e-14 of the largest value
+        # and 2.3e-13 of the largest slope at n = 4097
+        tol = 2.5e-16 * n
+        assert np.max(np.abs(values - ref_values)) <= tol * np.max(np.abs(ref_values))
+        # past +-1 the slope is the one at the end, which differs from the
+        # extrapolated slope by the curvature times the step
+        ends = np.clip(x, -1.0, 1.0)
+        lag = 1.1 * np.abs(chebval(ends, chebder(d))) * np.abs(x - ends)
+        assert np.all(np.abs(slopes - ref_slopes) <= tol * np.max(np.abs(ref_slopes)) + lag)
 
 
 class TestClassification:

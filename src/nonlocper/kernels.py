@@ -88,6 +88,16 @@ class Kernel:
     def profile(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def image_profile(self, t: np.ndarray, L: float, k: np.ndarray) -> np.ndarray:
+        """K(|t + 2kL|) for the points t (rows) and the nonzero image
+        indices k (columns), as the wrap's image sum needs it: by default one
+        profile call on every entry, zero beyond the support."""
+        args = np.abs(t[:, None] + 2.0 * L * k)
+        vals = _safe_profile(self, args.ravel()).reshape(args.shape)
+        if self.support is not None:
+            vals = np.where(args < self.support, vals, 0.0)
+        return vals
+
     @property
     def breaks(self) -> tuple:
         """Radii where the profile jumps or kinks (here the support edge).
@@ -420,38 +430,43 @@ class CustomKernel(Kernel):
 _DESCENT_STEP = 0.2
 _DESCENT_V = np.arange(-25.0, 40.0 + _DESCENT_STEP / 2, _DESCENT_STEP)  # 326 nodes
 _DESCENT_TOL = 1e-6  # largest step-h vs step-2h gap, relative to the power part
+_DESCENT_CUT_STEP = 16  # each point's node cut is rounded up to a multiple of this
 
 
 @functools.lru_cache(maxsize=8)
 def _descent_weights(p: float) -> tuple:
-    """Nodes u = e^v and the columns [Re, Im] of the step-h and step-2h
+    """Nodes u = e^v and the rows [Re, Im] of the step-h and step-2h
     trapezoid weights of u^2 (1 + iu)^(-p) dv."""
     u = np.exp(_DESCENT_V)
     w = _DESCENT_STEP * u**2 * (1.0 + 1j * u) ** (-p)
     w2 = np.where(np.arange(u.size) % 2 == 0, 2.0 * w, 0.0)
-    return u, np.stack([w.real, w.imag, w2.real, w2.imag], axis=1)
+    return u, np.stack([w.real, w.imag, w2.real, w2.imag])
 
 
 def _sine_part(a: np.ndarray, p: float) -> tuple:
     """int_a^inf (x - a) x^(-p) sin x dx for an array a > 0, with error
     estimates.  Along x = a (1 + iu) it equals
-    Im[-e^(ia) a^(2-p) int u^2 (1 + iu)^(-p) e^(-au) dv]."""
+    Im[-e^(ia) a^(2-p) int u^2 (1 + iu)^(-p) e^(-au) dv].
+
+    Each point drops the nodes with a u > 80, which add below e^-80, from
+    its own cut rounded up to a multiple of _DESCENT_CUT_STEP nodes, and
+    reduces its own row (np.vecdot), so its value does not depend on the
+    points it arrives with.  Points with the same cut share one exponential
+    table; the rounding keeps such groups few."""
     u, weights = _descent_weights(p)
-    val = np.empty_like(a)
-    err = np.empty_like(a)
-    order = np.argsort(a)
-    for blk in _row_blocks(a.size, u.size):
-        idx = order[blk]
-        ab = a[idx]
-        # nodes with a u > 80 for every point of the block add below e^-80
-        n = int(np.searchsorted(u, 80.0 / ab[0]))
-        sums = np.exp(-np.outer(ab, u[:n])) @ weights[:n]
-        fine = sums[:, 0] + 1j * sums[:, 1]
-        coarse = sums[:, 2] + 1j * sums[:, 3]
-        scale = ab ** (2.0 - p)
-        val[idx] = -scale * np.imag(np.exp(1j * ab) * fine)
-        err[idx] = scale * np.abs(fine - coarse)
-    return val, err
+    sums = np.empty((a.size, 4))
+    cut = np.searchsorted(u, 80.0 / a)
+    cut = np.minimum(-(-cut // _DESCENT_CUT_STEP) * _DESCENT_CUT_STEP, u.size)
+    for n in np.unique(cut):
+        group = np.flatnonzero(cut == n)
+        for blk in _row_blocks(group.size, n):
+            idx = group[blk]
+            table = np.exp(a[idx, None] * -u[:n])
+            sums[idx] = np.vecdot(table[:, None, :], weights[:, :n])
+    fine = sums[:, 0] + 1j * sums[:, 1]
+    coarse = sums[:, 2] + 1j * sums[:, 3]
+    scale = a ** (2.0 - p)
+    return -scale * np.imag(np.exp(1j * a) * fine), scale * np.abs(fine - coarse)
 
 
 _SYMBOL_CUT = 40.0  # SineTail symbol: the sine part is integrated on (0, cut)
@@ -490,8 +505,10 @@ class SineTailKernel(Kernel):
     The constant part of (2 + sin x) integrates in closed form.  The sine
     part uses a two-term stationary expansion for t^2 >= 100 and otherwise
     a steepest-descent trapezoid rule, vectorised over all points (no
-    adaptive quadrature); tail_integral works the same way.  The symbol is
-    a fixed Gauss-Legendre rule for all frequencies at once (provenance
+    adaptive quadrature); tail_integral works the same way.  The wrap's
+    image table (image_profile) reads cos a and sin a from products of
+    phases, not from a sine and a cosine per entry.  The symbol is a fixed
+    Gauss-Legendre rule for all frequencies at once (provenance
     "quadrature").
     """
 
@@ -504,15 +521,44 @@ class SineTailKernel(Kernel):
 
     def profile(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        p = self.s + 2.5
         a = t * t
-        out = 2.0 * a ** (2.0 - p) / ((p - 1.0) * (p - 2.0))
         far = a >= 100.0
+        af = a[far]
+        return self._from_squares(a, far, np.cos(af), np.sin(af))
+
+    def image_profile(self, t, L, k):
+        """K(|t + 2kL|) with no sine or cosine per entry.  With S = 2|k|L,
+        a = (t + 2kL)^2 = S^2 + t^2 + 4kLt, so on the far branch
+            e^(ia) = e^(iS^2) e^(it^2) w^k,  w = e^(4iLt):
+        one phase per image, two per point, and the powers w^|k| as a
+        cumulative product along |k|, conjugated for k < 0.  Near and far
+        split on a = args * args as in profile, so the t = 10 switch
+        folds where the flat profile puts it."""
+        args = np.abs(t[:, None] + 2.0 * L * k)
+        a = args * args
+        far = a >= 100.0
+        m = np.abs(k)
+        powers = np.empty((t.size, int(m.max())), dtype=complex)
+        powers[:] = np.exp(4j * L * t)[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        phase = powers[:, m - 1]
+        np.conjugate(phase, out=phase, where=k < 0)
+        phase *= np.exp(1j * (2.0 * L * m) ** 2)
+        phase *= np.exp(1j * t * t)[:, None]
+        phase = phase[far]
+        return self._from_squares(a, far, phase.real, phase.imag)
+
+    def _from_squares(self, a, far, cos_far, sin_far):
+        """K(sqrt(a)) for an array a: the power part in closed form plus the
+        sine part, where far from cos a and sin a there, and elsewhere by
+        _sine_part."""
+        p = self.s + 2.5
+        out = 2.0 * a ** (2.0 - p) / ((p - 1.0) * (p - 2.0))
         af = a[far]
         # two-term stationary expansion of the sine part; the dropped term
         # is 3p(p+1) a^(-p-2) sin a, so at the a = 100 switch the profile
         # jumps by 7.5e-8, 2.0e-7 and 4.3e-7 of K(10) at s = 0.1, 0.5, 0.9
-        out[far] += -np.sin(af) * af ** (-p) + 2.0 * p * np.cos(af) * af ** (-p - 1.0)
+        out[far] += af ** (-p) * (2.0 * p * cos_far / af - sin_far)
         near = ~far & (a > 0.0)  # t^2 underflowing to 0 leaves K = inf
         osc, err = _sine_part(a[near], p)
         if np.any(err > _DESCENT_TOL * out[near]):
@@ -696,26 +742,25 @@ _TAIL_POINTS = 17  # Chebyshev points of the Euler-Maclaurin tail fit
 def _exact_remainder(kernel: Kernel, L: float) -> Callable:
     """The function t -> sum_{k != 0} K(|t + 2kL|) for t in [0, L].
 
-    The images k = +-1..K_DIRECT of a row block go through one profile call
-    (with a support, only those whose smallest argument on [0, L] lies
-    inside it: 2kL for t + 2kL and (2k - 1)L for 2kL - t).  Beyond them
-    comes the midpoint Euler-Maclaurin series with step h = 2L from
-    a = edge +- t, to its third term:
+    The images k = +-1..K_DIRECT of a row block go through one
+    kernel.image_profile call (with a support, only those whose smallest
+    argument on [0, L] lies inside it: 2kL for t + 2kL and (2k - 1)L for
+    2kL - t).  Beyond them comes the midpoint Euler-Maclaurin series with
+    step h = 2L from a = edge +- t, to its third term:
         (1/h) int_a^inf K + (h/24) K'(a) - (7 h^3/5760) K'''(a).
     The integral is read from its Chebyshev interpolant at _TAIL_POINTS
     points of [edge - L, edge + L] (it is smooth and tiny there), fitted on
     first use and shared by every later call of the returned function, so
     the tail of a value does not depend on the batch it arrives in."""
     sup = kernel.support
-    # image columns in the order k = 1, -1, 2, -2, ...: arguments shifts + signs * t
-    shifts = 2.0 * L * np.repeat(np.arange(1, K_DIRECT + 1), 2)
-    signs = np.tile([1.0, -1.0], K_DIRECT)
+    # image columns in the order k = 1, -1, 2, -2, ...
+    k = np.repeat(np.arange(1, K_DIRECT + 1), 2) * np.tile([1, -1], K_DIRECT)
     if sup is not None:
         # the other columns are zero for every t in [0, L]; dropping them
         # leaves each sum bitwise unchanged
-        inside = np.where(signs > 0, shifts, shifts - L) < sup
-        shifts, signs = shifts[inside], signs[inside]
-        if shifts.size == 0:  # support <= L
+        shifts = 2.0 * L * np.abs(k)
+        k = k[np.where(k > 0, shifts, shifts - L) < sup]
+        if k.size == 0:  # support <= L
             return lambda t: np.zeros(np.shape(t))
     edge = 2.0 * (K_DIRECT + 0.5) * L
     lo, hi = edge - L, edge + L
@@ -729,11 +774,8 @@ def _exact_remainder(kernel: Kernel, L: float) -> Callable:
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
         out = np.empty_like(flat)
-        for blk in _row_blocks(flat.size, shifts.size):
-            args = shifts + signs * flat[blk, None]
-            vals = _safe_profile(kernel, args.ravel()).reshape(args.shape)
-            if sup is not None:
-                vals = np.where(args < sup, vals, 0.0)
+        for blk in _row_blocks(flat.size, k.size):
+            vals = kernel.image_profile(flat[blk], L, k)
             # accumulated term by term in the image order k = 1, -1, 2, -2, ...
             # (cumsum, not the pairwise sum): margins such as classify_kernel's
             # take differences of these sums, and the order fixes their last bits
@@ -800,13 +842,27 @@ def _cheb_fit(fn: Callable, a: float, b: float) -> np.ndarray:
 _CLENSHAW_MAX = 65  # series up to this length keep numpy's Clenshaw loop
 
 
+def _cheb_derivative(c: np.ndarray) -> np.ndarray:
+    """chebder(c) without its Python loop over the terms: the derivative's
+    coefficient d_k is the sum of 2j c_j over j > k with j - k odd (d_0
+    halved), so the even d_k are reversed cumulative sums over the odd j and
+    the odd d_k over the even j."""
+    e = 2.0 * np.arange(c.size) * c
+    d = np.empty(c.size - 1)
+    d[0::2] = np.cumsum(e[1::2][::-1])[::-1]
+    d[1::2] = np.cumsum(e[2::2][::-1])[::-1]
+    d[0] *= 0.5
+    return d
+
+
 def _cheb_value_slope(x: np.ndarray, c: np.ndarray) -> tuple:
     """The Chebyshev series c and its derivative chebder(c) at x in [-1, 1].
 
-    Series of at most _CLENSHAW_MAX terms take chebval, a Python loop over
-    the terms.  Longer ones are summed by baby-step giant-step products
-    (Paterson & Stockmeyer, 1973): with z = x + i sqrt(1 - x^2) = e^(i theta),
-    T_k(x) = Re z^k, and for k = bq + r with b about sqrt(n),
+    Series of at most _CLENSHAW_MAX terms take chebval and chebder, Python
+    loops over the terms.  Longer ones take _cheb_derivative and are summed
+    by baby-step giant-step products (Paterson & Stockmeyer, 1973): with
+    z = x + i sqrt(1 - x^2) = e^(i theta), T_k(x) = Re z^k, and for
+    k = bq + r with b about sqrt(n),
         Re z^k = Re z^(bq) Re z^r - Im z^(bq) Im z^r.
     The powers z^r (r < b) and z^(bq) are cumulative products, Re z^r and
     Im z^r each take one matmul against the (2q x b) matrix of c and
@@ -814,9 +870,9 @@ def _cheb_value_slope(x: np.ndarray, c: np.ndarray) -> tuple:
     whose temporaries stay small.  A node beyond +-1 (a table node just past
     its piece) takes the value at the clipped point plus one Taylor step,
     value + slope (x - clip(x)), and the slope there."""
-    d = chebder(c)
     if c.size <= _CLENSHAW_MAX:
-        return chebval(x, c), chebval(x, d)
+        return chebval(x, c), chebval(x, chebder(c))
+    d = _cheb_derivative(c)
     b = math.isqrt(c.size - 1) + 1
     q = -(-c.size // b)
     coef = np.zeros((2, q * b))

@@ -363,6 +363,41 @@ class TestWrappedKernel:
         alone = np.array([wk.grid_values(np.array([t]))[0] for t in ts])
         assert np.array_equal(wk.grid_values(ts), alone)
 
+    @pytest.mark.parametrize("n", [1, 7, 40, 333])
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    def test_sinetail_value_does_not_depend_on_the_batch(self, s, n):
+        # each point cuts its own steepest-descent nodes; a cut by the
+        # block's smallest argument moved the last bits of up to 26 of the
+        # 333 grid values and 9 of the 333 profile values
+        k = nl.SineTailKernel(s)
+        wk = nl.wrap_kernel(k, math.pi)
+        ts = np.linspace(0.01, math.pi, n)
+        alone = np.array([wk.grid_values(np.array([t]))[0] for t in ts])
+        assert np.array_equal(wk.grid_values(ts), alone)
+        # both branches of the profile, which switches at t = 10
+        ts = np.linspace(0.01, 4.0 * math.pi, n)
+        alone = np.array([k.profile(np.array([t]))[0] for t in ts])
+        assert np.array_equal(k.profile(ts), alone)
+
+    @pytest.mark.parametrize("L", [math.pi, 2.0, 10.0 / 3.0, 5.0])
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    def test_sinetail_image_table_matches_flat_profile(self, s, L):
+        # the image sum's table takes its phases from products of
+        # e^(i (2kL)^2), e^(i t^2) and powers of e^(4iLt); entry by entry it
+        # is the profile at |t + 2kL|.  The profile jumps by at least 7.5e-8
+        # of K(10) at its t = 10 switch, so agreement to 2e-15 also says that
+        # both split near and far alike; with L = 2 and 10/3 the switch
+        # folds onto t = L, and with L = 5 onto t = 0
+        kern = nl.SineTailKernel(s)
+        m = nl.kernels.K_DIRECT
+        k = np.repeat(np.arange(1, m + 1), 2) * np.tile([1, -1], m)
+        ts = np.linspace(0.0, L, 301)
+        table = kern.image_profile(ts, L, k)
+        args = np.abs(ts[:, None] + 2.0 * L * k)
+        flat = kern.profile(args.ravel()).reshape(args.shape)
+        assert np.count_nonzero(args * args < 100.0) > 0
+        assert np.all(np.abs(table - flat) <= 2e-15 * np.abs(flat))
+
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     def test_sinetail_table_at_nodes_and_midpoints(self, s):
         # the pieces of 1025-2049 (s = 0.1) and 257-513 points are summed by
@@ -425,6 +460,15 @@ class TestChebValueSlope:
         ends = np.clip(x, -1.0, 1.0)
         lag = 1.1 * np.abs(chebval(ends, chebder(d))) * np.abs(x - ends)
         assert np.all(np.abs(slopes - ref_slopes) <= tol * np.max(np.abs(ref_slopes)) + lag)
+
+    @pytest.mark.parametrize("n", [129, 1025, 4097])
+    def test_derivative_matches_chebder(self, n):
+        # the long series' derivative by reversed cumulative sums
+        c = np.random.default_rng(n).standard_normal(n) * 10.0 ** (-14.0 * np.arange(n) / n)
+        ref = chebder(c)
+        d = nl.kernels._cheb_derivative(c)
+        assert d.shape == ref.shape
+        assert np.max(np.abs(d - ref)) <= 1e-15 * n * np.max(np.abs(ref))
 
 
 class TestClassification:

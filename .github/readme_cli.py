@@ -1,8 +1,9 @@
 """Run the installed `nonlocper` console script on every command of the
 README's CLI block, each with a u.csv of its --N samples in the working
-directory, and fail on a nonzero exit.  Then check three inputs that must
-exit 2, 2 and 3 without a traceback: an unread flag, a CSV path that is a
-directory, and an iteration budget that the descent cannot meet.
+directory, and fail on a nonzero exit.  Then check four inputs that must
+exit 2, 2, 2 and 3 without a traceback: an unread flag, a CSV path that is a
+directory, a constraint level that a homogeneous constraint cannot reach,
+and an iteration budget that the descent cannot meet.
 
 Usage: python3 readme_cli.py path/to/README.md  (from a scratch directory)
 """
@@ -34,6 +35,8 @@ fraclap = ["--kernel", "fraclap", "--s", "0.5"]
 for want, argv in (
         (2, ["dtn-check", "--L", "2.0"]),
         (2, ["symbol", *fraclap, "--L", "3.14159", "--N", "64", "--out", "blocked"]),
+        (2, ["minimize", *fraclap, "--L", "12.566", "--N", "64", "--constraint", "-1",
+             "--seed", "1", "--out", "out"]),
         (3, ["minimize", *fraclap, "--L", "12.566", "--N", "256", "--constraint", "5",
              "--seed", "1", "--max-iters", "1", "--out", "out"])):
     argv = ["nonlocper", *argv]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .energy import seminorm_sq_offdiag
 from .errors import DomainError, StepSizeError
-from .grids import PeriodicFunction, PeriodicGrid
+from .grids import PeriodicFunction, PeriodicGrid, _samples_from_coeffs
 from .kernels import FractionalKernel, WrappedKernel, wrap_kernel
 from .operator import _pv_fold
 
@@ -43,7 +43,8 @@ DTN_DELTA_SEQ = (1e-2, 5e-3, 2.5e-3, 1.25e-3)  # radial steps of dtn_poisson
 def poisson_extension(u: PeriodicFunction, radius: float) -> np.ndarray:
     """Harmonic extension sampled at radius*e^{i theta_j}, computed by
     trapezoid quadrature of the Poisson kernel (a circular convolution) on
-    M >= N nodes; M follows from the radius (error ~ radius^M) and N."""
+    M >= N nodes; M follows from the radius (error ~ radius^M) and N.  At
+    the N nodes it is u_k times the kernel samples' real FFT, for |k| <= N/2."""
     _require_circle(u)
     if not 0 <= radius < 1:
         raise DomainError("extension radius must lie in [0, 1)")
@@ -51,14 +52,12 @@ def poisson_extension(u: PeriodicFunction, radius: float) -> np.ndarray:
     m = max(n, 1 << max(10, math.ceil(math.log2(40.0 / (1.0 - radius)))))
     if m > 1 << 22:
         raise StepSizeError("radius too close to 1 for stable quadrature")
-    uq = u.refine(m)
-    phi = uq.grid.nodes
+    phi = PeriodicGrid(math.pi, m).nodes
     # P(r, t) = (1 - r^2) / (2 pi (1 - 2 r cos t + r^2)) at distances t
     pk = (1.0 - radius**2) / (2.0 * math.pi * (1.0 - 2.0 * radius * np.cos(phi)
                                                + radius**2))
-    conv = np.real(np.fft.ifft(np.fft.fft(np.roll(pk, -(m // 2)))
-                               * np.fft.fft(uq.samples))) * (2.0 * math.pi / m)
-    return conv[:: m // n]
+    weights = np.fft.rfft(np.roll(pk, -(m // 2)))[: n // 2 + 1].real * (2.0 * math.pi / m)
+    return _samples_from_coeffs(u.grid, u.coeffs() * weights[np.abs(u.grid.wavenumbers)])
 
 
 def dtn_poisson(u: PeriodicFunction) -> PeriodicFunction:
@@ -126,14 +125,12 @@ def energy_identity_check(u: PeriodicFunction) -> dict:
     rr = 0.5 * (nodes + 1.0)  # map to (0, 1)
     ww = 0.5 * weights
     absk = np.abs(k).astype(float)
-    # u_D(r, theta) = sum_k u_k r^{|k|} e^{ik theta}
-    e_disk = 0.0
-    for r, w in zip(rr, ww):
-        radial = r ** np.maximum(absk - 1.0, 0.0)
-        dr = PeriodicFunction.from_coeffs(grid, c * absk * radial).samples
-        dtheta_over_r = PeriodicFunction.from_coeffs(grid, c * 1j * k * radial).samples
-        e_disk += w * r * (2.0 * math.pi / n) * float(np.sum(dr**2 + dtheta_over_r**2))
-    e_disk *= 0.5
+    # u_D(r, theta) = sum_k u_k r^{|k|} e^{ik theta}; one row per radius
+    radial = rr[:, None] ** np.maximum(absk - 1.0, 0.0)
+    dr = _samples_from_coeffs(grid, c * absk * radial)
+    dtheta_over_r = _samples_from_coeffs(grid, c * 1j * k * radial)
+    terms = ww * rr * (2.0 * math.pi / n) * np.sum(dr**2 + dtheta_over_r**2, axis=1)
+    e_disk = 0.5 * float(np.cumsum(terms)[-1])  # summed in radius order
 
     h = grid.spacing
     chord_sq = 2.0 - 2.0 * np.cos(h * np.arange(1, n))  # |p - q|^2 at d = 1..N-1 cells

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError
 from .grids import PeriodicFunction
 from .kernels import WrappedKernel
-from .operator import SymbolTable, apply_spectral, bilinear_fourier
+from .operator import SymbolTable, _bilinear, apply_spectral, bilinear_fourier
 
 
 @dataclass(frozen=True)
@@ -171,19 +171,34 @@ def _diagonal_cell(wk: WrappedKernel, h: float) -> float:
 
 def potential_integral(u: PeriodicFunction, fn: Callable) -> float:
     """Trapezoid of int_{-L}^{L} fn(u); spectrally accurate for smooth u."""
-    return u.grid.spacing * float(np.sum(np.asarray(fn(u.samples), dtype=float)))
+    return _trapezoid(u.grid, u.samples, fn)
+
+
+def _trapezoid(grid, samples: np.ndarray, fn: Callable) -> float:
+    return grid.spacing * float(np.sum(np.asarray(fn(samples), dtype=float)))
+
+
+def _lagrangian(sym: SymbolTable, nl: Nonlinearity, samples: np.ndarray,
+                coeffs: np.ndarray) -> tuple:
+    """(kinetic, potential) from u's samples and fft-order coefficients: the
+    array core of energy, which minimize's line search calls per candidate."""
+    kinetic = 0.5 * _bilinear(sym, coeffs, coeffs)
+    potential = _trapezoid(sym.grid, samples, nl.G) if nl.G is not None else 0.0
+    return kinetic, potential
+
+
+def _gradient(u: PeriodicFunction, sym: SymbolTable, nl: Nonlinearity) -> PeriodicFunction:
+    """The L^2 gradient L_K u - g(u) of the Lagrangian."""
+    if nl.G is None:
+        return apply_spectral(sym, u)
+    return apply_spectral(sym, u) - PeriodicFunction(
+        u.grid, np.asarray(nl.g(u.samples), dtype=float))
 
 
 def energy(u: PeriodicFunction, sym: SymbolTable, nl: Nonlinearity) -> EnergyReport:
     """Full Lagrangian report with its L^2 gradient L_K u - g(u)."""
-    kinetic = 0.5 * seminorm_sq_fourier(sym, u)
-    if nl.G is not None:
-        potential = potential_integral(u, nl.G)
-        grad = apply_spectral(sym, u) - PeriodicFunction(
-            u.grid, np.asarray(nl.g(u.samples), dtype=float))
-    else:
-        potential = 0.0
-        grad = apply_spectral(sym, u)
+    grad = _gradient(u, sym, nl)  # checks the grids
+    kinetic, potential = _lagrangian(sym, nl, u.samples, u.coeffs())
     cons = potential_integral(u, nl.Gt) if nl.Gt is not None else None
     return EnergyReport(kinetic=kinetic, potential=potential,
                         total=kinetic - potential, gradient=grad,

@@ -12,10 +12,11 @@ import numpy as np
 
 from .errors import (DivergenceError, DomainError, HypothesisViolationError,
                      ProjectionError)
-from .grids import PeriodicFunction
+from .grids import PeriodicFunction, _coeffs_from_samples
 from .kernels import Kernel
 from .operator import SymbolTable, apply_pv
-from .energy import Nonlinearity, energy, potential_integral
+from .energy import (Nonlinearity, _gradient, _lagrangian, _trapezoid, energy,
+                     potential_integral)
 
 
 @dataclass(frozen=True)
@@ -28,10 +29,16 @@ class MinimizeConfig:
     max_iters: int = 50000
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
+        if not self.grad_tol > 0:
             raise DomainError("grad_tol must be positive")
+        if self.max_iters < 1:
+            raise DomainError("max_iters must be at least 1")
         if self.c is not None and not self.nl.has_constraint():
             raise DomainError("constraint level given but nonlinearity has no Gtilde")
+        if self.c is not None and not math.isfinite(self.c):
+            raise DomainError("constraint level must be finite")
+        if self.c is not None and self.nl.homogeneity is not None and self.c <= 0:
+            raise DomainError("a homogeneous Gtilde reaches only a positive level")
 
 
 ARMIJO_C1 = 1e-4  # sufficient-decrease constant
@@ -45,15 +52,20 @@ def project_constraint(u: PeriodicFunction, nl: Nonlinearity, c: float) -> Perio
     bracketed in [1e-8, 2^200] and found by _illinois (the shipped Gtilde
     families are monotone in sigma > 0).
     """
-    base = potential_integral(u, nl.Gt)
+    return PeriodicFunction(u.grid, _projected(u.grid, u.samples, nl, c))
+
+
+def _projected(grid, samples: np.ndarray, nl: Nonlinearity, c: float) -> np.ndarray:
+    """The samples of project_constraint's result (its array core)."""
+    base = _trapezoid(grid, samples, nl.Gt)
     if nl.homogeneity is not None:
         if base <= 0 or c <= 0:
             raise ProjectionError(
                 f"constraint level {c:g} unreachable from int Gtilde(u) = {base:g}")
-        return (c / base) ** (1.0 / nl.homogeneity) * u
+        return samples * (c / base) ** (1.0 / nl.homogeneity)
 
     def defect(sigma: float) -> float:
-        return potential_integral(sigma * u, nl.Gt) - c
+        return _trapezoid(grid, samples * sigma, nl.Gt) - c
 
     lo, hi = 1e-8, 1.0
     f_hi = defect(hi)
@@ -65,8 +77,8 @@ def project_constraint(u: PeriodicFunction, nl: Nonlinearity, c: float) -> Perio
     f_lo = defect(lo)
     if f_lo > 0 or f_hi < 0:
         raise ProjectionError("could not bracket the constraint level")
-    out = _illinois(defect, lo, hi, f_lo, f_hi) * u
-    if abs(potential_integral(out, nl.Gt) - c) > 1e-12 * max(1.0, abs(c)):
+    out = samples * _illinois(defect, lo, hi, f_lo, f_hi)
+    if abs(_trapezoid(grid, out, nl.Gt) - c) > 1e-12 * max(1.0, abs(c)):
         raise ProjectionError("projection defect above tolerance")
     return out
 
@@ -190,21 +202,27 @@ def multiplier_and_residual(u: PeriodicFunction, sym: SymbolTable,
                             nl: Nonlinearity, constrained: bool):
     """Least-squares lambda and the Euler-Lagrange residual field."""
     rep = energy(u, sym, nl)
-    r = rep.gradient
+    return (*_multiplier(u, rep.gradient, nl, constrained), rep)
+
+
+def _multiplier(u: PeriodicFunction, r: PeriodicFunction, nl: Nonlinearity,
+                constrained: bool):
+    """Least-squares lambda and the residual r - lambda gtilde(u)."""
     if not constrained:
-        return None, r, rep
+        return None, r
     gt = PeriodicFunction(u.grid, np.asarray(nl.gt(u.samples), dtype=float))
     denom = _inner(gt, gt)
     if denom < 1e-30:
-        return None, r, rep  # degenerate constraint direction
+        return None, r  # degenerate constraint direction
     lam = _inner(r, gt) / denom
-    return lam, r - lam * gt, rep
+    return lam, r - lam * gt
 
 
 def minimize(cfg: MinimizeConfig) -> MinimizeResult:
     """Projected gradient descent with least-squares multiplier, spectral
     preconditioning, Armijo backtracking on the energy, and constraint
-    re-projection after every step."""
+    re-projection after every step.  A backtrack costs one FFT and the
+    energy; the gradient and multiplier are computed at accepted steps only."""
     flags = []
     if np.any(cfg.sym.values < 0):
         flags.append("sign-changing symbol: no convergence guarantee")
@@ -226,26 +244,28 @@ def minimize(cfg: MinimizeConfig) -> MinimizeResult:
         slope = _inner(pg, d)  # positive: d is a descent direction
         accepted = False
         for _ in range(60):
-            cand = u - step * d
+            cand = u.samples - d.samples * step
             if constrained:
                 try:
-                    cand = project_constraint(cand, cfg.nl, cfg.c)
+                    cand = _projected(u.grid, cand, cfg.nl, cfg.c)
                 except ProjectionError:
                     step *= ARMIJO_SHRINK
                     continue
-            lam_c, pg_c, rep_c = multiplier_and_residual(cand, cfg.sym, cfg.nl,
-                                                         constrained)
-            if rep_c.total <= trace[-1] - ARMIJO_C1 * step * slope:
+            coeffs = _coeffs_from_samples(u.grid, cand)
+            kinetic, potential = _lagrangian(cfg.sym, cfg.nl, cand, coeffs)
+            total = kinetic - potential
+            if total <= trace[-1] - ARMIJO_C1 * step * slope:
                 # steps accepted on rounding-level decreases mean the energy
                 # has flattened out; count them toward stagnation
-                if trace[-1] - rep_c.total < 1e-14 * max(1.0, abs(trace[-1])):
+                if trace[-1] - total < 1e-14 * max(1.0, abs(trace[-1])):
                     stagnant += 1
                 else:
                     stagnant = 0
-                u, lam, pg = cand, lam_c, pg_c
+                u = PeriodicFunction(u.grid, cand, _coeffs=coeffs)
+                lam, pg = _multiplier(u, _gradient(u, cfg.sym, cfg.nl), cfg.nl, constrained)
                 d = _precondition(cfg.sym, pg)
                 d_norm = d.l2_norm()
-                trace.append(rep_c.total)
+                trace.append(total)
                 step = min(step * 1.5, 1e6)
                 accepted = True
                 break

@@ -390,9 +390,12 @@ def bilinear_fourier(sym: SymbolTable, u: PeriodicFunction,
     """<u, psi>_K = 2L sum_k ell(pi k/L) u_k conj(psi_k)."""
     if not (sym.grid == u.grid == psi.grid):
         raise GridMismatchError("grid mismatch in bilinear form")
-    mult = sym.full_multiplier()
-    val = 2.0 * sym.grid.half_period * np.sum(
-        mult * u.coeffs() * np.conj(psi.coeffs()))
+    return _bilinear(sym, u.coeffs(), psi.coeffs())
+
+
+def _bilinear(sym: SymbolTable, a: np.ndarray, b: np.ndarray) -> float:
+    """bilinear_fourier on coefficient arrays in fft order."""
+    val = 2.0 * sym.grid.half_period * np.sum(sym.full_multiplier() * a * np.conj(b))
     return float(np.real(val))
 
 

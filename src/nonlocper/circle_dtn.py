@@ -16,7 +16,7 @@ import numpy as np
 from .energy import seminorm_sq_offdiag
 from .errors import DomainError, StepSizeError
 from .grids import PeriodicFunction, PeriodicGrid, _samples_from_coeffs
-from .kernels import FractionalKernel, WrappedKernel, wrap_kernel
+from .kernels import FractionalKernel, WrappedKernel, _gl_panels, wrap_kernel
 from .operator import _pv_fold
 
 
@@ -121,9 +121,7 @@ def energy_identity_check(u: PeriodicFunction) -> dict:
     k = grid.wavenumbers
     e_line = math.pi * float(np.sum(np.abs(k) * np.abs(c) ** 2))
 
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    rr = 0.5 * (nodes + 1.0)  # map to (0, 1)
-    ww = 0.5 * weights
+    rr, ww = _gl_panels([0.0, 1.0], 64)
     absk = np.abs(k).astype(float)
     # u_D(r, theta) = sum_k u_k r^{|k|} e^{ik theta}; one row per radius
     radial = rr[:, None] ** np.maximum(absk - 1.0, 0.0)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grids import PeriodicFunction
-from .kernels import WrappedKernel
+from .kernels import WrappedKernel, _gl_panels
 from .operator import SymbolTable, _bilinear, apply_spectral, bilinear_fourier
 
 
@@ -161,12 +161,10 @@ def _diagonal_cell(wk: WrappedKernel, h: float) -> float:
     Laplace kernels, at N = 64 and 1024."""
     edges = sorted({h * 2.0 ** -j for j in range(_CELL_HALVINGS + 1)}
                    | {b for b in wk.breakpoints if 0.0 < b < h})
-    x, w = np.polynomial.legendre.leggauss(_CELL_NODES)
-    lo, half = np.array(edges[:-1]), 0.5 * np.diff(edges)
-    z = np.append(((lo + half)[:, None] + half[:, None] * x).ravel(), edges[0])
+    z, w = _gl_panels(edges, _CELL_NODES)
+    z = np.append(z, edges[0])
     g = z * z * wk(z)
-    return float((half[:, None] * w).ravel() @ g[:-1]
-                 + g[-1] * edges[0] / (2.0 - 2.0 * wk.kernel.s))
+    return float(w @ g[:-1] + g[-1] * edges[0] / (2.0 - 2.0 * wk.kernel.s))
 
 
 def potential_integral(u: PeriodicFunction, fn: Callable) -> float:

@@ -49,6 +49,24 @@ def _row_blocks(n_rows: int, n_cols: int):
         yield slice(start, start + step)
 
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple:
+    """The n-point Gauss-Legendre (nodes, weights) on [-1, 1], read-only:
+    numpy's leggauss is an eigen-solve, so each n is solved once."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+def _gl_panels(edges, n: int) -> tuple:
+    """Nodes and weights of the n-point Gauss-Legendre rule laid on every
+    panel [edges[i], edges[i + 1]], panel after panel."""
+    x, w = _gauss_legendre(n)
+    lo, half = np.asarray(edges[:-1], dtype=float), 0.5 * np.diff(edges)
+    return ((lo + half)[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
 def _gaussian_symbol(xi, r: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Symbol of the profile sum_j c_j exp(-t^2 r_j) at every xi, with
     weights_j = c_j sqrt(pi/r_j): each Gaussian has the multiplier
@@ -213,13 +231,24 @@ class DelaunayKernel(Kernel):
             raise DomainError("dimension parameter n must be >= 2")
         if a <= 0:
             raise DomainError("core width a must be positive")
+        if not 0 < s < 1:  # before the powers below, which s < 0 can make complex
+            raise DomainError("s must lie in (0, 1)")
+        a = float(a)
         # t^(1+2s) (t^2+a^2)^(-(n+s)/2) peaks where its log-derivative
         # vanishes, at t^2 = (1+2s) a^2 / (n-1-s); n - 1 - s > 0 since n >= 2
-        t2 = (1.0 + 2.0 * s) * a**2 / (n - 1.0 - s)
-        Lam = t2 ** (0.5 + s) * (t2 + a**2) ** (-(n + s) / 2.0)
+        try:
+            t2 = (1.0 + 2.0 * s) * a**2 / (n - 1.0 - s)
+            Lam = t2 ** (0.5 + s) * (t2 + a**2) ** (-(n + s) / 2.0)
+            # the symbol's and the Laplace density's constants
+            scales = (Lam, a ** (1.0 - n - s), math.gamma(0.5 * (n + s)))
+        except ArithmeticError:  # a float power or gamma out of range
+            scales = (math.nan,)
+        if not all(0.0 < v < math.inf for v in scales):
+            raise DomainError(f"Delaunay kernel (n={n}, s={s:g}, a={a:g}) leaves "
+                              "the floating-point range")
         super().__init__(s=s, lambda_lo=0.0, Lambda_hi=Lam)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", float(a))
+        object.__setattr__(self, "a", a)
 
     symbol_rule = "exact"
     smooth_profile = True
@@ -484,13 +513,7 @@ def _sinetail_panels(xi_max: float) -> tuple:
         t = edges[-1]
         nxt = min(t + min(0.5, 8.0 / (2.0 * t + xi_max)), _SYMBOL_CUT)
         edges.append(10.0 if t < 10.0 < nxt else nxt)
-    edges = np.array(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(16)
-    nodes = (mid[:, None] + half[:, None] * gl_nodes).ravel()
-    weights = (half[:, None] * gl_weights).ravel()
-    return nodes, weights
+    return _gl_panels(edges, 16)
 
 
 @dataclass(frozen=True)
@@ -643,18 +666,28 @@ def laplace_measure_of(kernel: Kernel) -> LaplaceKernel:
 def heat_kernel_phi(L: float, r: float, t) -> np.ndarray | float:
     """Periodized Gaussian  Phi(t, r) = sum_k exp(-(t + 2kL)^2 r).
 
-    Even, 2L-periodic, and strictly decreasing on (0, L).  Truncation tail
-    below 1e-14 absolute.
+    Even, 2L-periodic, and strictly decreasing on (0, L).  For
+    r >= pi/(2L^2) the image sum at t folded into [0, L]; below, its
+    Jacobi (Poisson) dual
+        sqrt(pi/r)/(2L) [1 + 2 sum_m exp(-pi^2 m^2/(4L^2 r)) cos(pi m t/L)].
+    At the switch both series fall like e^(-pi m^2/2), so either takes at
+    most 7 terms per point; each stops where its terms fall below 1e-16 of
+    its first.
     """
     if r <= 0:
         raise DomainError("rate r must be positive")
     if L <= 0:
         raise DomainError("half period L must be positive")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    width = math.sqrt(math.log(1e16) / r)
-    k_max = int(math.ceil((width + np.max(np.abs(t_arr)) + L) / (2.0 * L))) + 1
-    ks = np.arange(-k_max, k_max + 1)
-    out = np.exp(-np.add.outer(t_arr, 2.0 * L * ks) ** 2 * r).sum(axis=1)
+    t_arr = _fold(np.atleast_1d(np.asarray(t, dtype=float)), L)
+    if r >= 0.5 * math.pi / (L * L):
+        k_max = math.ceil((math.sqrt(math.log(1e16) / r) + L) / (2.0 * L))
+        ks = np.arange(-k_max, k_max + 1)
+        out = np.exp(-np.add.outer(t_arr, 2.0 * L * ks) ** 2 * r).sum(axis=1)
+    else:
+        q = math.pi**2 / (4.0 * L * L * r)
+        m = np.arange(1, math.ceil(math.sqrt(math.log(1e16) / q)) + 1)
+        dual = np.cos(np.outer(t_arr, math.pi * m / L)) @ np.exp(-q * m * m)
+        out = math.sqrt(math.pi / r) / (2.0 * L) * (1.0 + 2.0 * dual)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
@@ -737,6 +770,7 @@ def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
 
 K_DIRECT = 64  # image terms k = +-1..K_DIRECT summed directly when wrapping
 _TAIL_POINTS = 17  # Chebyshev points of the Euler-Maclaurin tail fit
+_EM_MAX_STEP = 1e100  # the tail's step h = 2L, whose h^3 must stay finite
 
 
 def _exact_remainder(kernel: Kernel, L: float) -> Callable:
@@ -764,6 +798,9 @@ def _exact_remainder(kernel: Kernel, L: float) -> Callable:
             return lambda t: np.zeros(np.shape(t))
     edge = 2.0 * (K_DIRECT + 0.5) * L
     lo, hi = edge - L, edge + L
+    if (sup is None or sup > lo) and not 2.0 * L < _EM_MAX_STEP:
+        raise DomainError(f"half period {L:g} too large: the wrap's "
+                          "Euler-Maclaurin tail overflows")
 
     @functools.cache
     def tail_fit() -> np.ndarray:
@@ -1009,9 +1046,10 @@ def classify_kernel(kernel: Kernel, L: float = math.pi) -> KernelClassReport:
     convex = margin >= -1e-12 * max(1.0, float(np.max(np.abs(kv))))
 
     tt = np.linspace(L / 512, L, 512)
+    remainder = _exact_remainder(kernel, L)
     try:
         # wrap_kernel(kernel, L).grid_values(tt), without the call table
-        vals = _safe_profile(kernel, tt) + _exact_remainder(kernel, L)(tt)
+        vals = _safe_profile(kernel, tt) + remainder(tt)
     except DomainError:
         # only Kernel.tail_integral's missing growth bound leaves the wrap
         # undefined

@@ -49,8 +49,11 @@ def project_constraint(u: PeriodicFunction, nl: Nonlinearity, c: float) -> Perio
     """Scale u so that int Gtilde(sigma u) = c, with defect < 1e-12.
 
     Homogeneous constraints are solved in closed form; otherwise sigma is
-    bracketed in [1e-8, 2^200] and found by _illinois (the shipped Gtilde
-    families are monotone in sigma > 0).
+    bracketed in [1e-8, 2^200] and found by _illinois.  The bracket assumes
+    that int Gtilde(sigma u) grows with sigma > 0, and nothing checks it: it
+    holds for the power constraints, but a polynomial Gtilde such as
+    u^2 - u^3 may break it, and the projection may then fail or pick one of
+    several roots.
     """
     return PeriodicFunction(u.grid, _projected(u.grid, u.samples, nl, c))
 

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import (DomainError, GridMismatchError, IntegrationError,
                      UnsupportedKernelError)
 from .grids import EVAL_BLOCK, PeriodicFunction, PeriodicGrid
-from .kernels import Kernel, WrappedKernel, _row_blocks, wrap_kernel
+from .kernels import Kernel, WrappedKernel, _gl_panels, _row_blocks, wrap_kernel
 
 
 @dataclass(frozen=True)
@@ -181,8 +181,7 @@ def _line_rule(s: float) -> tuple:
     p = 1.0 / (1.0 - s)
     zs, ws = [], []
     for n_near, h in zip(_NEAR_NODES, _OSC_STEPS):
-        v, w = np.polynomial.legendre.leggauss(n_near)
-        v, w = 0.5 * (v + 1.0), 0.5 * w
+        v, w = _gl_panels([0.0, 1.0], n_near)
         z = 0.5 * math.pi * v**p
         y, wy = _ooura_mori(h)
         zs.append(np.concatenate([z, 0.5 * math.pi + y]))
@@ -202,12 +201,7 @@ def _support_panels(support: float, breaks: tuple, xi_max: float) -> tuple:
     cuts = [np.linspace(lo, hi, max(1, math.ceil((hi - lo) * xi_max / math.pi)) + 1)[:-1]
             for lo, hi in zip(edges[:-1], edges[1:])]
     edges = np.append(np.concatenate(cuts), support)
-    lo, half = edges[:-1], 0.5 * np.diff(edges)
-    ts, ws = [], []
-    for n in _PANEL_NODES:
-        x, w = np.polynomial.legendre.leggauss(n)
-        ts.append(((lo + half)[:, None] + half[:, None] * x).ravel())
-        ws.append((half[:, None] * w).ravel())
+    ts, ws = zip(*(_gl_panels(edges, n) for n in _PANEL_NODES))
     return _fine_and_coarse(ts, ws)
 
 
@@ -265,13 +259,25 @@ def apply_spectral(sym: SymbolTable, u: PeriodicFunction) -> PeriodicFunction:
 
 PV_EPS_SEQ = (1e-2, 1e-3, 1e-4)  # where the graded panels of each PV estimate start
 PV_STABILITY_TOL = 1e-6
-PV_RULE_CACHE = 8  # entries kept by _pv_rule and by _pv_panels, least recent dropped
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+PV_RULE_CACHE = 8  # plans kept by _pv_rule, least recent dropped
+_PV_NODES = 12  # Gauss-Legendre nodes per panel of the PV rules
 
 
 @functools.lru_cache(maxsize=PV_RULE_CACHE)
-def _pv_panels(L: float, breakpoints: tuple) -> tuple:
-    """(zs, w, cuts) of _pv_rule, shared by the plans of every N."""
+def _pv_rule(L: float, n_modes: int, breakpoints: tuple) -> tuple:
+    """The part of _pv_fold's quadrature that depends on neither the kernel
+    nor u, built once per key: (zs, w, cuts, cos_large), all read-only.
+
+    zs holds the panel nodes of every eps rule, concatenated in PV_EPS_SEQ
+    order, and w their weights.  Rule i owns zs[start:stop] for
+    (start, switch, stop) = cuts[i]; its nodes ascend, so those below
+    z_switch = 1e-3 L are the prefix zs[start:switch].  cos_large is
+    cos(outer(z, omega)) over the nodes at or above z_switch, rule after
+    rule, with omega the n_modes frequencies pi k / L.
+
+    An entry holds 16 bytes per node and 8 n_modes bytes per node at or
+    above z_switch.  For L = pi, 374 of the 4752 nodes lie there: 0.17 MB
+    at N = 64, 0.46 MB at N = 256 and 6.2 MB at N = 4096."""
     # below z_switch the direct second difference is pure cancellation noise
     z_switch = 1e-3 * L
     zs, w, cuts, start = [], [], [], 0
@@ -281,42 +287,19 @@ def _pv_panels(L: float, breakpoints: tuple) -> tuple:
         bounds = [eps * 2.0 ** j for j in range(-120, 1)]
         while bounds[-1] < L:
             bounds.append(min(2.0 * bounds[-1], L))
-        bounds = np.array(sorted(set(bounds) | {b for b in breakpoints if bounds[0] < b < L}))
-        lo, half = bounds[:-1], 0.5 * np.diff(bounds)
-        zs.append(((lo + half)[:, None] + half[:, None] * _GL_NODES).ravel())
-        w.append((half[:, None] * _GL_WEIGHTS).ravel())
-        stop = start + zs[-1].size
-        cuts.append((start, start + int(np.searchsorted(zs[-1], z_switch)), stop))
-        start = stop
+        bounds = sorted(set(bounds) | {b for b in breakpoints if bounds[0] < b < L})
+        z, wz = _gl_panels(bounds, _PV_NODES)
+        zs.append(z)
+        w.append(wz)
+        cuts.append((start, start + int(np.searchsorted(z, z_switch)), start + z.size))
+        start += z.size
     zs, w = np.concatenate(zs), np.concatenate(w)
-    zs.setflags(write=False)
-    w.setflags(write=False)
-    return zs, w, tuple(cuts)
-
-
-@functools.lru_cache(maxsize=PV_RULE_CACHE)
-def _pv_rule(L: float, n_modes: int, breakpoints: tuple) -> tuple:
-    """The part of _pv_fold's quadrature that depends on neither the kernel
-    nor u, built once per key: (zs, w, cuts, cos_large), all read-only.
-
-    zs holds the panel nodes of every eps rule, concatenated in PV_EPS_SEQ
-    order, and w their Gauss-Legendre weights.  Rule i owns
-    zs[start:stop] for (start, switch, stop) = cuts[i]; its nodes ascend,
-    so those below z_switch = 1e-3 L are the prefix zs[start:switch].
-    cos_large is cos(outer(z, omega)) over the nodes at or above z_switch,
-    rule after rule, with omega the n_modes frequencies pi k / L.
-
-    An entry holds 8 n_modes bytes per node at or above z_switch; zs and w
-    (16 bytes per node) come from _pv_panels and are shared by the entries
-    of every N.  For L = pi, 374 of the 4752 nodes lie
-    at or above z_switch: 0.10 MB at N = 64, 0.39 MB at N = 256 and 6.1 MB
-    at N = 4096, plus 0.08 MB of panels."""
-    zs, w, cuts = _pv_panels(L, breakpoints)
-    large = np.concatenate([zs[switch:stop] for _, switch, stop in cuts])
-    cos_large = np.outer(large, np.pi * np.arange(n_modes) / L)
+    cos_large = np.outer(np.concatenate([zs[switch:stop] for _, switch, stop in cuts]),
+                         np.pi * np.arange(n_modes) / L)
     np.cos(cos_large, out=cos_large)
-    cos_large.setflags(write=False)
-    return zs, w, cuts, cos_large
+    for a in (zs, w, cos_large):
+        a.setflags(write=False)
+    return zs, w, tuple(cuts), cos_large
 
 
 def _pv_fold(u: PeriodicFunction, xs, kbar, breakpoints) -> np.ndarray:
@@ -325,41 +308,46 @@ def _pv_fold(u: PeriodicFunction, xs, kbar, breakpoints) -> np.ndarray:
     estimates for all eps in PV_EPS_SEQ (where the grading starts) must agree
     within PV_STABILITY_TOL relative to max(1, |value|), which certifies
     that the principal-value limit has stabilized.  The panels come from
-    _pv_rule; kbar is evaluated once per EVAL_BLOCK points, on the nodes of
-    every eps rule at once."""
+    _pv_rule.  kbar is evaluated once per call, on the nodes of every eps
+    rule at once; then u's tables are built EVAL_BLOCK points at a time."""
     L = u.grid.half_period
     if PV_EPS_SEQ[0] >= L:
         raise DomainError(f"the half period must exceed the first eps, {PV_EPS_SEQ[0]:g}")
     xs = np.asarray(xs, dtype=float)
-    if xs.size > EVAL_BLOCK:  # caps the point-by-mode tables at EVAL_BLOCK rows
-        return np.concatenate([_pv_fold(u, xs[i:i + EVAL_BLOCK], kbar, breakpoints)
-                               for i in range(0, xs.size, EVAL_BLOCK)])
     omega = u.grid.frequencies()
     zs, w, cuts, cos_large = _pv_rule(L, omega.size, tuple(breakpoints))
     wk = w * kbar(zs)
-    ux = u.eval(xs)
-    # addition theorem: u(x+z) + u(x-z) = 2 sum_k a_k(x) cos(omega_k z) over
-    # 0 <= k <= N/2, with a_k(x) the half-spectrum table of u at x
-    modes = u.modes(xs)
-    diff = 2.0 * (ux - cos_large @ modes.T)
-    # below z_switch the even Taylor series of the second difference in
-    # spectral derivatives is exact to rounding
-    d2, d4, d6 = (modes @ (-omega**2) ** m for m in (1, 2, 3))
-    vals, row = [], 0
+    # per eps rule: the weights of the direct second difference, and the
+    # moments sum wk z^2m of the nodes below z_switch, where the even Taylor
+    # series of the second difference in spectral derivatives is exact to
+    # rounding
+    rules = []
     for start, switch, stop in cuts:
         z2 = zs[start:switch] ** 2
         wz2 = wk[start:switch] * z2
         wz4 = wz2 * z2
-        m2, m4, m6 = np.sum(wz2), np.sum(wz4), np.sum(wz4 * z2)
-        vals.append(wk[switch:stop] @ diff[row:row + stop - switch]
-                    - (d2 * m2 + d4 * m4 / 12.0 + d6 * m6 / 360.0))
-        row += stop - switch
-    spread = np.max(np.abs(np.diff(vals, axis=0)), axis=0, initial=0.0)
-    bad = np.flatnonzero(spread > PV_STABILITY_TOL * np.maximum(1.0, np.abs(vals[-1])))
-    if bad.size:
-        raise IntegrationError(f"principal value unstable across PV_EPS_SEQ at "
-                               f"x={xs[bad[0]]:g}: {[float(v[bad[0]]) for v in vals]}")
-    return vals[-1]
+        rules.append((wk[switch:stop], np.sum(wz2), np.sum(wz4), np.sum(wz4 * z2)))
+    out = np.empty(xs.size)
+    for i in range(0, xs.size, EVAL_BLOCK):  # caps the point-by-mode tables at EVAL_BLOCK rows
+        x = xs[i:i + EVAL_BLOCK]
+        ux = u.eval(x)
+        # addition theorem: u(x+z) + u(x-z) = 2 sum_k a_k(x) cos(omega_k z) over
+        # 0 <= k <= N/2, with a_k(x) the half-spectrum table of u at x
+        modes = u.modes(x)
+        diff = 2.0 * (ux - cos_large @ modes.T)
+        d2, d4, d6 = (modes @ (-omega**2) ** m for m in (1, 2, 3))
+        vals, row = [], 0
+        for direct, m2, m4, m6 in rules:
+            vals.append(direct @ diff[row:row + direct.size]
+                        - (d2 * m2 + d4 * m4 / 12.0 + d6 * m6 / 360.0))
+            row += direct.size
+        spread = np.max(np.abs(np.diff(vals, axis=0)), axis=0, initial=0.0)
+        bad = np.flatnonzero(spread > PV_STABILITY_TOL * np.maximum(1.0, np.abs(vals[-1])))
+        if bad.size:
+            raise IntegrationError(f"principal value unstable across PV_EPS_SEQ at "
+                                   f"x={x[bad[0]]:g}: {[float(v[bad[0]]) for v in vals]}")
+        out[i:i + EVAL_BLOCK] = vals[-1]
+    return out
 
 
 def apply_pv(kernel: Kernel, u: PeriodicFunction, x: float,

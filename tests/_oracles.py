@@ -134,3 +134,167 @@ def disk_energy(u) -> float:
         dth = nl.PeriodicFunction.from_coeffs(grid, c * 1j * k * radial).samples
         e_disk += w * r * (2.0 * math.pi / grid.size) * float(np.sum(dr**2 + dth**2))
     return 0.5 * e_disk
+
+
+# The panel builders and the principal-value fold as they stood before every
+# Gauss-Legendre rule came from nonlocper.kernels._gauss_legendre: numpy's
+# leggauss per call, each panel layout written out, and a fold that recurses
+# over blocks of EVAL_BLOCK points.  The library must reproduce them bit for bit.
+
+def support_panels(support: float, breaks: tuple, xi_max: float) -> tuple:
+    """nonlocper.operator._support_panels."""
+    import math
+
+    from nonlocper.operator import _PANEL_NODES, _fine_and_coarse
+
+    edges = sorted({0.0, support} | {b for b in breaks if 0.0 < b < support})
+    cuts = [np.linspace(lo, hi, max(1, math.ceil((hi - lo) * xi_max / math.pi)) + 1)[:-1]
+            for lo, hi in zip(edges[:-1], edges[1:])]
+    edges = np.append(np.concatenate(cuts), support)
+    lo, half = edges[:-1], 0.5 * np.diff(edges)
+    ts, ws = [], []
+    for n in _PANEL_NODES:
+        x, w = np.polynomial.legendre.leggauss(n)
+        ts.append(((lo + half)[:, None] + half[:, None] * x).ravel())
+        ws.append((half[:, None] * w).ravel())
+    return _fine_and_coarse(ts, ws)
+
+
+def line_rule(s: float) -> tuple:
+    """nonlocper.operator._line_rule."""
+    import math
+
+    from nonlocper.operator import (_NEAR_NODES, _OSC_STEPS, _fine_and_coarse,
+                                    _ooura_mori)
+
+    p = 1.0 / (1.0 - s)
+    zs, ws = [], []
+    for n_near, h in zip(_NEAR_NODES, _OSC_STEPS):
+        v, w = np.polynomial.legendre.leggauss(n_near)
+        v, w = 0.5 * (v + 1.0), 0.5 * w
+        z = 0.5 * math.pi * v**p
+        y, wy = _ooura_mori(h)
+        zs.append(np.concatenate([z, 0.5 * math.pi + y]))
+        ws.append(np.concatenate([0.5 * math.pi * p * v ** (p - 1.0) * w
+                                  * 2.0 * np.sin(0.5 * z) ** 2, wy]))
+    return _fine_and_coarse(zs, ws)
+
+
+def pv_rule(L: float, n_modes: int, breakpoints: tuple) -> tuple:
+    """(zs, w, cuts, cos_large) of nonlocper.operator._pv_rule."""
+    from nonlocper.operator import PV_EPS_SEQ
+
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(12)
+    z_switch = 1e-3 * L
+    zs, w, cuts, start = [], [], [], 0
+    for eps in PV_EPS_SEQ:
+        bounds = [eps * 2.0 ** j for j in range(-120, 1)]
+        while bounds[-1] < L:
+            bounds.append(min(2.0 * bounds[-1], L))
+        bounds = np.array(sorted(set(bounds) | {b for b in breakpoints if bounds[0] < b < L}))
+        lo, half = bounds[:-1], 0.5 * np.diff(bounds)
+        zs.append(((lo + half)[:, None] + half[:, None] * gl_nodes).ravel())
+        w.append((half[:, None] * gl_weights).ravel())
+        stop = start + zs[-1].size
+        cuts.append((start, start + int(np.searchsorted(zs[-1], z_switch)), stop))
+        start = stop
+    zs, w = np.concatenate(zs), np.concatenate(w)
+    large = np.concatenate([zs[switch:stop] for _, switch, stop in cuts])
+    cos_large = np.outer(large, np.pi * np.arange(n_modes) / L)
+    np.cos(cos_large, out=cos_large)
+    return zs, w, tuple(cuts), cos_large
+
+
+def pv_fold(u, xs, kbar, breakpoints) -> np.ndarray:
+    """nonlocper.operator._pv_fold, recursing over blocks of EVAL_BLOCK
+    points and evaluating kbar once per block."""
+    from nonlocper.errors import IntegrationError
+    from nonlocper.grids import EVAL_BLOCK
+    from nonlocper.operator import PV_STABILITY_TOL
+
+    L = u.grid.half_period
+    xs = np.asarray(xs, dtype=float)
+    if xs.size > EVAL_BLOCK:
+        return np.concatenate([pv_fold(u, xs[i:i + EVAL_BLOCK], kbar, breakpoints)
+                               for i in range(0, xs.size, EVAL_BLOCK)])
+    omega = u.grid.frequencies()
+    zs, w, cuts, cos_large = pv_rule(L, omega.size, tuple(breakpoints))
+    wk = w * kbar(zs)
+    ux = u.eval(xs)
+    modes = u.modes(xs)
+    diff = 2.0 * (ux - cos_large @ modes.T)
+    d2, d4, d6 = (modes @ (-omega**2) ** m for m in (1, 2, 3))
+    vals, row = [], 0
+    for start, switch, stop in cuts:
+        z2 = zs[start:switch] ** 2
+        wz2 = wk[start:switch] * z2
+        wz4 = wz2 * z2
+        m2, m4, m6 = np.sum(wz2), np.sum(wz4), np.sum(wz4 * z2)
+        vals.append(wk[switch:stop] @ diff[row:row + stop - switch]
+                    - (d2 * m2 + d4 * m4 / 12.0 + d6 * m6 / 360.0))
+        row += stop - switch
+    spread = np.max(np.abs(np.diff(vals, axis=0)), axis=0, initial=0.0)
+    bad = np.flatnonzero(spread > PV_STABILITY_TOL * np.maximum(1.0, np.abs(vals[-1])))
+    if bad.size:
+        raise IntegrationError(f"principal value unstable across PV_EPS_SEQ at "
+                               f"x={xs[bad[0]]:g}: {[float(v[bad[0]]) for v in vals]}")
+    return vals[-1]
+
+
+def sinetail_panels(xi_max: float) -> tuple:
+    """nonlocper.kernels._sinetail_panels."""
+    from nonlocper.kernels import _SYMBOL_CUT
+
+    t0 = 8.0 / max(8.0, xi_max)
+    edges = [0.0] + [t0 * 2.0**-j for j in range(30, -1, -1)]
+    while edges[-1] < _SYMBOL_CUT:
+        t = edges[-1]
+        nxt = min(t + min(0.5, 8.0 / (2.0 * t + xi_max)), _SYMBOL_CUT)
+        edges.append(10.0 if t < 10.0 < nxt else nxt)
+    edges = np.array(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * np.diff(edges)
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(16)
+    return (mid[:, None] + half[:, None] * gl_nodes).ravel(), (half[:, None] * gl_weights).ravel()
+
+
+def diagonal_cell(wk, h: float) -> float:
+    """nonlocper.energy._diagonal_cell."""
+    from nonlocper.energy import _CELL_HALVINGS, _CELL_NODES
+
+    edges = sorted({h * 2.0 ** -j for j in range(_CELL_HALVINGS + 1)}
+                   | {b for b in wk.breakpoints if 0.0 < b < h})
+    x, w = np.polynomial.legendre.leggauss(_CELL_NODES)
+    lo, half = np.array(edges[:-1]), 0.5 * np.diff(edges)
+    z = np.append(((lo + half)[:, None] + half[:, None] * x).ravel(), edges[0])
+    g = z * z * wk(z)
+    return float((half[:, None] * w).ravel() @ g[:-1]
+                 + g[-1] * edges[0] / (2.0 - 2.0 * wk.kernel.s))
+
+
+def energy_identity_check(u) -> dict:
+    """nonlocper.energy_identity_check, its radial rule from leggauss(64)."""
+    import math
+
+    from nonlocper.energy import seminorm_sq_offdiag
+    from nonlocper.grids import _samples_from_coeffs
+
+    grid = u.grid
+    n = grid.size
+    c = u.coeffs()
+    k = grid.wavenumbers
+    e_line = math.pi * float(np.sum(np.abs(k) * np.abs(c) ** 2))
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    rr = 0.5 * (nodes + 1.0)
+    ww = 0.5 * weights
+    absk = np.abs(k).astype(float)
+    radial = rr[:, None] ** np.maximum(absk - 1.0, 0.0)
+    dr = _samples_from_coeffs(grid, c * absk * radial)
+    dtheta_over_r = _samples_from_coeffs(grid, c * 1j * k * radial)
+    terms = ww * rr * (2.0 * math.pi / n) * np.sum(dr**2 + dtheta_over_r**2, axis=1)
+    e_disk = 0.5 * float(np.cumsum(terms)[-1])
+    h = grid.spacing
+    chord_sq = 2.0 - 2.0 * np.cos(h * np.arange(1, n))
+    diagonal = h * h * float(np.sum(u.derivative().samples ** 2))
+    e_circle = (2.0 * seminorm_sq_offdiag(1.0 / chord_sq, u) + diagonal) / (4.0 * math.pi)
+    return {"E_line": e_line, "E_disk": e_disk, "E_circle": e_circle}

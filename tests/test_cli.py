@@ -538,6 +538,29 @@ class TestExitCodeContract:
         assert err.startswith("configuration error") and "Traceback" not in err
 
     @pytest.mark.parametrize("args", [
+        ["symbol", "--kernel", "delaunay", "--s", 0.5, "--a", 1e-200, "--L", 3, "--N", 8],
+        ["symbol", "--kernel", "delaunay", "--s", 0.5, "--a", 1e200, "--L", 3, "--N", 8],
+        ["kernel-class", "--kernel", "delaunay", "--s", 0.5, "--n", 400],
+        ["kernel-class", "--kernel", "fraclap", "--s", 0.5, "--L", 1e300],
+        ["polya-szego", "--kernel", "fraclap", "--s", 0.5, "--L", 1e300, "--N", 64,
+         "--function", "big.csv"],
+    ], ids=["delaunay-a-underflows", "delaunay-a-overflows", "delaunay-gamma-overflows",
+            "kernel-class-half-period-overflows", "polya-szego-half-period-overflows"])
+    def test_inputs_out_of_floating_point_range_exit_2(
+            self, tmp_path, capsys, monkeypatch, args):
+        # a^2, a^(1-n-s), Gamma((n+s)/2) or the wrap's (2L)^3 leaves the
+        # float range: a configuration the library cannot represent
+        xs = np.linspace(-1e300, 1e300, 65)[:-1]
+        np.savetxt(tmp_path / "big.csv", np.column_stack([xs, 1.0 + np.cos(xs / 1e300)]),
+                   delimiter=",", header="x,u", comments="")
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(args + ["--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("configuration error")
+        assert "numerical failure" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
         ["apply", "--kernel", "fraclap", "--s", 0.5, "--mode", "spectral"],
         ["energy", "--kernel", "fraclap", "--s", 0.5],
         ["rearrange"],

@@ -180,6 +180,26 @@ class TestHeatKernelPhi:
         vals = nl.heat_kernel_phi(L, r, ts)
         assert np.all(np.diff(vals) < 0)
 
+    @pytest.mark.parametrize("L", [0.3, 2.0, math.pi, 50.0])
+    def test_image_sum_and_dual_series_agree_at_the_switch(self, L):
+        # r = pi/(2L^2) takes the image sum, the float below it the dual
+        r = 0.5 * math.pi / (L * L)
+        ts = np.linspace(-3 * L, 3 * L, 201)
+        ks = np.arange(-400, 401)
+        brute = np.exp(-np.add.outer(ts, 2 * L * ks) ** 2 * r).sum(axis=1)
+        for rate in (r, np.nextafter(r, 0.0)):
+            vals = nl.heat_kernel_phi(L, rate, ts)
+            assert np.max(np.abs(vals - brute) / brute) < 1e-14
+
+    def test_small_rate_stays_small(self):
+        # an image sum would take sqrt(log(1e16)/r)/L terms per point here,
+        # 1.9e6 (15 GB for these points); the dual series takes one term,
+        # and Phi is flat to 1e-14
+        ts = np.linspace(-math.pi, math.pi, 1000)
+        vals = nl.heat_kernel_phi(math.pi, 1e-12, ts)
+        ref = math.sqrt(math.pi / 1e-12) / (2 * math.pi)
+        assert np.max(np.abs(vals - ref)) < 1e-14 * ref
+
 
 class TestWrappedKernel:
     @staticmethod
@@ -563,6 +583,23 @@ class TestDelaunayGrowthConstant:
         assert np.all(scaled <= k.Lambda_hi * (1 + 1e-12))
         # the dense grid comes within its own spacing of the peak
         assert np.max(scaled) == pytest.approx(k.Lambda_hi, rel=1e-8)
+
+    @pytest.mark.parametrize("n,a", [(2, 1e-200), (2, 1e200), (400, 1.0)])
+    def test_constants_out_of_range_rejected(self, n, a):
+        # Lambda_hi, a^(-2 nu) and Gamma((n+s)/2) must be finite and positive
+        with pytest.raises(nl.DomainError, match="floating-point range"):
+            nl.DelaunayKernel(n, 0.5, a)
+
+
+def test_wrap_rejects_a_half_period_whose_tail_overflows():
+    # the Euler-Maclaurin tail's last term carries (2L)^3
+    k = nl.FractionalKernel(0.5)
+    for call in (nl.wrap_kernel, nl.classify_kernel):
+        with pytest.raises(nl.DomainError, match="Euler-Maclaurin"):
+            call(k, 1e300)
+    # a support within the direct images leaves no tail to overflow
+    wk = nl.wrap_kernel(nl.indicator_kernel(1.0), 1e300)
+    assert wk.grid_values(np.array([0.5])) == pytest.approx([1.0])
 
 
 class TestSineTailBatched:

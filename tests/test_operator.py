@@ -340,7 +340,7 @@ class TestApplyPV:
 
 
 class TestPVRule:
-    """The panels and cos table that _pv_fold caches per
+    """The panels and cos table that _pv_fold caches in one plan per
     (L, N/2 + 1, breakpoints)."""
 
     @staticmethod
@@ -353,7 +353,6 @@ class TestPVRule:
     @staticmethod
     def clear():
         op._pv_rule.cache_clear()
-        op._pv_panels.cache_clear()
 
     def test_cold_and_warm_cache_agree_bitwise(self):
         u, kernel, wk = self.setup_case()
@@ -387,12 +386,11 @@ class TestPVRule:
     def test_cache_is_bounded(self):
         for i in range(op.PV_RULE_CACHE + 5):
             op._pv_rule(math.pi / (i + 1), 17, ())
-        for fn in (op._pv_rule, op._pv_panels):
-            info = fn.cache_info()
-            assert info.maxsize == op.PV_RULE_CACHE
-            assert info.currsize <= info.maxsize
+        info = op._pv_rule.cache_info()
+        assert info.maxsize == op.PV_RULE_CACHE
+        assert info.currsize <= info.maxsize
 
-    def test_kbar_called_once_per_block(self):
+    def test_kbar_called_once_per_call(self):
         u, kernel, wk = self.setup_case()
         sizes = []
 
@@ -405,9 +403,9 @@ class TestPVRule:
         xs = np.linspace(-math.pi, math.pi, 2 * EVAL_BLOCK + 1, endpoint=False)
         sizes.clear()
         op._pv_fold(u, xs, counting, wk.breakpoints)
-        # every call takes the nodes of all three eps rules at once
+        # one call for all three blocks, on the nodes of all three eps rules
         zs = op._pv_rule(math.pi, 33, wk.breakpoints)[0]
-        assert sizes == [zs.size] * 3
+        assert sizes == [zs.size]
 
     def test_circle_half_laplacian_shares_the_plan(self):
         # the chord kernel has no breakpoints, like the fractional kernel

@@ -1,0 +1,105 @@
+"""Every Gauss-Legendre rule comes from kernels._gauss_legendre, laid on its
+panels by kernels._gl_panels.  The panel builders, the principal-value plan
+and fold, the diagonal cell and the disk energy must reproduce, bit for bit,
+the forms that took numpy's leggauss per call (tests/_oracles.py)."""
+
+import math
+
+import numpy as np
+import pytest
+from _oracles import (diagonal_cell, energy_identity_check, line_rule, pv_fold,
+                      pv_rule, sinetail_panels, support_panels)
+
+import nonlocper as nl
+from nonlocper import kernels
+from nonlocper import operator as op
+from nonlocper.energy import _diagonal_cell
+from nonlocper.grids import EVAL_BLOCK
+
+
+def assert_all_equal(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [8, 12, 64])
+def test_gauss_legendre_is_cached_and_read_only(n):
+    x, w = kernels._gauss_legendre(n)
+    assert kernels._gauss_legendre(n)[0] is x
+    assert_all_equal((x, w), np.polynomial.legendre.leggauss(n))
+    for a in (x, w):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("support,breaks,xi_max", [
+    (1.3, (), 0.5), (2.0, (0.7, 1.1), 40.0), (0.6 * math.pi, (1e-3, 0.5), 512.0)])
+def test_support_panels(support, breaks, xi_max):
+    assert_all_equal(op._support_panels(support, breaks, xi_max),
+                     support_panels(support, breaks, xi_max))
+
+
+@pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+def test_line_rule(s):
+    assert_all_equal(op._line_rule(s), line_rule(s))
+
+
+@pytest.mark.parametrize("L,n_modes,breakpoints", [
+    (math.pi, 33, ()), (math.pi, 129, (4 * math.pi - 10,)), (12.566, 17, (0.5, 2.0)),
+    (0.05, 9, ())])
+def test_pv_rule(L, n_modes, breakpoints):
+    zs, w, cuts, cos_large = op._pv_rule(L, n_modes, breakpoints)
+    ref = pv_rule(L, n_modes, breakpoints)
+    assert_all_equal((zs, w, cos_large), (ref[0], ref[1], ref[3]))
+    assert cuts == ref[2]
+
+
+@pytest.mark.parametrize("xi_max", [0.0, 5.0, 50.0, 1000.0])
+def test_sinetail_panels(xi_max):
+    assert_all_equal(kernels._sinetail_panels(xi_max), sinetail_panels(xi_max))
+
+
+@pytest.mark.parametrize("kernel", [
+    nl.FractionalKernel(0.3), nl.DelaunayKernel(2, 0.5, 1.0),
+    nl.CompactKernel([1e-3, 0.5, 1.5], [1.0, 0.6, 0.0], s=0.5), nl.SineTailKernel(0.5)],
+    ids=["fraclap", "delaunay", "compact", "sinetail"])
+def test_diagonal_cell(kernel):
+    wk = nl.wrap_kernel(kernel, math.pi)
+    for n in (8, 64, 1024):
+        h = 2.0 * math.pi / n
+        assert _diagonal_cell(wk, h) == diagonal_cell(wk, h)
+
+
+@pytest.mark.parametrize("n", [8, 128, 1024])
+def test_energy_identity_check(n):
+    u = nl.PeriodicFunction(nl.circle_grid(n), np.random.default_rng(n).standard_normal(n))
+    assert nl.energy_identity_check(u) == energy_identity_check(u)
+
+
+def chord(t):
+    return 1.0 / (4.0 * math.pi * np.sin(0.5 * t) ** 2)
+
+
+@pytest.mark.parametrize("case", ["fraclap", "compact", "chord"])
+def test_pv_fold_over_several_blocks(case):
+    # 2 EVAL_BLOCK + 1 points: two full blocks and one of a single point
+    g = nl.PeriodicGrid(math.pi, 64)
+    rng = np.random.default_rng(5)
+    k = np.arange(1, 7)
+    a, b = rng.standard_normal((2, k.size)) / k**2
+    u = nl.PeriodicFunction.from_callable(
+        g, lambda x: np.cos(np.outer(x, k)) @ a + np.sin(np.outer(x, k)) @ b)
+    if case == "chord":
+        kbar, breakpoints = chord, ()
+    else:
+        kernel = (nl.FractionalKernel(0.4) if case == "fraclap" else
+                  nl.CompactKernel([1e-3, 0.5, 1.5], [1.0, 0.6, 0.0], s=0.5))
+        kbar = nl.wrap_kernel(kernel, math.pi)
+        breakpoints = kbar.breakpoints
+    xs = rng.uniform(-math.pi, math.pi, 2 * EVAL_BLOCK + 1)
+    assert np.array_equal(op._pv_fold(u, xs, kbar, breakpoints),
+                          pv_fold(u, xs, kbar, breakpoints))
+    assert np.array_equal(op._pv_fold(u, xs[:1], kbar, breakpoints),
+                          pv_fold(u, xs[:1], kbar, breakpoints))

@@ -1,9 +1,11 @@
 """Run the installed `nonlocper` console script on every command of the
 README's CLI block, each with a u.csv of its --N samples in the working
-directory, and fail on a nonzero exit.  Then check four inputs that must
-exit 2, 2, 2 and 3 without a traceback: an unread flag, a CSV path that is a
-directory, a constraint level that a homogeneous constraint cannot reach,
-and an iteration budget that the descent cannot meet.
+directory, and fail on a nonzero exit.  Then check five inputs that must
+exit 2, 2, 2, 3 and 3 without a traceback: an unread flag, a CSV path that is
+a directory, a constraint level that a homogeneous constraint cannot reach,
+an iteration budget that the descent cannot meet, and a principal value at
+a half period of 1e99, whose quadrature moments overflow (with a u.csv
+sampled on that grid).
 
 Usage: python3 readme_cli.py path/to/README.md  (from a scratch directory)
 """
@@ -31,6 +33,9 @@ for argv in commands:
     subprocess.run(argv, check=True, stdout=subprocess.DEVNULL)
 
 os.makedirs("blocked/symbol.csv", exist_ok=True)
+x = np.linspace(-1e99, 1e99, 65)[:-1]
+np.savetxt("big.csv", np.column_stack([x, np.exp(np.cos(np.pi * x / 1e99))]), delimiter=",",
+           header="x,u", comments="")
 fraclap = ["--kernel", "fraclap", "--s", "0.5"]
 for want, argv in (
         (2, ["dtn-check", "--L", "2.0"]),
@@ -38,7 +43,9 @@ for want, argv in (
         (2, ["minimize", *fraclap, "--L", "12.566", "--N", "64", "--constraint", "-1",
              "--seed", "1", "--out", "out"]),
         (3, ["minimize", *fraclap, "--L", "12.566", "--N", "256", "--constraint", "5",
-             "--seed", "1", "--max-iters", "1", "--out", "out"])):
+             "--seed", "1", "--max-iters", "1", "--out", "out"]),
+        (3, ["apply", "--mode", "pv", *fraclap, "--L", "1e99", "--N", "64",
+             "--function", "big.csv", "--out", "out"])):
     argv = ["nonlocper", *argv]
     print("+", shlex.join(argv), f"# expects exit {want}", flush=True)
     proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)

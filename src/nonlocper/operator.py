@@ -307,8 +307,9 @@ def _pv_fold(u: PeriodicFunction, xs, kbar, breakpoints) -> np.ndarray:
     Gauss-Legendre panels, which never straddle a breakpoint of kbar.  The
     estimates for all eps in PV_EPS_SEQ (where the grading starts) must agree
     within PV_STABILITY_TOL relative to max(1, |value|), which certifies
-    that the principal-value limit has stabilized.  The panels come from
-    _pv_rule.  kbar is evaluated once per call, on the nodes of every eps
+    that the principal-value limit has stabilized; a moment, value or
+    spread that is not finite raises IntegrationError too.  The panels come
+    from _pv_rule.  kbar is evaluated once per call, on the nodes of every eps
     rule at once; then u's tables are built EVAL_BLOCK points at a time."""
     L = u.grid.half_period
     if PV_EPS_SEQ[0] >= L:
@@ -322,11 +323,15 @@ def _pv_fold(u: PeriodicFunction, xs, kbar, breakpoints) -> np.ndarray:
     # series of the second difference in spectral derivatives is exact to
     # rounding
     rules = []
-    for start, switch, stop in cuts:
-        z2 = zs[start:switch] ** 2
-        wz2 = wk[start:switch] * z2
-        wz4 = wz2 * z2
-        rules.append((wk[switch:stop], np.sum(wz2), np.sum(wz4), np.sum(wz4 * z2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, switch, stop in cuts:
+            z2 = zs[start:switch] ** 2
+            wz2 = wk[start:switch] * z2
+            wz4 = wz2 * z2
+            rules.append((wk[switch:stop], np.sum(wz2), np.sum(wz4), np.sum(wz4 * z2)))
+    if not all(math.isfinite(m) for rule in rules for m in rule[1:]):
+        # wk z^6 overflows for half periods beyond about 1e64 (fraclap 0.5)
+        raise IntegrationError(f"principal-value moments overflow at half period {L:g}")
     out = np.empty(xs.size)
     for i in range(0, xs.size, EVAL_BLOCK):  # caps the point-by-mode tables at EVAL_BLOCK rows
         x = xs[i:i + EVAL_BLOCK]
@@ -342,7 +347,9 @@ def _pv_fold(u: PeriodicFunction, xs, kbar, breakpoints) -> np.ndarray:
                         - (d2 * m2 + d4 * m4 / 12.0 + d6 * m6 / 360.0))
             row += direct.size
         spread = np.max(np.abs(np.diff(vals, axis=0)), axis=0, initial=0.0)
-        bad = np.flatnonzero(spread > PV_STABILITY_TOL * np.maximum(1.0, np.abs(vals[-1])))
+        # NaN passes no comparison, and an estimate that is not finite leaves
+        # the ratio NaN or inf, so it counts as bad
+        bad = np.flatnonzero(~(spread / np.maximum(1.0, np.abs(vals[-1])) <= PV_STABILITY_TOL))
         if bad.size:
             raise IntegrationError(f"principal value unstable across PV_EPS_SEQ at "
                                    f"x={x[bad[0]]:g}: {[float(v[bad[0]]) for v in vals]}")

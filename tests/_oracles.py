@@ -298,3 +298,79 @@ def energy_identity_check(u) -> dict:
     diagonal = h * h * float(np.sum(u.derivative().samples ** 2))
     e_circle = (2.0 * seminorm_sq_offdiag(1.0 / chord_sq, u) + diagonal) / (4.0 * math.pi)
     return {"E_line": e_line, "E_disk": e_disk, "E_circle": e_circle}
+
+
+def sinetail_profile(s: float, t) -> np.ndarray:
+    """nonlocper.SineTailKernel(s).profile as it stood before the near
+    branch (a = t^2 < 100) read a table: there the steepest-descent
+    trapezoid sum ran at every point, and raised on its step-2h estimate."""
+    from nonlocper.errors import IntegrationError
+    from nonlocper.kernels import _DESCENT_CUT_STEP, _DESCENT_TOL, _descent_weights
+
+    p = s + 2.5
+    a = np.asarray(t, dtype=float) ** 2
+    out = 2.0 * a ** (2.0 - p) / ((p - 1.0) * (p - 2.0))
+    far = a >= 100.0
+    af = a[far]
+    out[far] += af ** (-p) * (2.0 * p * np.cos(af) / af - np.sin(af))
+    near = ~far & (a > 0.0)
+    an = a[near]
+    u, weights = _descent_weights(p)
+    cut = np.searchsorted(u, 80.0 / an)
+    cut = np.minimum(-(-cut // _DESCENT_CUT_STEP) * _DESCENT_CUT_STEP, u.size)
+    sums = np.array([weights[:, :n] @ np.exp(x * -u[:n]) for x, n in zip(an, cut)])
+    fine = sums[:, 0] + 1j * sums[:, 1]
+    coarse = sums[:, 2] + 1j * sums[:, 3]
+    scale = an ** (2.0 - p)
+    if np.any(scale * np.abs(fine - coarse) > _DESCENT_TOL * out[near]):
+        raise IntegrationError("sine-part quadrature error")
+    out[near] += -scale * np.imag(np.exp(1j * an) * fine)
+    return out
+
+def exact_remainder(kernel, L: float, t) -> np.ndarray:
+    """The image sum sum_{k != 0} K(|t + 2kL|) of nonlocper.kernels._exact_remainder
+    at t in [0, L], with the Euler-Maclaurin stencil of its tail taken as
+    four profile calls, one per offset."""
+    from numpy.polynomial.chebyshev import chebval
+
+    from nonlocper.kernels import (_BLOCK, K_DIRECT, _TAIL_POINTS, _cheb_coeffs,
+                                   _cheb_points, _safe_profile)
+
+    sup = kernel.support
+    flat = np.asarray(t, dtype=float).ravel()
+    k = np.repeat(np.arange(1, K_DIRECT + 1), 2) * np.tile([1, -1], K_DIRECT)
+    if sup is not None:
+        shifts = 2.0 * L * np.abs(k)
+        k = k[np.where(k > 0, shifts, shifts - L) < sup]
+        if k.size == 0:
+            return np.zeros(flat.size)
+    out = np.empty(flat.size)
+    step = max(1, _BLOCK // k.size)
+    for i in range(0, flat.size, step):
+        out[i:i + step] = np.cumsum(kernel.image_profile(flat[i:i + step], L, k), axis=1)[:, -1]
+    edge = 2.0 * (K_DIRECT + 0.5) * L
+    lo, hi = edge - L, edge + L
+    if sup is None or sup > lo:
+        fit = _cheb_coeffs(np.array([kernel.tail_integral(x)
+                                     for x in _cheb_points(lo, hi, _TAIL_POINTS)]))
+        a = np.concatenate([edge + flat, edge - flat])
+        h, d = 2.0 * L, 0.002 * a
+        k2, k1, m1, m2 = (_safe_profile(kernel, a + j * d) for j in (2.0, 1.0, -1.0, -2.0))
+        dK = (8.0 * (k1 - m1) - (k2 - m2)) / (12.0 * d)
+        d3K = ((k2 - m2) - 2.0 * (k1 - m1)) / (2.0 * d**3)
+        tail_int = chebval((2.0 * a - lo - hi) / (hi - lo), fit)
+        tail = tail_int / h + h * dK / 24.0 - 7.0 * h**3 * d3K / 5760.0
+        out = out + tail[:flat.size] + tail[flat.size:]
+    return out
+
+
+def grid_values(wk, distances) -> np.ndarray:
+    """nonlocper.WrappedKernel.grid_values with exact_remainder's image sum."""
+    from nonlocper.kernels import _safe_profile
+
+    kernel, L = wk.kernel, wk.half_period
+    tf = np.atleast_1d(wk.fold(distances))
+    rest = exact_remainder(kernel, L, tf)
+    if kernel.support is not None:
+        return _safe_profile(kernel, np.where(tf == 0.0, 1e-12 * L, tf)) + rest
+    return np.where(tf > 0, _safe_profile(kernel, tf), np.inf) + rest

@@ -357,6 +357,21 @@ class TestCommands:
         assert res["strictly_positive"]
         assert res["value"] == pytest.approx(1.5, rel=1e-6)
 
+    def test_pv_at_an_overflowing_half_period_is_numerical_failure(self, tmp_path, capsys):
+        # the PV moments overflow at L = 1e99; the NaN values passed the
+        # stability check, and the command exited 0 with an all-NaN CSV
+        big = 1e99
+        xs = np.linspace(-big, big, 65)[:-1]
+        fpath = tmp_path / "u.csv"
+        np.savetxt(fpath, np.column_stack([xs, np.exp(np.cos(np.pi * xs / big))]),
+                   delimiter=",", header="x,u", comments="")
+        code = run_cli(["apply", "--mode", "pv", "--kernel", "fraclap", "--s", 0.5,
+                        "--L", big, "--N", 64, "--function", fpath, "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_NUMERICAL
+        assert err.startswith("numerical failure") and "Traceback" not in err
+        assert not (tmp_path / "applied.csv").exists()
+
     def test_kernel_class(self, tmp_path):
         code = run_cli(["kernel-class", "--kernel", "sinetail", "--s", 0.5,
                         "--out", tmp_path])

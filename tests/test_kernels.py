@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 import warnings
@@ -9,7 +10,9 @@ from scipy import integrate
 from scipy.integrate import IntegrationWarning
 
 import nonlocper as nl
-from _oracles import delaunay_tail, fraclap_tail
+from _oracles import (delaunay_tail, exact_remainder, fraclap_tail, grid_values,
+                      sinetail_profile)
+from nonlocper import kernels
 
 
 class TestFracLapConstant:
@@ -364,6 +367,25 @@ class TestWrappedKernel:
         for vals in (wk.grid_values(ts), wk(ts)):
             assert np.max(np.abs(vals - ref) / ref) < 1e-13
 
+    @pytest.mark.parametrize("kernel", [
+        nl.FractionalKernel(0.3), nl.DelaunayKernel(2, 0.5, 1.0),
+        nl.CompactKernel([1e-3, 0.5, 7.0], [1.0, 0.6, 0.0], s=0.5),
+        nl.indicator_kernel(1.3 * math.pi),
+        nl.laplace_measure_of(nl.DelaunayKernel(2, 0.5, 1.0)), nl.SineTailKernel(0.5),
+        nl.CustomKernel(lambda t: t ** -1.2, s=0.1, Lambda_hi=1.0)],
+        ids=["fraclap", "delaunay", "compact", "indicator", "laplace-of-delaunay",
+             "sinetail", "custom"])
+    def test_one_stencil_call_is_bitwise_the_four(self, kernel):
+        # the Euler-Maclaurin stencil at a +- d and a +- 2d takes one profile
+        # call on the four offsets together, which moves no bit of the image
+        # sum (checked alone, since K(t) can round its last bits away) or of
+        # the wrap
+        wk = nl.wrap_kernel(kernel, math.pi)
+        ts = np.linspace(0.0, 2.0 * math.pi, 257)[1:]
+        tf = wk.fold(ts)
+        assert np.array_equal(wk._exact(tf), exact_remainder(kernel, math.pi, tf))
+        assert np.array_equal(wk.grid_values(ts), grid_values(wk, ts))
+
     def test_grid_value_does_not_depend_on_the_batch(self):
         # the Euler-Maclaurin tail integral is read from one fit for every
         # call; an exact value per limit for small calls moved the last bits
@@ -651,6 +673,58 @@ class TestSineTailBatched:
         brute += power * 1e3 ** (-2 * s) / (2 * s)
         # the asymptotic branch (t >= 10) is good to about 1e-8
         assert k.tail_integral(A) == pytest.approx(brute, rel=1e-8)
+
+    @pytest.mark.parametrize("s", [0.005, 0.1, 0.5, 0.9, 0.995])
+    def test_near_table_matches_the_trapezoid_rule(self, s):
+        # the table against the trapezoid sum at every point, from below the
+        # table's first panel (t = 1e-150, a = 1e-300) to both sides of the
+        # t = 10 switch; for s > 0.5, K itself overflows at the smallest t
+        ts = np.concatenate([np.geomspace(1e-150, 12.0, 4001), np.linspace(0.01, 12.0, 4001),
+                             [np.nextafter(10.0, 0.0), 10.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = sinetail_profile(s, ts)
+            vals = nl.SineTailKernel(s).profile(ts)
+        keep = np.isfinite(ref)
+        assert np.min(ts[keep]) < 1e-100
+        assert np.all(np.abs(vals[keep] - ref[keep]) <= 2e-15 * np.abs(ref[keep]))
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    def test_near_table_does_not_depend_on_the_fill_order(self, s, monkeypatch):
+        # each panel is fitted from its own nodes: filled all at once, one
+        # by one from the top, or by the points that land in them, the
+        # coefficients and the values are bitwise the same
+        p = s + 2.5
+        panels = np.arange(kernels._SINE_PANELS)
+        at_once = kernels._SineTable(p)
+        at_once.fill(panels)
+        one_by_one = kernels._SineTable(p)
+        for i in panels[::-1]:
+            one_by_one.fill(panels[i:i + 1])
+        assert np.array_equal(at_once.coeffs, one_by_one.coeffs)
+        ts = np.geomspace(1e-20, 9.99, 333)
+        monkeypatch.setattr(kernels, "_sine_table", functools.cache(kernels._SineTable))
+        alone = np.array([nl.SineTailKernel(s).profile(ts[i:i + 1])[0]
+                          for i in range(ts.size - 1, -1, -1)])[::-1]
+        monkeypatch.setattr(kernels, "_sine_table", functools.cache(kernels._SineTable))
+        assert np.array_equal(nl.SineTailKernel(s).profile(ts), alone)
+        table = kernels._sine_table(p)
+        assert np.array_equal(table.coeffs[table.filled], at_once.coeffs[table.filled])
+
+    @pytest.mark.parametrize("tol, message", [
+        ("_DESCENT_TOL", "quadrature error"), ("_SINE_FIT_TOL", "table coefficient")])
+    def test_failed_table_check_raises(self, tol, message, monkeypatch):
+        # the step-2h estimate at every node and each fit's last Chebyshev
+        # coefficient are checked as a panel is filled; a panel that fails
+        # stays empty
+        monkeypatch.setattr(kernels, "_sine_table", functools.cache(kernels._SineTable))
+        monkeypatch.setattr(kernels, tol, 0.0)
+        k = nl.SineTailKernel(0.5)
+        with pytest.raises(nl.IntegrationError, match=message):
+            k.profile(np.array([2.0]))
+        assert not kernels._sine_table(3.0).filled.any()
+        monkeypatch.undo()
+        assert k.profile(np.array([2.0]))[0] == pytest.approx(sinetail_profile(0.5, [2.0])[0],
+                                                              rel=2e-15)
 
     def test_no_integration_warnings(self):
         k = nl.SineTailKernel(0.5)

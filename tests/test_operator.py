@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +324,27 @@ class TestApplyPV:
         for x in (0.0, 1.1):
             assert nl.apply_pv(k, u, x) == pytest.approx(spec.eval(x), abs=1e-7)
 
+
+    @pytest.mark.parametrize("L", [1e65, 1e99])
+    def test_overflowing_moments_raise(self, L):
+        # the moments sum wk z^6 below z_switch = 1e-3 L overflow; a NaN
+        # spread passed the stability check, and the value came back NaN
+        g = nl.PeriodicGrid(L, 64)
+        u = nl.PeriodicFunction.from_callable(g, lambda x: np.exp(np.cos(np.pi * x / L)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(nl.IntegrationError, match="moments overflow"):
+                nl.apply_pv(nl.FractionalKernel(0.5), u, 0.3 * L)
+
+    def test_non_finite_value_raises(self):
+        # finite moments, yet an infinite kbar beyond z = 1 leaves every
+        # estimate inf or NaN, whose spread no comparison rejects
+        g = nl.PeriodicGrid(math.pi, 64)
+        u = nl.PeriodicFunction.from_callable(g, np.cos)
+        kbar = lambda z: np.where(z > 1.0, np.inf, 1.0)  # noqa: E731
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(nl.IntegrationError, match="unstable"):
+                op._pv_fold(u, [0.3], kbar, ())
 
     def test_sinetail_panels_end_at_the_switch_fold(self):
         # the profile jumps at its t = 10 switch, which folds to 4 pi - 10;

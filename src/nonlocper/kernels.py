@@ -498,7 +498,7 @@ def _descent_sums(a: np.ndarray, p: float) -> tuple:
 # With e^(ia) and a^(2-p) factored out, F is smooth and does not oscillate
 # in v = log a, so the near branch reads it from a table per p: panels of
 # unit width in v ending at a = 100, each one degree-15 polynomial through
-# F at 16 first-kind Chebyshev points.  Below the first panel (a < 1e-28)
+# F at 16 second-kind Chebyshev points.  Below the first panel (a < 1e-28)
 # F differs from its value at that panel's start by below 1e-19 of the
 # power part (s -> 0 is the worst case), and is read there.
 _SINE_PANELS = 69
@@ -508,84 +508,60 @@ _SINE_FIT_TOL = 2e-15  # largest last Chebyshev coefficient, relative to the pow
 
 
 @functools.cache
-def _sine_fit() -> tuple:
-    """The first-kind Chebyshev points x of [-1, 1], the matrix taking
-    values there to Chebyshev coefficients, and the matrix taking those to
-    monomial ones.  Two steps keep the rounding near that of the values:
-    the coefficients decay faster than the monomials of T_k grow."""
-    j = np.arange(_SINE_NODES)
-    theta = math.pi * (j + 0.5) / _SINE_NODES
-    to_cheb = (2.0 / _SINE_NODES) * np.cos(np.outer(j, theta))
-    to_cheb[0] *= 0.5
-    to_mono = np.zeros((_SINE_NODES, _SINE_NODES))
-    to_mono[0, 0] = to_mono[1, 1] = 1.0
-    for k in range(2, _SINE_NODES):  # T_k = 2x T_(k-1) - T_(k-2), column by column
-        to_mono[1:, k] = 2.0 * to_mono[:-1, k - 1]
-        to_mono[:, k] -= to_mono[:, k - 2]
-    return np.cos(theta), to_cheb, to_mono
-
-
-class _SineTable:
-    """F(a) of _descent_sums on the _SINE_PANELS panels of v = log a,
-    panel i spanning [_SINE_V0 + i, _SINE_V0 + i + 1], as the monomial
-    coefficients [Re, Im] in the panel's local variable y in [-1, 1].  A
-    panel is filled the first time a point lands in it, from its own nodes
-    alone, so no value depends on which panels came first."""
-
-    def __init__(self, p: float):
-        self.p = p
-        self.coeffs = np.zeros((_SINE_PANELS, 2, _SINE_NODES))
-        self.filled = np.zeros(_SINE_PANELS, dtype=bool)
-
-    def fill(self, panels: np.ndarray) -> None:
-        """Fit the panels of the index array that are not filled yet.  The
-        step-2h estimate at every node and each fit's last Chebyshev
-        coefficient must stay within _DESCENT_TOL and _SINE_FIT_TOL of the
-        power part 2/((p-1)(p-2)), or IntegrationError is raised and the
-        panels stay empty."""
-        todo = panels[~self.filled[panels]]
-        if todo.size == 0:
-            return
-        todo = np.unique(todo)
-        x, to_cheb, to_mono = _sine_fit()
-        power = 2.0 / ((self.p - 1.0) * (self.p - 2.0))
-        fine, coarse = _descent_sums(np.exp(_SINE_V0 + todo[:, None] + 0.5 * (x + 1.0)).ravel(),
-                                     self.p)
-        err = float(np.max(np.abs(fine - coarse)))
-        if err > _DESCENT_TOL * power:
-            raise IntegrationError(f"sine-part quadrature error {err / power:g} "
-                                   "of the power part")
-        fine = fine.reshape(todo.size, 1, _SINE_NODES)
-        vals = np.concatenate([fine.real, fine.imag], axis=1)
-        cheb = np.vecdot(to_cheb, vals[:, :, None, :])
-        last = float(np.max(np.abs(cheb[..., -1])))
-        if last > _SINE_FIT_TOL * power:
-            raise IntegrationError(f"sine-part table coefficient {last / power:g} "
-                                   "of the power part")
-        self.coeffs[todo] = np.vecdot(to_mono, cheb[:, :, None, :])
-        self.filled[todo] = True
+def _cheb_to_mono(n: int) -> np.ndarray:
+    """The matrix taking n Chebyshev coefficients to monomial ones.  Going
+    through the Chebyshev coefficients keeps the rounding near that of the
+    values: they decay faster than the monomials of T_k grow."""
+    m = np.zeros((n, n))
+    m[0, 0] = m[1, 1] = 1.0
+    for k in range(2, n):  # T_k = 2x T_(k-1) - T_(k-2), column by column
+        m[1:, k] = 2.0 * m[:-1, k - 1]
+        m[:, k] -= m[:, k - 2]
+    return m
 
 
 @functools.lru_cache(maxsize=8)
-def _sine_table(p: float) -> _SineTable:
-    """The table of p, shared by every later call in the process."""
-    return _SineTable(p)
+def _sine_table(p: float) -> np.ndarray:
+    """F(a) of _descent_sums on the _SINE_PANELS panels of v = log a, panel
+    i spanning [_SINE_V0 + i, _SINE_V0 + i + 1], as the read-only array of
+    monomial coefficients [Re, Im] in the panel's local variable y in
+    [-1, 1], shape (_SINE_PANELS, 2, _SINE_NODES).  All panels are fitted
+    at once, on the first call for p.  The step-2h estimate at every node
+    and each panel's last Chebyshev coefficient must stay within
+    _DESCENT_TOL and _SINE_FIT_TOL of the power part 2/((p-1)(p-2)), or
+    IntegrationError is raised and nothing is cached."""
+    y = _cheb_points(-1.0, 1.0, _SINE_NODES)
+    power = 2.0 / ((p - 1.0) * (p - 2.0))
+    panels = np.arange(_SINE_PANELS)[:, None]
+    fine, coarse = _descent_sums(np.exp(_SINE_V0 + panels + 0.5 * (y + 1.0)).ravel(), p)
+    err = float(np.max(np.abs(fine - coarse)))
+    if err > _DESCENT_TOL * power:
+        raise IntegrationError(f"sine-part quadrature error {err / power:g} "
+                               "of the power part")
+    fine = fine.reshape(_SINE_PANELS, 1, _SINE_NODES)
+    cheb = _cheb_coeffs(np.concatenate([fine.real, fine.imag], axis=1))
+    last = float(np.max(np.abs(cheb[..., -1])))
+    if last > _SINE_FIT_TOL * power:
+        raise IntegrationError(f"sine-part table coefficient {last / power:g} "
+                               "of the power part")
+    coeffs = cheb @ _cheb_to_mono(_SINE_NODES).T
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def _sine_part(a: np.ndarray, p: float) -> np.ndarray:
     """int_a^inf (x - a) x^(-p) sin x dx = Im[-e^(ia) a^(2-p) F(a)] for an
-    array 0 < a < 100, with F read from the table of p: per point one log,
-    a panel index, a 16-term row dot (np.vecdot, so no value depends on
-    the batch), sin a, cos a and one power."""
-    table = _sine_table(p)
+    array 0 < a < 100, with F read from the table of p (_sine_table): per
+    point one log, a panel index, a 16-term row dot (np.vecdot, so no value
+    depends on the batch), sin a, cos a and one power."""
+    coeffs = _sine_table(p)
     v = np.log(a) - _SINE_V0
     panel = np.minimum(np.maximum(v, 0.0), _SINE_PANELS - 1).astype(np.intp)
-    table.fill(panel)
     powers = np.empty((a.size, _SINE_NODES))
     powers[:, 0] = 1.0
     powers[:, 1:] = np.clip(2.0 * (v - panel) - 1.0, -1.0, 1.0)[:, None]
     np.cumprod(powers, axis=1, out=powers)
-    re, im = np.vecdot(powers[:, None, :], table.coeffs[panel]).T
+    re, im = np.vecdot(powers[:, None, :], coeffs[panel]).T
     return -a ** (2.0 - p) * (np.sin(a) * re + np.cos(a) * im)
 
 
@@ -618,8 +594,8 @@ class SineTailKernel(Kernel):
 
     The constant part of (2 + sin x) integrates in closed form.  The sine
     part uses a two-term stationary expansion for t^2 >= 100 and otherwise
-    reads its steepest-descent sum from a table per s, whose panels are
-    filled and checked on first use (_sine_part; no adaptive quadrature).
+    reads its steepest-descent sum from a table per s, fitted at once and
+    checked on first use (_sine_table; no adaptive quadrature).
     tail_integral runs the steepest-descent trapezoid rule itself.  The wrap's
     image table (image_profile) reads cos a and sin a from products of
     phases, not from a sine and a cosine per entry.  The symbol is a fixed
@@ -666,7 +642,7 @@ class SineTailKernel(Kernel):
     def _from_squares(self, a, far, cos_far, sin_far):
         """K(sqrt(a)) for an array a: the power part in closed form plus the
         sine part, where far from cos a and sin a there, and at the near
-        entries, if any, from _sine_part's table."""
+        entries whose power part is finite from _sine_part's table."""
         p = self.s + 2.5
         out = 2.0 * a ** (2.0 - p) / ((p - 1.0) * (p - 2.0))
         af = a[far]
@@ -674,7 +650,10 @@ class SineTailKernel(Kernel):
         # is 3p(p+1) a^(-p-2) sin a, so at the a = 100 switch the profile
         # jumps by 7.5e-8, 2.0e-7 and 4.3e-7 of K(10) at s = 0.1, 0.5, 0.9
         out[far] += af ** (-p) * (2.0 * p * cos_far / af - sin_far)
-        near = ~far & (a > 0.0)  # t^2 underflowing to 0 leaves K = inf
+        # where the power part overflows (t^2 underflowing to 0 included),
+        # K = inf: the sine part, of the same size and either sign, would
+        # make it NaN
+        near = ~far & np.isfinite(out)
         if near.any():
             out[near] += _sine_part(a[near], p)
         return out
@@ -851,10 +830,12 @@ def _cheb_points(a: float, b: float, n: int) -> np.ndarray:
 
 def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients of the interpolant through vals at the
-    second-kind points: a DCT-I, as the real FFT of the even extension."""
-    n = vals.size - 1
-    c = np.fft.rfft(np.concatenate([vals, vals[-2:0:-1]])).real / n
-    c[[0, n]] *= 0.5
+    second-kind points, along the last axis: a DCT-I, as the real FFT of
+    the even extension.  Each row is transformed on its own, so a batch
+    gives the rows' coefficients bitwise."""
+    n = vals.shape[-1] - 1
+    c = np.fft.rfft(np.concatenate([vals, vals[..., -2:0:-1]], axis=-1)).real / n
+    c[..., [0, n]] *= 0.5
     return c
 
 

@@ -155,6 +155,20 @@ class TestFlagsWin:
         assert err.startswith("configuration error: $.kernel:")
         assert "L" in err and "(additionalProperties)" in err
 
+    @pytest.mark.parametrize("family, flags, unread", [
+        ("fraclap", ["--s", 0.5, "--a", 3.0, "--cutoff", 2.0, "--n", 7], "n, a, cutoff"),
+        ("sinetail", ["--s", 0.5, "--n", 3], "n"),
+        ("delaunay", ["--s", 0.5, "--cutoff", 2.0], "cutoff"),
+        ("indicator", ["--cutoff", 2.0, "--a", 1.0], "a"),
+    ])
+    def test_keys_the_family_does_not_read_exit_2(self, tmp_path, capsys, family, flags,
+                                                   unread):
+        code = run_cli(["symbol", "--kernel", family, *flags, "--L", L, "--N", 16,
+                        "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err == f"configuration error: $.kernel: unexpected {unread} (additionalProperties)\n"
+
     def test_power_nonlinearity_defaults_to_p_2(self, tmp_path):
         fpath = write_samples(tmp_path / "u.csv")
         results = []

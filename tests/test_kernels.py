@@ -129,6 +129,15 @@ class TestSineTailKernel:
         t = 10.2
         assert k(t) == pytest.approx(self.oracle(0.5, t, chunks=2000), rel=1e-6)
 
+    def test_overflowing_power_part_gives_inf(self):
+        # K overflows before t^2 underflows: the sine part is then not added,
+        # which would make inf - inf = NaN
+        t = np.array([1e-170, 1e-150, 1e-120, 1e-111, 1e-100, 1e-50])
+        with np.errstate(over="ignore", divide="ignore"):
+            vals = nl.SineTailKernel(0.9).profile(t)
+        assert np.all(vals[:4] == np.inf)
+        assert np.all(np.isfinite(vals[4:]))
+
     def test_third_derivative_oscillates(self):
         k = nl.SineTailKernel(0.5)
         tau = np.linspace(1.0, 100.0, 4000)
@@ -512,6 +521,13 @@ class TestChebValueSlope:
         assert d.shape == ref.shape
         assert np.max(np.abs(d - ref)) <= 1e-15 * n * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("n", [16, 17, 65])
+    def test_batched_coefficients_are_bitwise_the_rows(self, n):
+        # _cheb_coeffs transforms along the last axis, each row on its own
+        vals = np.random.default_rng(n).standard_normal((5, 3, n))
+        rows = np.array([[nl.kernels._cheb_coeffs(r) for r in block] for block in vals])
+        assert np.array_equal(nl.kernels._cheb_coeffs(vals), rows)
+
 
 class TestClassification:
     def test_fraclap(self):
@@ -689,42 +705,48 @@ class TestSineTailBatched:
         assert np.all(np.abs(vals[keep] - ref[keep]) <= 2e-15 * np.abs(ref[keep]))
 
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
-    def test_near_table_does_not_depend_on_the_fill_order(self, s, monkeypatch):
-        # each panel is fitted from its own nodes: filled all at once, one
-        # by one from the top, or by the points that land in them, the
-        # coefficients and the values are bitwise the same
-        p = s + 2.5
-        panels = np.arange(kernels._SINE_PANELS)
-        at_once = kernels._SineTable(p)
-        at_once.fill(panels)
-        one_by_one = kernels._SineTable(p)
-        for i in panels[::-1]:
-            one_by_one.fill(panels[i:i + 1])
-        assert np.array_equal(at_once.coeffs, one_by_one.coeffs)
+    def test_near_table_does_not_depend_on_the_fill_order(self, s):
+        # each point reads its own panel's row: points one by one give the
+        # values of the batch bitwise
         ts = np.geomspace(1e-20, 9.99, 333)
-        monkeypatch.setattr(kernels, "_sine_table", functools.cache(kernels._SineTable))
         alone = np.array([nl.SineTailKernel(s).profile(ts[i:i + 1])[0]
                           for i in range(ts.size - 1, -1, -1)])[::-1]
-        monkeypatch.setattr(kernels, "_sine_table", functools.cache(kernels._SineTable))
         assert np.array_equal(nl.SineTailKernel(s).profile(ts), alone)
-        table = kernels._sine_table(p)
-        assert np.array_equal(table.coeffs[table.filled], at_once.coeffs[table.filled])
 
     @pytest.mark.parametrize("tol, message", [
         ("_DESCENT_TOL", "quadrature error"), ("_SINE_FIT_TOL", "table coefficient")])
     def test_failed_table_check_raises(self, tol, message, monkeypatch):
-        # the step-2h estimate at every node and each fit's last Chebyshev
-        # coefficient are checked as a panel is filled; a panel that fails
-        # stays empty
-        monkeypatch.setattr(kernels, "_sine_table", functools.cache(kernels._SineTable))
+        # the step-2h estimate at every node and each panel's last Chebyshev
+        # coefficient are checked as the table is fitted; a table that fails
+        # is not cached
+        table = functools.lru_cache(kernels._sine_table.__wrapped__)
+        monkeypatch.setattr(kernels, "_sine_table", table)
         monkeypatch.setattr(kernels, tol, 0.0)
         k = nl.SineTailKernel(0.5)
         with pytest.raises(nl.IntegrationError, match=message):
             k.profile(np.array([2.0]))
-        assert not kernels._sine_table(3.0).filled.any()
+        assert table.cache_info().currsize == 0
         monkeypatch.undo()
         assert k.profile(np.array([2.0]))[0] == pytest.approx(sinetail_profile(0.5, [2.0])[0],
                                                               rel=2e-15)
+
+    def test_near_table_is_read_only(self):
+        table = kernels._sine_table(3.0)
+        assert table.shape == (kernels._SINE_PANELS, 2, kernels._SINE_NODES)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("s", [0.005, 0.5, 0.995])
+    def test_adjacent_panels_meet_at_their_shared_node(self, s):
+        # panel i ends (y = 1) at the node where panel i + 1 starts (y = -1);
+        # both interpolate F there, so they agree to rounding
+        p = s + 2.5
+        table = kernels._sine_table(p)
+        ends = table.sum(axis=-1)
+        starts = table @ (-1.0) ** np.arange(kernels._SINE_NODES)
+        power = 2.0 / ((p - 1.0) * (p - 2.0))
+        assert np.max(np.abs(ends[:-1] - starts[1:])) <= 1e-15 * power
 
     def test_no_integration_warnings(self):
         k = nl.SineTailKernel(0.5)

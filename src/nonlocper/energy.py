@@ -14,10 +14,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, GridMismatchError
 from .grids import PeriodicFunction
 from .kernels import WrappedKernel, _gl_panels
-from .operator import SymbolTable, _bilinear, apply_spectral, bilinear_fourier
+from .operator import SymbolTable, bilinear_fourier
 
 
 @dataclass(frozen=True)
@@ -177,26 +177,33 @@ def _trapezoid(grid, samples: np.ndarray, fn: Callable) -> float:
 
 
 def _lagrangian(sym: SymbolTable, nl: Nonlinearity, samples: np.ndarray,
-                coeffs: np.ndarray) -> tuple:
-    """(kinetic, potential) from u's samples and fft-order coefficients: the
-    array core of energy, which minimize's line search calls per candidate."""
-    kinetic = 0.5 * _bilinear(sym, coeffs, coeffs)
+                spec: np.ndarray) -> tuple:
+    """(kinetic, potential) from u's samples and spec = np.fft.rfft(samples):
+    the array core of energy, which minimize's line search calls per
+    candidate.  The kinetic term is sym.kinetic_weights . |spec|^2, the
+    Fourier seminorm folded onto the half spectrum (the node phase (-1)^k
+    drops out of |spec|)."""
+    kinetic = float(sym.kinetic_weights @ (spec.real**2 + spec.imag**2))
     potential = _trapezoid(sym.grid, samples, nl.G) if nl.G is not None else 0.0
     return kinetic, potential
 
 
-def _gradient(u: PeriodicFunction, sym: SymbolTable, nl: Nonlinearity) -> PeriodicFunction:
-    """The L^2 gradient L_K u - g(u) of the Lagrangian."""
-    if nl.G is None:
-        return apply_spectral(sym, u)
-    return apply_spectral(sym, u) - PeriodicFunction(
-        u.grid, np.asarray(nl.g(u.samples), dtype=float))
+def _gradient(sym: SymbolTable, nl: Nonlinearity, samples: np.ndarray,
+              spec: np.ndarray) -> np.ndarray:
+    """The samples of the L^2 gradient L_K u - g(u) of the Lagrangian, with
+    L_K u = irfft(spec ell) from spec = np.fft.rfft(samples)."""
+    lu = np.fft.irfft(spec * sym.values, sym.grid.size)
+    return lu if nl.G is None else lu - np.asarray(nl.g(samples), dtype=float)
 
 
 def energy(u: PeriodicFunction, sym: SymbolTable, nl: Nonlinearity) -> EnergyReport:
-    """Full Lagrangian report with its L^2 gradient L_K u - g(u)."""
-    grad = _gradient(u, sym, nl)  # checks the grids
-    kinetic, potential = _lagrangian(sym, nl, u.samples, u.coeffs())
+    """Full Lagrangian report with its L^2 gradient L_K u - g(u), both from
+    one real FFT of u's samples."""
+    if sym.grid != u.grid:
+        raise GridMismatchError("symbol and function live on different grids")
+    spec = np.fft.rfft(u.samples)
+    kinetic, potential = _lagrangian(sym, nl, u.samples, spec)
+    grad = PeriodicFunction(u.grid, _gradient(sym, nl, u.samples, spec))
     cons = potential_integral(u, nl.Gt) if nl.Gt is not None else None
     return EnergyReport(kinetic=kinetic, potential=potential,
                         total=kinetic - potential, gradient=grad,

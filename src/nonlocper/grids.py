@@ -142,12 +142,8 @@ class PeriodicFunction:
             raise DomainError(f"refined size {m} is not a multiple of {n}")
         if m == n:
             return self
-        half = np.zeros(m // 2 + 1, dtype=complex)
-        half[: n // 2 + 1] = self.coeffs()[: n // 2 + 1]
-        half[n // 2] *= 0.5  # Nyquist cosine, split evenly between +-N/2
-        half *= np.power(-1.0, np.arange(m // 2 + 1))  # nodes start at -L
         return PeriodicFunction(PeriodicGrid(self.grid.half_period, m),
-                                np.fft.irfft(half, m) * m)
+                                _padded_samples(self.coeffs()[: n // 2 + 1], m))
 
     def shift(self, z: float) -> "PeriodicFunction":
         """Spectral translation: result(x) = self(x - z)."""
@@ -191,6 +187,17 @@ class PeriodicFunction:
         return PeriodicFunction(self.grid, self.samples * scalar)
 
     __rmul__ = __mul__
+
+
+def _padded_samples(half: np.ndarray, m: int) -> np.ndarray:
+    """Samples on the m-node grid of the period of the real function whose
+    coefficients for k = 0..N/2 are `half` (length N/2 + 1, the last one the
+    Nyquist cosine, split evenly between +-N/2), by one zero-padded irfft."""
+    padded = np.zeros(m // 2 + 1, dtype=complex)
+    padded[: half.size] = half
+    padded[half.size - 1] *= 0.5
+    padded *= np.power(-1.0, np.arange(m // 2 + 1))  # nodes start at -L
+    return np.fft.irfft(padded, m) * m
 
 
 def _require_same_grid(u: PeriodicFunction, v: PeriodicFunction) -> None:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import (DivergenceError, DomainError, HypothesisViolationError,
                      ProjectionError)
-from .grids import PeriodicFunction, _coeffs_from_samples
+from .grids import PeriodicFunction, _padded_samples
 from .kernels import Kernel
 from .operator import SymbolTable, apply_pv
 from .energy import (Nonlinearity, _gradient, _lagrangian, _trapezoid, energy,
@@ -39,6 +39,12 @@ class MinimizeConfig:
             raise DomainError("constraint level must be finite")
         if self.c is not None and self.nl.homogeneity is not None and self.c <= 0:
             raise DomainError("a homogeneous Gtilde reaches only a positive level")
+        bad = np.flatnonzero(~(1.0 + self.sym.values > 0))
+        if bad.size:
+            k = int(bad[0])
+            raise DomainError(
+                f"the preconditioner divides mode k by 1 + ell(k), which must be "
+                f"positive: ell = {self.sym.values[k]:g} at k = {k}")
 
 
 ARMIJO_C1 = 1e-4  # sufficient-decrease constant
@@ -154,14 +160,18 @@ def symmetry_diagnostics(u: PeriodicFunction) -> SymmetryDiagnostics:
         z -= step
         if abs(d1) < 1e-13 * max(1.0, scale):
             break
-    centered = fine.shift(-z).samples  # u(z + x) at spacing L/(4N); node 4N is z
+    # u(z + x) and u'(z + x) at spacing L/(4N), node 4N at z: each a
+    # half spectrum times e^(i pi k z/L), zero-padded to 8N (u' has no
+    # Nyquist mode, as derivative() drops it)
+    phase = np.exp(1j * np.pi * np.arange(n // 2 + 1) * z / L)
+    centered = _padded_samples(u.coeffs()[: n // 2 + 1] * phase, 8 * n)
     right, left = np.append(centered[4 * n:], centered[0]), centered[4 * n::-1]
     evenness = float(np.max(np.abs(right - left)))
     prof = 0.5 * (right + left)
     running_min = np.minimum.accumulate(prof)
     monotonicity = float(np.max(prof - running_min))
     # critical points: derivative sign changes strictly inside (0, L)
-    dvals = du.refine(8 * n).shift(-z).samples[4 * n + 1:]
+    dvals = _padded_samples(du.coeffs()[: n // 2 + 1] * phase, 8 * n)[4 * n + 1:]
     thresh = 1e-7 * max(float(np.max(np.abs(dvals))), 1e-30)
     signs = np.sign(dvals[np.abs(dvals) > thresh])
     interior = int(np.count_nonzero(np.diff(signs) != 0)) if signs.size else 0
@@ -192,49 +202,69 @@ class MinimizeResult:
 
 
 def _inner(u: PeriodicFunction, v: PeriodicFunction) -> float:
-    return u.grid.spacing * float(np.sum(u.samples * v.samples))
+    return _dot(u.grid, u.samples, v.samples)
+
+
+def _dot(grid, a: np.ndarray, b: np.ndarray) -> float:
+    """The trapezoid L^2 inner product of two sample arrays."""
+    return grid.spacing * float(np.sum(a * b))
 
 
 def _precondition(sym: SymbolTable, v: PeriodicFunction) -> PeriodicFunction:
-    """Divide mode k by 1 + ell(pi k/L) to tame the |k|^(2s) stiffness."""
-    return PeriodicFunction.from_coeffs(
-        v.grid, v.coeffs() / (1.0 + sym.full_multiplier()))
+    """Divide mode k by 1 + ell(pi k/L) to tame the |k|^(2s) stiffness:
+    irfft(rfft(v) / (1 + ell)), two real FFTs (_preconditioned on arrays).
+    MinimizeConfig requires 1 + ell > 0."""
+    return PeriodicFunction(v.grid, _preconditioned(sym, v.samples))
+
+
+def _preconditioned(sym: SymbolTable, samples: np.ndarray) -> np.ndarray:
+    return np.fft.irfft(np.fft.rfft(samples) / (1.0 + sym.values), sym.grid.size)
 
 
 def multiplier_and_residual(u: PeriodicFunction, sym: SymbolTable,
                             nl: Nonlinearity, constrained: bool):
     """Least-squares lambda and the Euler-Lagrange residual field."""
     rep = energy(u, sym, nl)
-    return (*_multiplier(u, rep.gradient, nl, constrained), rep)
+    lam, r = _multiplier(u.grid, u.samples, rep.gradient.samples, nl, constrained)
+    return lam, PeriodicFunction(u.grid, r), rep
 
 
-def _multiplier(u: PeriodicFunction, r: PeriodicFunction, nl: Nonlinearity,
+def _multiplier(grid, samples: np.ndarray, r: np.ndarray, nl: Nonlinearity,
                 constrained: bool):
-    """Least-squares lambda and the residual r - lambda gtilde(u)."""
+    """Least-squares lambda and the residual r - lambda gtilde(u), on the
+    sample arrays of u and of the gradient r."""
     if not constrained:
         return None, r
-    gt = PeriodicFunction(u.grid, np.asarray(nl.gt(u.samples), dtype=float))
-    denom = _inner(gt, gt)
+    gt = np.asarray(nl.gt(samples), dtype=float)
+    denom = _dot(grid, gt, gt)
     if denom < 1e-30:
         return None, r  # degenerate constraint direction
-    lam = _inner(r, gt) / denom
-    return lam, r - lam * gt
+    lam = _dot(grid, r, gt) / denom
+    return lam, r - gt * lam
 
 
 def minimize(cfg: MinimizeConfig) -> MinimizeResult:
     """Projected gradient descent with least-squares multiplier, spectral
     preconditioning, Armijo backtracking on the energy, and constraint
-    re-projection after every step.  A backtrack costs one FFT and the
-    energy; the gradient and multiplier are computed at accepted steps only."""
+    re-projection after every step.
+
+    The loop carries sample arrays and one real half spectrum per iterate:
+    spec = rfft(u) gives the energy (_lagrangian) and the gradient
+    (_gradient).  A backtrack costs the projection, one real FFT and the
+    energy; an accepted step adds the multiplier and three real FFTs (the
+    gradient's irfft and the preconditioner's rfft/irfft).  A
+    PeriodicFunction is built for the result only."""
     flags = []
     if np.any(cfg.sym.values < 0):
         flags.append("sign-changing symbol: no convergence guarantee")
+    sym, nlty, grid = cfg.sym, cfg.nl, cfg.initial.grid
     constrained = cfg.c is not None
-    u = project_constraint(cfg.initial, cfg.nl, cfg.c) if constrained else cfg.initial
-    lam, pg, rep = multiplier_and_residual(u, cfg.sym, cfg.nl, constrained)
+    u = project_constraint(cfg.initial, nlty, cfg.c) if constrained else cfg.initial
+    lam, pg, rep = multiplier_and_residual(u, sym, nlty, constrained)
     trace = [rep.total]
-    d = _precondition(cfg.sym, pg)
-    d_norm = d.l2_norm()
+    u, pg = u.samples, pg.samples
+    d = _preconditioned(sym, pg)
+    d_norm = math.sqrt(_dot(grid, d, d))
     step = 1.0
     it = 0
     converged = False
@@ -244,18 +274,18 @@ def minimize(cfg: MinimizeConfig) -> MinimizeResult:
         if d_norm < cfg.grad_tol:
             converged = True
             break
-        slope = _inner(pg, d)  # positive: d is a descent direction
+        slope = _dot(grid, pg, d)  # positive: d is a descent direction
         accepted = False
         for _ in range(60):
-            cand = u.samples - d.samples * step
+            cand = u - d * step
             if constrained:
                 try:
-                    cand = _projected(u.grid, cand, cfg.nl, cfg.c)
+                    cand = _projected(grid, cand, nlty, cfg.c)
                 except ProjectionError:
                     step *= ARMIJO_SHRINK
                     continue
-            coeffs = _coeffs_from_samples(u.grid, cand)
-            kinetic, potential = _lagrangian(cfg.sym, cfg.nl, cand, coeffs)
+            spec = np.fft.rfft(cand)
+            kinetic, potential = _lagrangian(sym, nlty, cand, spec)
             total = kinetic - potential
             if total <= trace[-1] - ARMIJO_C1 * step * slope:
                 # steps accepted on rounding-level decreases mean the energy
@@ -264,10 +294,11 @@ def minimize(cfg: MinimizeConfig) -> MinimizeResult:
                     stagnant += 1
                 else:
                     stagnant = 0
-                u = PeriodicFunction(u.grid, cand, _coeffs=coeffs)
-                lam, pg = _multiplier(u, _gradient(u, cfg.sym, cfg.nl), cfg.nl, constrained)
-                d = _precondition(cfg.sym, pg)
-                d_norm = d.l2_norm()
+                u = cand
+                lam, pg = _multiplier(grid, u, _gradient(sym, nlty, u, spec), nlty,
+                                      constrained)
+                d = _preconditioned(sym, pg)
+                d_norm = math.sqrt(_dot(grid, d, d))
                 trace.append(total)
                 step = min(step * 1.5, 1e6)
                 accepted = True
@@ -287,13 +318,15 @@ def minimize(cfg: MinimizeConfig) -> MinimizeResult:
                 f"(energy {trace[-1]:g})")
         if trace[-1] < -1e12:
             raise DivergenceError("energy unbounded along the trajectory")
+    result = PeriodicFunction(grid, u)
     defect = None
     if constrained:
-        defect = abs(potential_integral(u, cfg.nl.Gt) - cfg.c)
-    return MinimizeResult(u=u, multiplier=lam, residual_norm=pg.l2_norm(),
+        defect = abs(potential_integral(result, nlty.Gt) - cfg.c)
+    return MinimizeResult(u=result, multiplier=lam,
+                          residual_norm=math.sqrt(_dot(grid, pg, pg)),
                           constraint_defect=defect, iterations=it,
                           converged=converged, energy_trace=np.array(trace),
-                          diagnostics=symmetry_diagnostics(u),
+                          diagnostics=symmetry_diagnostics(result),
                           flags=tuple(flags))
 
 

@@ -43,6 +43,18 @@ class SymbolTable:
         full.setflags(write=False)
         return full
 
+    @functools.cached_property
+    def kinetic_weights(self) -> np.ndarray:
+        """w_k = (L/N^2) ell_k {1, 2, ..., 2, 1} for k = 0..N/2, so that
+        (1/2)[u]_K^2 = w . |rfft(u)|^2: modes +-k share |F_k|, and the mean
+        and the Nyquist mode have no partner (cached, read-only)."""
+        n = self.grid.size
+        w = self.values * (2.0 * self.grid.half_period / n**2)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        w.setflags(write=False)
+        return w
+
 
 # relative tolerance of the symbol quadrature: a target for the adaptive
 # route, and the bound on the fixed rule's error estimate beyond which a
@@ -385,12 +397,8 @@ def bilinear_fourier(sym: SymbolTable, u: PeriodicFunction,
     """<u, psi>_K = 2L sum_k ell(pi k/L) u_k conj(psi_k)."""
     if not (sym.grid == u.grid == psi.grid):
         raise GridMismatchError("grid mismatch in bilinear form")
-    return _bilinear(sym, u.coeffs(), psi.coeffs())
-
-
-def _bilinear(sym: SymbolTable, a: np.ndarray, b: np.ndarray) -> float:
-    """bilinear_fourier on coefficient arrays in fft order."""
-    val = 2.0 * sym.grid.half_period * np.sum(sym.full_multiplier() * a * np.conj(b))
+    val = 2.0 * sym.grid.half_period * np.sum(
+        sym.full_multiplier() * u.coeffs() * np.conj(psi.coeffs()))
     return float(np.real(val))
 
 

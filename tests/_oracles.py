@@ -100,6 +100,52 @@ def minimize_loop(cfg):
                              diagnostics=nl.symmetry_diagnostics(u), flags=tuple(flags))
 
 
+def symmetry_diagnostics(u):
+    """nonlocper.symmetry_diagnostics through complex FFTs of length 8N: u
+    and u' refined to 8N nodes, then shifted by -z with PeriodicFunction.shift
+    (an FFT and an inverse FFT each), against the library's one padded irfft
+    per field."""
+    import math
+
+    from nonlocper.minimize import SymmetryDiagnostics
+
+    L = u.grid.half_period
+    n = u.grid.size
+    scale = float(np.max(np.abs(u.samples)))
+    if np.ptp(u.samples) < 1e-12 * max(1.0, scale):
+        return SymmetryDiagnostics(center=0.0, evenness_defect=0.0,
+                                   monotonicity_defect=0.0, critical_points=0,
+                                   degenerate=True)
+    fine = u.refine(8 * n)
+    z = float(fine.grid.nodes[int(np.argmax(fine.samples))])
+    du = u.derivative()
+    d2u = u.derivative(2)
+    for _ in range(60):
+        d1 = du.eval(z)
+        d2 = d2u.eval(z)
+        if abs(d2) < 1e-14 * max(1.0, scale):
+            break
+        step = d1 / d2
+        if abs(step) > L / n:
+            step = math.copysign(L / n, step)
+        z -= step
+        if abs(d1) < 1e-13 * max(1.0, scale):
+            break
+    centered = fine.shift(-z).samples
+    right, left = np.append(centered[4 * n:], centered[0]), centered[4 * n::-1]
+    evenness = float(np.max(np.abs(right - left)))
+    prof = 0.5 * (right + left)
+    running_min = np.minimum.accumulate(prof)
+    monotonicity = float(np.max(prof - running_min))
+    dvals = du.refine(8 * n).shift(-z).samples[4 * n + 1:]
+    thresh = 1e-7 * max(float(np.max(np.abs(dvals))), 1e-30)
+    signs = np.sign(dvals[np.abs(dvals) > thresh])
+    interior = int(np.count_nonzero(np.diff(signs) != 0)) if signs.size else 0
+    return SymmetryDiagnostics(center=z, evenness_defect=evenness,
+                               monotonicity_defect=monotonicity,
+                               critical_points=2 + interior, degenerate=False)
+
+
 def poisson_extension(u, radius: float) -> np.ndarray:
     """Harmonic extension at radius r by trapezoid quadrature of the Poisson
     kernel on M nodes, as a circular convolution with u refined to M nodes

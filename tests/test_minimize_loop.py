@@ -122,6 +122,19 @@ def test_config_rejects_what_the_descent_cannot_honour(change, message):
         nl.MinimizeConfig(**kw)
 
 
+@pytest.mark.parametrize("ell", [-1.0, -1.5])
+def test_config_rejects_a_symbol_the_preconditioner_cannot_divide_by(ell):
+    # at ell = -1 the preconditioner divides by zero; below it, the slope
+    # sum |pg_k|^2/(1 + ell_k) may turn negative and Armijo admit increases
+    g = nl.PeriodicGrid(math.pi, 64)
+    values = np.arange(g.size // 2 + 1, dtype=float)
+    values[-1] = ell
+    u0 = nl.PeriodicFunction.from_callable(g, lambda x: 1.0 + np.cos(x))
+    with pytest.raises(nl.DomainError, match="preconditioner"):
+        nl.MinimizeConfig(sym=nl.symbol_from_values(g, values),
+                          nl=nl.benjamin_ono_type(2.0), initial=u0, c=5.0)
+
+
 def test_level_sign_is_checked_for_homogeneous_constraints_only():
     # a polynomial Gtilde may be negative, so MinimizeConfig leaves its
     # levels to project_constraint

@@ -1,11 +1,12 @@
 """Run the installed `nonlocper` console script on every command of the
 README's CLI block, each with a u.csv of its --N samples in the working
-directory, and fail on a nonzero exit.  Then check five inputs that must
-exit 2, 2, 2, 3 and 3 without a traceback: an unread flag, a CSV path that is
-a directory, a constraint level that a homogeneous constraint cannot reach,
-an iteration budget that the descent cannot meet, and a principal value at
-a half period of 1e99, whose quadrature moments overflow (with a u.csv
-sampled on that grid).
+directory, and fail on a nonzero exit.  Then check six inputs that must
+exit 2, 2, 2, 3, 3 and 3 without a traceback: an unread flag, a CSV path
+that is a directory, a constraint level that a homogeneous constraint cannot
+reach, an iteration budget that the descent cannot meet, a principal value
+at a half period of 1e99, whose quadrature moments overflow (with a u.csv
+sampled on that grid), and a SineTail kernel class at a half period of
+1e-300, whose report would hold a NaN, which JSON cannot carry.
 
 Usage: python3 readme_cli.py path/to/README.md  (from a scratch directory)
 """
@@ -45,7 +46,9 @@ for want, argv in (
         (3, ["minimize", *fraclap, "--L", "12.566", "--N", "256", "--constraint", "5",
              "--seed", "1", "--max-iters", "1", "--out", "out"]),
         (3, ["apply", "--mode", "pv", *fraclap, "--L", "1e99", "--N", "64",
-             "--function", "big.csv", "--out", "out"])):
+             "--function", "big.csv", "--out", "out"]),
+        (3, ["kernel-class", "--kernel", "sinetail", "--s", "0.5", "--L", "1e-300",
+             "--out", "out"])):
     argv = ["nonlocper", *argv]
     print("+", shlex.join(argv), f"# expects exit {want}", flush=True)
     proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)

@@ -15,9 +15,9 @@ import numpy as np
 
 from .energy import seminorm_sq_offdiag
 from .errors import DomainError, StepSizeError
-from .grids import PeriodicFunction, PeriodicGrid, _samples_from_coeffs
+from .grids import PeriodicFunction, PeriodicGrid, _half_to_samples
 from .kernels import FractionalKernel, WrappedKernel, _gl_panels, wrap_kernel
-from .operator import _pv_fold
+from .operator import _pv_fold, bilinear_fourier, symbol_from_values
 
 
 def circle_grid(n: int) -> PeriodicGrid:
@@ -33,8 +33,8 @@ def _require_circle(u: PeriodicFunction) -> None:
 def dtn_multiplier(u: PeriodicFunction) -> PeriodicFunction:
     """|k| multiplier: the normal derivative of the harmonic extension."""
     _require_circle(u)
-    k = np.abs(u.grid.wavenumbers).astype(float)
-    return PeriodicFunction.from_coeffs(u.grid, u.coeffs() * k)
+    k = np.arange(u.grid.size // 2 + 1)
+    return PeriodicFunction.from_half_spectrum(u.grid, u.half_spectrum() * k)
 
 
 DTN_DELTA_SEQ = (1e-2, 5e-3, 2.5e-3, 1.25e-3)  # radial steps of dtn_poisson
@@ -44,7 +44,7 @@ def poisson_extension(u: PeriodicFunction, radius: float) -> np.ndarray:
     """Harmonic extension sampled at radius*e^{i theta_j}, computed by
     trapezoid quadrature of the Poisson kernel (a circular convolution) on
     M >= N nodes; M follows from the radius (error ~ radius^M) and N.  At
-    the N nodes it is u_k times the kernel samples' real FFT, for |k| <= N/2."""
+    the N nodes it is u's half spectrum times that of the kernel samples."""
     _require_circle(u)
     if not 0 <= radius < 1:
         raise DomainError("extension radius must lie in [0, 1)")
@@ -57,7 +57,7 @@ def poisson_extension(u: PeriodicFunction, radius: float) -> np.ndarray:
     pk = (1.0 - radius**2) / (2.0 * math.pi * (1.0 - 2.0 * radius * np.cos(phi)
                                                + radius**2))
     weights = np.fft.rfft(np.roll(pk, -(m // 2)))[: n // 2 + 1].real * (2.0 * math.pi / m)
-    return _samples_from_coeffs(u.grid, u.coeffs() * weights[np.abs(u.grid.wavenumbers)])
+    return _half_to_samples(u.half_spectrum() * weights, n)
 
 
 def dtn_poisson(u: PeriodicFunction) -> PeriodicFunction:
@@ -107,7 +107,7 @@ def wrapped_identity_check(t: float) -> dict:
 def energy_identity_check(u: PeriodicFunction) -> dict:
     """Three routes to the same quadratic energy:
 
-    * E_line: Fourier side, pi sum |k| |u_k|^2;
+    * E_line: Fourier side, pi sum |k| |u_k|^2 (bilinear_fourier, symbol |k|);
     * E_disk: (1/2) int_D |grad u_D|^2 by 64-point Gauss-Legendre (radius)
       x trapezoid (angle) quadrature of the harmonic extension;
     * E_circle: (1/4 pi) double trapezoid of (u(x)-u(y))^2 / (2-2cos(x-y)),
@@ -117,16 +117,15 @@ def energy_identity_check(u: PeriodicFunction) -> dict:
     _require_circle(u)
     grid = u.grid
     n = grid.size
-    c = u.coeffs()
-    k = grid.wavenumbers
-    e_line = math.pi * float(np.sum(np.abs(k) * np.abs(c) ** 2))
+    c = u.half_spectrum()
+    k = np.arange(n // 2 + 1.0)
+    e_line = 0.5 * bilinear_fourier(symbol_from_values(grid, k), u, u)
 
     rr, ww = _gl_panels([0.0, 1.0], 64)
-    absk = np.abs(k).astype(float)
     # u_D(r, theta) = sum_k u_k r^{|k|} e^{ik theta}; one row per radius
-    radial = rr[:, None] ** np.maximum(absk - 1.0, 0.0)
-    dr = _samples_from_coeffs(grid, c * absk * radial)
-    dtheta_over_r = _samples_from_coeffs(grid, c * 1j * k * radial)
+    radial = rr[:, None] ** np.maximum(k - 1.0, 0.0)
+    dr = _half_to_samples(c * k * radial, n)
+    dtheta_over_r = _half_to_samples(c * 1j * k * radial, n)
     terms = ww * rr * (2.0 * math.pi / n) * np.sum(dr**2 + dtheta_over_r**2, axis=1)
     e_disk = 0.5 * float(np.cumsum(terms)[-1])  # summed in radius order
 

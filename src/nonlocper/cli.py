@@ -39,7 +39,7 @@ from .energy import (Nonlinearity, benjamin_ono_type, double_well,
 from .energy import energy as energy_fn
 from .minimize import MinimizeConfig, max_principle_probe
 from .minimize import minimize as run_minimize
-from .errors import DomainError, NonlocError
+from .errors import DomainError, IntegrationError, NonlocError
 from .grids import PeriodicFunction, PeriodicGrid
 
 EXIT_OK = 0
@@ -475,6 +475,19 @@ def merge_config(args: argparse.Namespace) -> dict:
     return config
 
 
+def _non_finite_field(value, path: str) -> str | None:
+    """The dotted path of the first NaN or infinite float in value, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, (list, tuple)) else ())
+    for key, item in items:
+        found = _non_finite_field(item, f"{path}.{key}")
+        if found is not None:
+            return found
+    return None
+
+
 def run(config: dict, out_dir: str = ".") -> int:
     """Validate, dispatch, and write the report; returns the exit code."""
     out = Path(out_dir)
@@ -488,8 +501,12 @@ def run(config: dict, out_dir: str = ".") -> int:
                   "timestamp": datetime.datetime.now(
                       datetime.timezone.utc).isoformat(),
                   "result": payload}
-        path = out / f"{config['command']}_report.json"
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        try:
+            text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError:
+            raise IntegrationError(f"report field {_non_finite_field(payload, 'result')} "
+                                   f"is not a finite number") from None
+        (out / f"{config['command']}_report.json").write_text(text + "\n")
     except (*_CONFIG_ERRORS, NonlocError) as exc:
         return _exit_code(exc)
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -112,7 +112,7 @@ def seminorm_sq_offdiag(kbar_at_cells: np.ndarray, u: PeriodicFunction) -> float
     if kbar_at_cells.shape != (n - 1,):
         raise ValueError("need Kbar at the N-1 nonzero cell distances")
     # circular autocorrelation A_d = sum_i u_i u_{i+d}
-    acf = np.real(np.fft.ifft(np.abs(np.fft.fft(u.samples)) ** 2))
+    acf = np.fft.irfft(np.abs(np.fft.rfft(u.samples)) ** 2, n)
     s2 = float(np.sum(u.samples**2))
     return h * h * (s2 * float(np.sum(kbar_at_cells))
                     - float(np.sum(kbar_at_cells * acf[1:])))

@@ -3,9 +3,10 @@
 Conventions: the grid covers one period [-L, L) with N (a power of two)
 equispaced nodes.  Fourier coefficients follow the integral normalization
 u_k = (1/2L) int u(x) exp(-i pi k x / L) dx, so a real function satisfies
-u_{-k} = conj(u_k).  Coefficients are stored in numpy fft order; the
-Nyquist coefficient is forced real and, for off-grid evaluation, refinement
-and shifts, is treated as a pure cosine split evenly between +-N/2.
+u_{-k} = conj(u_k) and is kept as its half spectrum u_0..u_{N/2}.  The
+Nyquist entry is real, the amplitude of cos(pi N x / 2L), the one Nyquist
+term the nodes see (from_half_spectrum drops an imaginary part); off the
+nodes that cosine is split evenly between +-N/2.
 """
 
 from __future__ import annotations
@@ -45,41 +46,36 @@ class PeriodicGrid:
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
-        """Integer mode numbers in fft order (cached, read-only)."""
+        """Integer mode numbers in the fft order of PeriodicFunction.coeffs
+        (cached, read-only)."""
         k = np.fft.fftfreq(self.size, d=1.0 / self.size).astype(int)
         k.setflags(write=False)
         return k
-
-    @cached_property
-    def node_signs(self) -> np.ndarray:
-        """(-1)^k in fft order, the phase of mode k at the first node x = -L
-        (cached, read-only)."""
-        signs = np.power(-1.0, self.wavenumbers)
-        signs.setflags(write=False)
-        return signs
 
     def frequencies(self) -> np.ndarray:
         """Physical frequencies pi*k/L for k = 0..N/2."""
         return np.pi * np.arange(self.size // 2 + 1) / self.half_period
 
 
-def _coeffs_from_samples(grid: PeriodicGrid, samples: np.ndarray) -> np.ndarray:
-    # nodes start at -L: the DFT picks up a (-1)^k phase per mode.
-    c = np.fft.fft(samples) / grid.size * grid.node_signs
-    half = grid.size // 2
-    c[half] = c[half].real + 0.0j
-    return c
-
-
-def _samples_from_coeffs(grid: PeriodicGrid, coeffs: np.ndarray) -> np.ndarray:
-    return np.real(np.fft.ifft(coeffs * grid.node_signs * grid.size))
+def _half_to_samples(half: np.ndarray, m: int) -> np.ndarray:
+    """Samples on the m-node grid of the period (m >= N) of the real
+    function(s) whose half spectrum on the N-node grid is `half` (last axis
+    N/2 + 1, one function per row), by one zero-padded irfft.  On a finer
+    grid the Nyquist cosine is the +-N/2 pair, each with half its entry."""
+    n_half = half.shape[-1] - 1
+    spec = np.zeros(half.shape[:-1] + (m // 2 + 1,), dtype=complex)
+    spec[..., :n_half + 1] = half
+    if m > 2 * n_half:
+        spec[..., n_half] *= 0.5
+    spec[..., 1::2] *= -1.0  # nodes start at -L: mode k has phase (-1)^k there
+    return np.fft.irfft(spec, m) * m
 
 
 @dataclass(frozen=True)
 class PeriodicFunction:
     grid: PeriodicGrid
     samples: np.ndarray
-    _coeffs: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _half: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
@@ -93,36 +89,56 @@ class PeriodicFunction:
         return cls(grid, np.asarray(f(grid.nodes), dtype=float))
 
     @classmethod
+    def from_half_spectrum(cls, grid: PeriodicGrid, half: np.ndarray) -> "PeriodicFunction":
+        """The real function with coefficients u_0..u_{N/2} = half; the
+        Nyquist entry's imaginary part is dropped (see the module docstring)."""
+        half = np.array(half, dtype=complex)
+        if half.shape != (grid.size // 2 + 1,):
+            raise GridMismatchError("a half spectrum has N/2 + 1 entries")
+        half[-1] = half[-1].real
+        half.setflags(write=False)
+        return cls(grid, _half_to_samples(half, grid.size), _half=half)
+
+    @classmethod
     def from_coeffs(cls, grid: PeriodicGrid, coeffs: np.ndarray) -> "PeriodicFunction":
-        coeffs = np.asarray(coeffs, dtype=complex)
-        samples = _samples_from_coeffs(grid, coeffs)
-        return cls(grid, samples, _coeffs=coeffs)
+        """The real function with coefficients `coeffs` in fft order, which
+        must be Hermitian (coeffs[-k] = conj(coeffs[k]), coeffs[N/2] real):
+        only the entries for k = 0..N/2 are read."""
+        return cls.from_half_spectrum(grid, np.asarray(coeffs)[: grid.size // 2 + 1])
+
+    def half_spectrum(self) -> np.ndarray:
+        """u_k for k = 0..N/2: rfft(samples)/N with the node phase (-1)^k
+        (lazy, cached, read-only)."""
+        if self._half is None:
+            half = np.fft.rfft(self.samples) / self.grid.size
+            half[1::2] *= -1.0
+            half.setflags(write=False)
+            object.__setattr__(self, "_half", half)
+        return self._half
 
     def coeffs(self) -> np.ndarray:
-        """Fourier coefficients in fft order (lazy, cached)."""
-        if self._coeffs is None:
-            object.__setattr__(self, "_coeffs", _coeffs_from_samples(self.grid, self.samples))
-        return self._coeffs
+        """All N coefficients in fft order, u_{-k} = conj(u_k) (a new array)."""
+        half = self.half_spectrum()
+        return np.concatenate([half, np.conj(half[-2:0:-1])])
 
     def coeff(self, k: int) -> complex:
-        """u_k for |k| <= N/2; the Nyquist entry is its real (cosine) part."""
+        """u_k for |k| <= N/2; both Nyquist entries are the cosine amplitude."""
         n = self.grid.size
         if not -n // 2 <= k <= n // 2:
             raise DomainError(f"mode {k} outside resolved band")
-        if abs(k) == n // 2:
-            return complex(self.coeffs()[n // 2].real)
-        return complex(self.coeffs()[k % n])
+        c = self.half_spectrum()[abs(k)]
+        return complex(c if k >= 0 else np.conj(c))
 
     def modes(self, x) -> np.ndarray:
         """Real half-spectrum table at the points x: row i holds
         a_k(x_i) = re_k cos(omega_k x_i) - im_k sin(omega_k x_i), k = 0..N/2,
         the +-k Fourier terms at x_i summed (the Nyquist mode one-sided).
         Row sums are u(x); sum_k (-omega_k^2)^m a_k(x) is u^(2m)(x)."""
-        k, c = self.grid.wavenumbers, self.coeffs()
-        re = np.bincount(np.abs(k), weights=c.real)
-        im = np.bincount(np.abs(k), weights=np.sign(k) * c.imag)
+        a = 2.0 * self.half_spectrum()
+        a[0] *= 0.5
+        a[-1] *= 0.5
         phase = np.outer(x, self.grid.frequencies())
-        return np.cos(phase) * re - np.sin(phase) * im
+        return np.cos(phase) * a.real - np.sin(phase) * a.imag
 
     def eval(self, x) -> np.ndarray | float:
         """Band-limited (trigonometric) interpolation at arbitrary points:
@@ -143,26 +159,21 @@ class PeriodicFunction:
         if m == n:
             return self
         return PeriodicFunction(PeriodicGrid(self.grid.half_period, m),
-                                _padded_samples(self.coeffs()[: n // 2 + 1], m))
+                                _half_to_samples(self.half_spectrum(), m))
 
     def shift(self, z: float) -> "PeriodicFunction":
-        """Spectral translation: result(x) = self(x - z)."""
-        L, n = self.grid.half_period, self.grid.size
-        k = self.grid.wavenumbers
-        c = self.coeffs() * np.exp(-1j * np.pi * k * z / L)
-        half = n // 2
-        # cos(pi*half*(x-z)/L) sampled at grid nodes keeps only its cosine part
-        c[half] = self.coeffs()[half].real * np.cos(np.pi * half * z / L)
-        return PeriodicFunction.from_coeffs(self.grid, c)
+        """Spectral translation: result(x) = self(x - z).  At the nodes the
+        shifted Nyquist cosine keeps only its cosine part."""
+        k = np.arange(self.grid.size // 2 + 1)
+        return PeriodicFunction.from_half_spectrum(
+            self.grid, self.half_spectrum() * np.exp(-1j * np.pi * k * z / self.grid.half_period))
 
     def derivative(self, order: int = 1) -> "PeriodicFunction":
-        L = self.grid.half_period
-        k = self.grid.wavenumbers.astype(float)
-        c = self.coeffs() * (1j * np.pi * k / L) ** order
-        half = self.grid.size // 2
-        if order % 2 == 1:
-            c[half] = 0.0  # odd derivative of the Nyquist cosine vanishes at nodes
-        return PeriodicFunction.from_coeffs(self.grid, c)
+        """The spectral derivative; an odd one drops the Nyquist cosine,
+        whose odd derivatives vanish at the nodes."""
+        k = np.arange(self.grid.size // 2 + 1.0)
+        return PeriodicFunction.from_half_spectrum(
+            self.grid, self.half_spectrum() * (1j * np.pi * k / self.grid.half_period) ** order)
 
     def mean(self) -> float:
         return float(np.mean(self.samples))
@@ -189,17 +200,6 @@ class PeriodicFunction:
     __rmul__ = __mul__
 
 
-def _padded_samples(half: np.ndarray, m: int) -> np.ndarray:
-    """Samples on the m-node grid of the period of the real function whose
-    coefficients for k = 0..N/2 are `half` (length N/2 + 1, the last one the
-    Nyquist cosine, split evenly between +-N/2), by one zero-padded irfft."""
-    padded = np.zeros(m // 2 + 1, dtype=complex)
-    padded[: half.size] = half
-    padded[half.size - 1] *= 0.5
-    padded *= np.power(-1.0, np.arange(m // 2 + 1))  # nodes start at -L
-    return np.fft.irfft(padded, m) * m
-
-
 def _require_same_grid(u: PeriodicFunction, v: PeriodicFunction) -> None:
     if u.grid != v.grid:
         raise GridMismatchError("functions live on different grids")
@@ -213,7 +213,7 @@ def decay_exponent(u: PeriodicFunction) -> float:
     """
     lo, hi = 2, u.grid.size // 2
     ks = np.arange(lo, hi + 1)
-    mags = np.array([abs(u.coeff(k)) for k in ks])
+    mags = np.abs(u.half_spectrum()[lo:])
     keep = mags > COEFF_NOISE_FLOOR
     if np.count_nonzero(keep) < 8:
         raise DegenerateFitError(

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import (DivergenceError, DomainError, HypothesisViolationError,
                      ProjectionError)
-from .grids import PeriodicFunction, _padded_samples
+from .grids import PeriodicFunction, _half_to_samples
 from .kernels import Kernel
 from .operator import SymbolTable, apply_pv
 from .energy import (Nonlinearity, _gradient, _lagrangian, _trapezoid, energy,
@@ -164,14 +164,14 @@ def symmetry_diagnostics(u: PeriodicFunction) -> SymmetryDiagnostics:
     # half spectrum times e^(i pi k z/L), zero-padded to 8N (u' has no
     # Nyquist mode, as derivative() drops it)
     phase = np.exp(1j * np.pi * np.arange(n // 2 + 1) * z / L)
-    centered = _padded_samples(u.coeffs()[: n // 2 + 1] * phase, 8 * n)
+    centered = _half_to_samples(u.half_spectrum() * phase, 8 * n)
     right, left = np.append(centered[4 * n:], centered[0]), centered[4 * n::-1]
     evenness = float(np.max(np.abs(right - left)))
     prof = 0.5 * (right + left)
     running_min = np.minimum.accumulate(prof)
     monotonicity = float(np.max(prof - running_min))
     # critical points: derivative sign changes strictly inside (0, L)
-    dvals = _padded_samples(du.coeffs()[: n // 2 + 1] * phase, 8 * n)[4 * n + 1:]
+    dvals = _half_to_samples(du.half_spectrum() * phase, 8 * n)[4 * n + 1:]
     thresh = 1e-7 * max(float(np.max(np.abs(dvals))), 1e-30)
     signs = np.sign(dvals[np.abs(dvals) > thresh])
     interior = int(np.count_nonzero(np.diff(signs) != 0)) if signs.size else 0
@@ -201,23 +201,15 @@ class MinimizeResult:
                 "flags": list(self.flags)}
 
 
-def _inner(u: PeriodicFunction, v: PeriodicFunction) -> float:
-    return _dot(u.grid, u.samples, v.samples)
-
-
 def _dot(grid, a: np.ndarray, b: np.ndarray) -> float:
     """The trapezoid L^2 inner product of two sample arrays."""
     return grid.spacing * float(np.sum(a * b))
 
 
-def _precondition(sym: SymbolTable, v: PeriodicFunction) -> PeriodicFunction:
-    """Divide mode k by 1 + ell(pi k/L) to tame the |k|^(2s) stiffness:
-    irfft(rfft(v) / (1 + ell)), two real FFTs (_preconditioned on arrays).
-    MinimizeConfig requires 1 + ell > 0."""
-    return PeriodicFunction(v.grid, _preconditioned(sym, v.samples))
-
-
 def _preconditioned(sym: SymbolTable, samples: np.ndarray) -> np.ndarray:
+    """Divide mode k by 1 + ell(pi k/L) to tame the |k|^(2s) stiffness:
+    irfft(rfft(v) / (1 + ell)), two real FFTs.  MinimizeConfig requires
+    1 + ell > 0."""
     return np.fft.irfft(np.fft.rfft(samples) / (1.0 + sym.values), sym.grid.size)
 
 

@@ -19,8 +19,8 @@ from .kernels import Kernel, WrappedKernel, _gl_panels, _row_blocks, wrap_kernel
 
 @dataclass(frozen=True)
 class SymbolTable:
-    """Multiplier values ell(pi*k/L) for 0 <= k <= N/2.  The symbol is even,
-    so negative modes reuse the |k| entry."""
+    """Multiplier values ell(pi*k/L) for 0 <= k <= N/2, the modes of a half
+    spectrum.  The symbol is even, so mode -k has the entry of k."""
 
     grid: PeriodicGrid
     values: np.ndarray
@@ -32,16 +32,6 @@ class SymbolTable:
             raise GridMismatchError("symbol table length must be N/2 + 1")
         object.__setattr__(self, "values", v)
         v.setflags(write=False)
-
-    def full_multiplier(self) -> np.ndarray:
-        """Multiplier in fft mode order, length N (cached, read-only)."""
-        return self._full_multiplier
-
-    @functools.cached_property
-    def _full_multiplier(self) -> np.ndarray:
-        full = self.values[np.abs(self.grid.wavenumbers)]
-        full.setflags(write=False)
-        return full
 
     @functools.cached_property
     def kinetic_weights(self) -> np.ndarray:
@@ -266,7 +256,7 @@ def apply_spectral(sym: SymbolTable, u: PeriodicFunction) -> PeriodicFunction:
     ell(0) = 0 (all kernel-derived symbols)."""
     if sym.grid != u.grid:
         raise GridMismatchError("symbol and function live on different grids")
-    return PeriodicFunction.from_coeffs(u.grid, u.coeffs() * sym.full_multiplier())
+    return PeriodicFunction.from_half_spectrum(u.grid, u.half_spectrum() * sym.values)
 
 
 PV_EPS_SEQ = (1e-2, 1e-3, 1e-4)  # where the graded panels of each PV estimate start
@@ -394,12 +384,12 @@ def apply_pv_grid(kernel: Kernel, u: PeriodicFunction) -> PeriodicFunction:
 
 def bilinear_fourier(sym: SymbolTable, u: PeriodicFunction,
                      psi: PeriodicFunction) -> float:
-    """<u, psi>_K = 2L sum_k ell(pi k/L) u_k conj(psi_k)."""
+    """<u, psi>_K = 2L sum_k ell(pi k/L) u_k conj(psi_k) over |k| <= N/2,
+    folded onto the half spectra: 2 N^2 kinetic_weights . Re(u_k conj(psi_k))."""
     if not (sym.grid == u.grid == psi.grid):
         raise GridMismatchError("grid mismatch in bilinear form")
-    val = 2.0 * sym.grid.half_period * np.sum(
-        sym.full_multiplier() * u.coeffs() * np.conj(psi.coeffs()))
-    return float(np.real(val))
+    hu, hp = u.half_spectrum(), psi.half_spectrum()
+    return 2.0 * sym.grid.size**2 * float(sym.kinetic_weights @ (hu * hp.conj()).real)
 
 
 def symbol_bounds_hold(sym: SymbolTable, kernel: Kernel) -> bool:

@@ -150,7 +150,7 @@ def riesz_circle_check(f: PeriodicFunction, g: PeriodicFunction,
     gd = _distance_samples(g)
 
     def double_sum(fs: np.ndarray, hs: np.ndarray) -> float:
-        conv = np.real(np.fft.ifft(np.fft.fft(gd) * np.fft.fft(hs)))
+        conv = np.fft.irfft(np.fft.rfft(gd) * np.fft.rfft(hs), gd.size)
         return hx * hx * float(np.sum(fs * conv))
 
     fstar = rearrange_periodic(f)

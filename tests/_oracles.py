@@ -41,8 +41,15 @@ def minimize_loop(cfg):
     multiplier) and project_constraint: the library's loop evaluates only
     the energy per candidate and must reproduce this one bit for bit."""
     import nonlocper as nl
-    from nonlocper.minimize import (ARMIJO_C1, ARMIJO_SHRINK, _inner, _precondition,
+    from nonlocper.minimize import (ARMIJO_C1, ARMIJO_SHRINK, _dot, _preconditioned,
                                     multiplier_and_residual)
+
+    def precondition(v):
+        # mode k divided by 1 + ell, on a PeriodicFunction
+        return nl.PeriodicFunction(v.grid, _preconditioned(cfg.sym, v.samples))
+
+    def inner(a, b):
+        return _dot(a.grid, a.samples, b.samples)
 
     flags = []
     if np.any(cfg.sym.values < 0):
@@ -51,7 +58,7 @@ def minimize_loop(cfg):
     u = nl.project_constraint(cfg.initial, cfg.nl, cfg.c) if constrained else cfg.initial
     lam, pg, rep = multiplier_and_residual(u, cfg.sym, cfg.nl, constrained)
     trace = [rep.total]
-    d = _precondition(cfg.sym, pg)
+    d = precondition(pg)
     d_norm = d.l2_norm()
     step, it, converged, stagnant = 1.0, 0, False, 0
     while it < cfg.max_iters:
@@ -59,7 +66,7 @@ def minimize_loop(cfg):
         if d_norm < cfg.grad_tol:
             converged = True
             break
-        slope = _inner(pg, d)
+        slope = inner(pg, d)
         accepted = False
         for _ in range(60):
             cand = u - step * d
@@ -76,7 +83,7 @@ def minimize_loop(cfg):
                 else:
                     stagnant = 0
                 u, lam, pg = cand, lam_c, pg_c
-                d = _precondition(cfg.sym, pg)
+                d = precondition(pg)
                 d_norm = d.l2_norm()
                 trace.append(rep_c.total)
                 step = min(step * 1.5, 1e6)
@@ -323,20 +330,20 @@ def energy_identity_check(u) -> dict:
     import math
 
     from nonlocper.energy import seminorm_sq_offdiag
-    from nonlocper.grids import _samples_from_coeffs
+    from nonlocper.grids import _half_to_samples
+    from nonlocper.operator import bilinear_fourier, symbol_from_values
 
     grid = u.grid
     n = grid.size
-    c = u.coeffs()
-    k = grid.wavenumbers
-    e_line = math.pi * float(np.sum(np.abs(k) * np.abs(c) ** 2))
+    c = u.half_spectrum()
+    k = np.arange(n // 2 + 1.0)
+    e_line = 0.5 * bilinear_fourier(symbol_from_values(grid, k), u, u)
     nodes, weights = np.polynomial.legendre.leggauss(64)
     rr = 0.5 * (nodes + 1.0)
     ww = 0.5 * weights
-    absk = np.abs(k).astype(float)
-    radial = rr[:, None] ** np.maximum(absk - 1.0, 0.0)
-    dr = _samples_from_coeffs(grid, c * absk * radial)
-    dtheta_over_r = _samples_from_coeffs(grid, c * 1j * k * radial)
+    radial = rr[:, None] ** np.maximum(k - 1.0, 0.0)
+    dr = _half_to_samples(c * k * radial, n)
+    dtheta_over_r = _half_to_samples(c * 1j * k * radial, n)
     terms = ww * rr * (2.0 * math.pi / n) * np.sum(dr**2 + dtheta_over_r**2, axis=1)
     e_disk = 0.5 * float(np.cumsum(terms)[-1])
     h = grid.spacing
@@ -420,3 +427,108 @@ def grid_values(wk, distances) -> np.ndarray:
     if kernel.support is not None:
         return _safe_profile(kernel, np.where(tf == 0.0, 1e-12 * L, tf)) + rest
     return np.where(tf > 0, _safe_profile(kernel, tf), np.inf) + rest
+
+
+# The full-spectrum forms that PeriodicFunction, apply_spectral,
+# bilinear_fourier and the circle routes used before the library kept one
+# real half spectrum: N coefficients in fft order from a complex FFT, the
+# Nyquist coefficient forced real and, off the nodes, split evenly between
+# +-N/2.
+
+def full_coeffs(u) -> np.ndarray:
+    """The N coefficients of u in fft order, by one complex FFT."""
+    n = u.grid.size
+    c = np.fft.fft(u.samples) / n * np.power(-1.0, u.grid.wavenumbers)
+    c[n // 2] = c[n // 2].real
+    return c
+
+
+def full_samples(grid, c) -> np.ndarray:
+    """The samples of the real function with coefficients c in fft order
+    (one row per function), by one complex inverse FFT per row."""
+    return np.real(np.fft.ifft(c * np.power(-1.0, grid.wavenumbers) * grid.size))
+
+
+def full_multiplier(sym) -> np.ndarray:
+    """The symbol in fft order: mode -k reads the entry of k."""
+    return sym.values[np.abs(sym.grid.wavenumbers)]
+
+
+def full_modes(u, x) -> np.ndarray:
+    """nonlocper.PeriodicFunction.modes, the +-k terms folded by bincount."""
+    k, c = u.grid.wavenumbers, full_coeffs(u)
+    re = np.bincount(np.abs(k), weights=c.real)
+    im = np.bincount(np.abs(k), weights=np.sign(k) * c.imag)
+    phase = np.outer(x, u.grid.frequencies())
+    return np.cos(phase) * re - np.sin(phase) * im
+
+
+def full_refine(u, m: int) -> np.ndarray:
+    """The samples of u.refine(m): the full spectrum zero-padded to m modes,
+    the Nyquist cosine split between +-N/2, one complex inverse FFT."""
+    n = u.grid.size
+    c = full_coeffs(u)
+    padded = np.zeros(m, dtype=complex)
+    padded[: n // 2] = c[: n // 2]
+    padded[m - n // 2 + 1:] = c[n // 2 + 1:]
+    padded[n // 2] = padded[m - n // 2] = 0.5 * c[n // 2]
+    k = np.fft.fftfreq(m, d=1.0 / m)
+    return np.real(np.fft.ifft(padded * np.power(-1.0, k) * m))
+
+
+def full_shift(u, z: float) -> np.ndarray:
+    """The samples of u.shift(z); the Nyquist cosine keeps its cosine part."""
+    L, n = u.grid.half_period, u.grid.size
+    c = full_coeffs(u)
+    shifted = c * np.exp(-1j * np.pi * u.grid.wavenumbers * z / L)
+    shifted[n // 2] = c[n // 2].real * np.cos(np.pi * (n // 2) * z / L)
+    return full_samples(u.grid, shifted)
+
+
+def full_derivative(u, order: int) -> np.ndarray:
+    """The samples of u.derivative(order); an odd one drops the Nyquist mode."""
+    k = u.grid.wavenumbers.astype(float)
+    c = full_coeffs(u) * (1j * np.pi * k / u.grid.half_period) ** order
+    if order % 2:
+        c[u.grid.size // 2] = 0.0
+    return full_samples(u.grid, c)
+
+
+def full_apply_spectral(sym, u) -> np.ndarray:
+    """The samples of nonlocper.apply_spectral(sym, u)."""
+    return full_samples(u.grid, full_coeffs(u) * full_multiplier(sym))
+
+
+def full_bilinear_fourier(sym, u, psi) -> float:
+    """nonlocper.bilinear_fourier: 2L sum over all N modes."""
+    val = 2.0 * sym.grid.half_period * np.sum(
+        full_multiplier(sym) * full_coeffs(u) * np.conj(full_coeffs(psi)))
+    return float(np.real(val))
+
+
+def full_dtn_multiplier(u) -> np.ndarray:
+    """The samples of nonlocper.dtn_multiplier(u), the |k| multiplier."""
+    return full_samples(u.grid, full_coeffs(u) * np.abs(u.grid.wavenumbers))
+
+
+def full_energy_identity(u) -> dict:
+    """nonlocper.energy_identity_check with E_line and E_disk from the full
+    coefficients and E_circle's autocorrelation by complex FFTs."""
+    import math
+
+    grid, n, h = u.grid, u.grid.size, u.grid.spacing
+    c, k = full_coeffs(u), grid.wavenumbers
+    absk = np.abs(k).astype(float)
+    e_line = math.pi * float(np.sum(absk * np.abs(c) ** 2))
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    rr, ww = 0.5 * (nodes + 1.0), 0.5 * weights
+    radial = rr[:, None] ** np.maximum(absk - 1.0, 0.0)
+    dr = full_samples(grid, c * absk * radial)
+    dth = full_samples(grid, c * 1j * k * radial)
+    e_disk = 0.5 * float(np.sum(ww * rr * (2.0 * math.pi / n) * np.sum(dr**2 + dth**2, axis=1)))
+    acf = np.real(np.fft.ifft(np.abs(np.fft.fft(u.samples)) ** 2))
+    kbar = 1.0 / (2.0 - 2.0 * np.cos(h * np.arange(1, n)))
+    off = h * h * (float(np.sum(u.samples**2)) * float(np.sum(kbar)) - float(np.sum(kbar * acf[1:])))
+    diagonal = h * h * float(np.sum(full_derivative(u, 1) ** 2))
+    return {"E_line": e_line, "E_disk": e_disk,
+            "E_circle": (2.0 * off + diagonal) / (4.0 * math.pi)}

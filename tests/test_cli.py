@@ -386,6 +386,18 @@ class TestCommands:
         assert err.startswith("numerical failure") and "Traceback" not in err
         assert not (tmp_path / "applied.csv").exists()
 
+    def test_non_finite_report_field_is_numerical_failure(self, tmp_path):
+        # at L = 1e-300 SineTail's monotonicity_margin is NaN, and the command
+        # exited 0 with a bare NaN in its report, which is not JSON.
+        # The run warns on the way, so it goes in a fresh process, where
+        # RuntimeWarnings stay warnings
+        proc = run_fresh(["kernel-class", "--kernel", "sinetail", "--s", 0.5,
+                          "--L", 1e-300, "--out", tmp_path])
+        assert proc.returncode == cli.EXIT_NUMERICAL
+        assert "numerical failure: report field result.monotonicity_margin" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "kernel-class_report.json").exists()
+
     def test_kernel_class(self, tmp_path):
         code = run_cli(["kernel-class", "--kernel", "sinetail", "--s", 0.5,
                         "--out", tmp_path])

@@ -118,6 +118,18 @@ def seminorm_sq_offdiag(kbar_at_cells: np.ndarray, u: PeriodicFunction) -> float
                     - float(np.sum(kbar_at_cells * acf[1:])))
 
 
+def _cell_weights(wk: WrappedKernel, grid) -> np.ndarray:
+    """Kbar(d h) for d = 1..N-1, the off-diagonal weights of the grid double
+    sum, from one call of wk: K at each distance plus the wrap's Hermite
+    table of the image sum (with a support, the exact trimmed sum, so the
+    weights are grid_values' bitwise).  Without a support each is within
+    3e-15 relative of wk.grid_values, which re-sums 128 images per distance,
+    except where an image (2k+1)L of d h = L lands on SineTail's t = 10
+    switch (L = 2, 10/3): the sum and the table then take different sides
+    of the profile's jump there, 2e-9 to 1e-8 apart."""
+    return wk(grid.spacing * np.arange(1, grid.size))
+
+
 def seminorm_sq_realspace(wk: WrappedKernel, u: PeriodicFunction) -> float:
     """[u]_K^2 by the double trapezoid sum over one period square,
 
@@ -125,11 +137,11 @@ def seminorm_sq_realspace(wk: WrappedKernel, u: PeriodicFunction) -> float:
 
     with the diagonal strip |x - y| < h restored by the local model
     |u(x)-u(y)|^2 ~ u'(x)^2 (x-y)^2 integrated against Kbar over the cell
-    (plus the matching trapezoid edge corrections)."""
+    (plus the matching trapezoid edge corrections).  The off-diagonal
+    weights come from _cell_weights, the wrap's call table."""
     wk.require_period(u.grid.half_period)
     h = u.grid.spacing
-    kbar = wk.grid_values(h * np.arange(1, u.grid.size))  # distances d = 1..N-1 cells
-    off_diag = seminorm_sq_offdiag(kbar, u)
+    off_diag = seminorm_sq_offdiag(_cell_weights(wk, u.grid), u)
     # diagonal strip: model g(z) = u'(x)^2 z^2 Kbar(z); the missing piece is
     #   int_{-h}^{h} g - h g(h) + (h^2/6) g'(h)
     # (the h g(h) and g' terms undo the double-counted edge weight and the

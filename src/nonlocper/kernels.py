@@ -767,9 +767,12 @@ class WrappedKernel:
     Kbar is even and 2L-periodic by construction.  Evaluation splits off the
     k = 0 singular term: Kbar(t) = K(t_fold) + R(t_fold) with t_fold the
     distance folded into [0, L] and R the sum over the images k != 0.
-    grid_values reads R from the exact image sum; a call reads it from the
-    cubic Hermite table that wrap_kernel builds from its Chebyshev
-    interpolant, or, with a support, from the exact sum too.
+    A call reads R from the cubic Hermite table that wrap_kernel builds
+    from its Chebyshev interpolant, or, with a support, from the exact
+    sum; every route of the package (apply_pv, the grid weights of
+    polya_szego_check and seminorm_sq_realspace) evaluates Kbar this way.
+    grid_values re-sums the images per distance: it is the exact
+    reference that tests and benchmarks compare a call against.
     """
 
     kernel: Kernel
@@ -806,7 +809,9 @@ class WrappedKernel:
         return float(out[0]) if np.ndim(t) == 0 else out
 
     def grid_values(self, distances) -> np.ndarray:
-        """Exact (summed, not tabulated) values at the given distances > 0."""
+        """Exact (summed, not tabulated) values at the given distances > 0:
+        128 images and the Euler-Maclaurin tail per distance.  A reference
+        for checking calls; no route of the package reads it."""
         return self._kbar(np.atleast_1d(self.fold(distances)), self._exact)
 
     def _kbar(self, tf: np.ndarray, remainder: Callable) -> np.ndarray:
@@ -1065,13 +1070,14 @@ def wrap_kernel(kernel: Kernel, L: float, tol: float = 1e-10) -> WrappedKernel:
     Kbar may jump or kink and apply_pv's panels end.  The remainder
     R(t) = sum_{k != 0} K(|t + 2kL|) is summed exactly by one
     _exact_remainder, built here and kept: K_DIRECT image terms on each
-    side plus an Euler-Maclaurin tail.  grid_values reads that sum.
-    Without a support, R is analytic on [0, L] between the same folds: it
-    is interpolated there at nested Chebyshev points until the trailing
-    coefficients are negligible (see _cheb_fit), and R and R' are
-    tabulated on _TABLE_CELLS uniform cells that a call reads as a cubic
-    Hermite.  With a support, a call reads the exact sum too, which stays
-    honest across the jumps where an interpolant would ring.
+    side plus an Euler-Maclaurin tail.  grid_values, the exact reference,
+    reads that sum.  Without a support, R is analytic on [0, L] between
+    the same folds: it is interpolated there at nested Chebyshev points
+    until the trailing coefficients are negligible (see _cheb_fit), and R
+    and R' are tabulated on _TABLE_CELLS uniform cells that a call reads
+    as a cubic Hermite, within 3e-15 relative of the exact sum at the cell
+    distances of a grid.  With a support, a call reads the exact sum too,
+    which stays honest across the jumps where an interpolant would ring.
 
     tol sets nothing: the construction above fixes the accuracy.  It is
     still accepted, and values <= 0 are still rejected, for callers that
@@ -1122,7 +1128,7 @@ def classify_kernel(kernel: Kernel, L: float = math.pi) -> KernelClassReport:
     tt = np.linspace(L / 512, L, 512)
     remainder = _exact_remainder(kernel, L)
     try:
-        # wrap_kernel(kernel, L).grid_values(tt), without the call table
+        # Kbar at tt from the exact image sum, without building the call table
         vals = _safe_profile(kernel, tt) + remainder(tt)
     except DomainError:
         # only Kernel.tail_integral's missing growth bound leaves the wrap

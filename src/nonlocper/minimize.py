@@ -133,6 +133,31 @@ class SymmetryDiagnostics:
         return asdict(self)
 
 
+def _newton_center(du: PeriodicFunction, z0: float, width: float, scale: float) -> float:
+    """Newton refinement of u'(z) = 0 from the fine-grid argmax z0, with u''
+    taken as du' (so both drop the Nyquist mode, as derivative() does).
+    Steps are clamped to width.  The result is kept only when |u'| meets
+    its tolerance at a point where u'' < 0 and the step lands within width
+    of z0; a flat u'', a step out of that window or 60 steps without
+    convergence report z0."""
+    d2u = du.derivative()
+    z = z0
+    for _ in range(60):
+        d1 = du.eval(z)
+        d2 = d2u.eval(z)
+        if abs(d2) < 1e-14 * scale:
+            break
+        step = d1 / d2
+        if abs(step) > width:
+            step = math.copysign(width, step)
+        if abs(z - step - z0) > width:
+            break
+        if abs(d1) < 1e-13 * scale:
+            return z - step if d2 < 0.0 else z0
+        z -= step
+    return z0
+
+
 def symmetry_diagnostics(u: PeriodicFunction) -> SymmetryDiagnostics:
     """Locate the center (sub-grid argmax), then measure evenness and
     monotone-decay defects of the centered profile and count its critical
@@ -145,21 +170,9 @@ def symmetry_diagnostics(u: PeriodicFunction) -> SymmetryDiagnostics:
                                    monotonicity_defect=0.0, critical_points=0,
                                    degenerate=True)
     fine = u.refine(8 * n)
-    z = float(fine.grid.nodes[int(np.argmax(fine.samples))])
     du = u.derivative()
-    d2u = u.derivative(2)
-    # Newton refinement of u'(z) = 0 near the fine-grid argmax
-    for _ in range(60):
-        d1 = du.eval(z)
-        d2 = d2u.eval(z)
-        if abs(d2) < 1e-14 * max(1.0, scale):
-            break
-        step = d1 / d2
-        if abs(step) > L / n:  # stay inside the located basin
-            step = math.copysign(L / n, step)
-        z -= step
-        if abs(d1) < 1e-13 * max(1.0, scale):
-            break
+    z = _newton_center(du, float(fine.grid.nodes[int(np.argmax(fine.samples))]),
+                       L / n, max(1.0, scale))
     # u(z + x) and u'(z + x) at spacing L/(4N), node 4N at z: each a
     # half spectrum times e^(i pi k z/L), zero-padded to 8N (u' has no
     # Nyquist mode, as derivative() drops it)

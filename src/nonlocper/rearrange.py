@@ -10,22 +10,24 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .energy import seminorm_sq_offdiag
+from .energy import _cell_weights, seminorm_sq_offdiag
 from .errors import HypothesisViolationError
 from .grids import PeriodicFunction
 from .kernels import Kernel, WrappedKernel, wrap_kernel
 
 
 def _placement_order(n: int) -> np.ndarray:
-    """Indices ordered by distance from x = 0: 0, +1, -1, +2, -2, ..., N/2.
+    """Indices ordered by distance from x = 0: 0, +1, -1, +2, -2, ..., N/2,
+    for an even N, written as two strided ranges.
     The positive side of each pair comes first, so it receives the larger
     sample."""
-    order = [0]
-    for j in range(1, n // 2):
-        order.append(j)
-        order.append(n - j)
-    order.append(n // 2)
-    return np.array(order)
+    half = n // 2
+    order = np.empty(n, dtype=np.intp)
+    order[0] = 0
+    order[1:n - 1:2] = np.arange(1, half)
+    order[2:n - 1:2] = np.arange(n - 1, n - half, -1)
+    order[n - 1] = half
+    return order
 
 
 def rearrange_periodic(u: PeriodicFunction) -> PeriodicFunction:
@@ -84,17 +86,20 @@ def polya_szego_check(kernel: Kernel, u: PeriodicFunction,
                       wrapped: WrappedKernel | None = None) -> RearrangementReport:
     """Compare [u]_K^2 with [u*]_K^2 through the wrapped-kernel double sum.
 
-    Both seminorms use identical off-diagonal weights, so the comparison is
-    exact at grid level and the inequality direction is meaningful down to
-    rounding; it holds unless [u*]_K^2 exceeds [u]_K^2 by 1e-9 relative.
-    A wrapped= given for speed must wrap kernel (DomainError otherwise).
+    Both seminorms use identical off-diagonal weights, Kbar at the N - 1
+    cell distances from the wrap's call table (energy._cell_weights, one
+    profile value per distance), so the comparison is exact at grid level
+    and the inequality direction is meaningful down to rounding; it holds
+    unless [u*]_K^2 exceeds [u]_K^2 by 1e-9 relative.  Without wrapped=
+    each call builds the wrap, which costs more than the check; a wrapped=
+    given for speed must wrap kernel (DomainError otherwise).
     """
     grid = u.grid
     if wrapped is None:
         wrapped = wrap_kernel(kernel, grid.half_period)
     wrapped.require_kernel(kernel)
     wrapped.require_period(grid.half_period)
-    kbar = wrapped.grid_values(grid.spacing * np.arange(1, grid.size))
+    kbar = _cell_weights(wrapped, grid)
     ustar = rearrange_periodic(u)
     before = seminorm_sq_offdiag(kbar, u)
     after = seminorm_sq_offdiag(kbar, ustar)

@@ -111,7 +111,9 @@ def symmetry_diagnostics(u):
     """nonlocper.symmetry_diagnostics through complex FFTs of length 8N: u
     and u' refined to 8N nodes, then shifted by -z with PeriodicFunction.shift
     (an FFT and an inverse FFT each), against the library's one padded irfft
-    per field."""
+    per field.  The Newton refinement of the center is the library's (u''
+    as the derivative of u', a result kept only at a maximum within L/N of
+    the fine-grid argmax), so the centers compare with ==."""
     import math
 
     from nonlocper.minimize import SymmetryDiagnostics
@@ -124,20 +126,27 @@ def symmetry_diagnostics(u):
                                    monotonicity_defect=0.0, critical_points=0,
                                    degenerate=True)
     fine = u.refine(8 * n)
-    z = float(fine.grid.nodes[int(np.argmax(fine.samples))])
+    z0 = z = float(fine.grid.nodes[int(np.argmax(fine.samples))])
     du = u.derivative()
-    d2u = u.derivative(2)
+    d2u = du.derivative()
     for _ in range(60):
         d1 = du.eval(z)
         d2 = d2u.eval(z)
         if abs(d2) < 1e-14 * max(1.0, scale):
+            z = z0
             break
         step = d1 / d2
         if abs(step) > L / n:
             step = math.copysign(L / n, step)
-        z -= step
-        if abs(d1) < 1e-13 * max(1.0, scale):
+        if abs(z - step - z0) > L / n:
+            z = z0
             break
+        if abs(d1) < 1e-13 * max(1.0, scale):
+            z = z - step if d2 < 0.0 else z0
+            break
+        z -= step
+    else:
+        z = z0
     centered = fine.shift(-z).samples
     right, left = np.append(centered[4 * n:], centered[0]), centered[4 * n::-1]
     evenness = float(np.max(np.abs(right - left)))

@@ -83,6 +83,39 @@ class TestSymmetryDiagnostics:
         u = nl.PeriodicFunction(g, np.full(g.size, 1.3))
         assert nl.symmetry_diagnostics(u).degenerate
 
+    @staticmethod
+    def counted_center(monkeypatch, u):
+        calls = []
+        eval_ = nl.PeriodicFunction.eval
+        monkeypatch.setattr(nl.PeriodicFunction, "eval",
+                            lambda self, x: calls.append(x) or eval_(self, x))
+        return nl.symmetry_diagnostics(u).center, len(calls)
+
+    def test_newton_that_finds_no_maximum_reports_the_argmax(self, monkeypatch):
+        # a large Nyquist cosine over noise: Newton from the fine-grid argmax
+        # heads for a minimum of u (u'' > 0 there); it used to wander for all
+        # 60 steps and return z = 0.345, seven step widths away, at u' = -2.56
+        g = nl.PeriodicGrid(math.pi, 64)
+        rng = np.random.default_rng(95)
+        u = nl.PeriodicFunction(g, 0.7 + np.cos(g.nodes) + 0.5 * np.cos(32 * g.nodes)
+                                + 0.1 * rng.standard_normal(g.size))
+        fine = u.refine(8 * g.size)
+        argmax = float(fine.grid.nodes[int(np.argmax(fine.samples))])
+        center, evals = self.counted_center(monkeypatch, u)
+        assert center == argmax
+        assert evals <= 20
+
+    def test_newton_converges_with_a_nyquist_mode(self, monkeypatch):
+        # u' and u'' both drop the Nyquist cosine, so Newton converges; with
+        # u'' keeping it the loop ran all 60 steps (120 evals)
+        g = nl.PeriodicGrid(math.pi, 64)
+        u = nl.PeriodicFunction.from_callable(
+            g, lambda x: np.cos(x) + 0.3 * np.cos(3 * x + 0.2) + 0.1 * np.cos(32 * x))
+        center, evals = self.counted_center(monkeypatch, u)
+        assert evals <= 20
+        assert abs(u.derivative().eval(center)) < 1e-13
+        assert center == pytest.approx(-0.048647430738, abs=1e-11)
+
 
 class TestMinimize:
     def test_bo_constrained_symmetric(self):

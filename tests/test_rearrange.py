@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nonlocper as nl
+from nonlocper.rearrange import _placement_order
 
 
 def grid(N=64, L=math.pi):
@@ -81,7 +82,34 @@ class TestDetectTranslate:
         assert nl.detect_translate(u, ustar) is None
 
 
+@pytest.mark.parametrize("n", [8, 16, 64, 256, 1024, 4096])
+def test_placement_order_is_the_explicit_list(n):
+    explicit = [0]
+    for j in range(1, n // 2):
+        explicit += [j, n - j]
+    explicit.append(n // 2)
+    assert np.array_equal(_placement_order(n), explicit)
+
+
 class TestPolyaSzego:
+    def test_profile_once_per_cell_distance(self, monkeypatch):
+        # the weights come from the wrap's table: K at each of the N - 1
+        # distances and no image sum (grid_values would profile 128 images
+        # per distance)
+        g = grid(N=1024)
+        kernel = nl.FractionalKernel(0.5)
+        wk = nl.wrap_kernel(kernel, g.half_period)
+        points, images = [], []
+        profile = nl.FractionalKernel.profile
+        monkeypatch.setattr(nl.FractionalKernel, "profile",
+                            lambda self, t: points.append(np.size(t)) or profile(self, t))
+        monkeypatch.setattr(nl.FractionalKernel, "image_profile",
+                            lambda self, *args: images.append(args))
+        u = nl.PeriodicFunction(g, np.random.default_rng(7).standard_normal(g.size))
+        nl.polya_szego_check(kernel, u, wrapped=wk)
+        assert sum(points) == g.size - 1
+        assert images == []
+
     @pytest.mark.parametrize("kernel", [
         nl.FractionalKernel(0.5),
         nl.DelaunayKernel(2, 0.5, 1.0),

@@ -25,13 +25,21 @@ class Nonlinearity:
     """Primitives G (energy) and Gtilde (constraint) with their derivatives
     g = G', gtilde = Gtilde'.  Either primitive may be absent (None).
     homogeneity p+1 means Gtilde(sigma u) = sigma^(p+1) Gtilde(u), enabling
-    closed-form constraint projection."""
+    closed-form constraint projection.  Any other Gtilde must be a numpy
+    Polynomial, whose scaled integral project_constraint solves as a
+    polynomial in sigma; a Gtilde that is neither raises DomainError."""
 
     G: Callable | None = None
     g: Callable | None = None
     Gt: Callable | None = None
     gt: Callable | None = None
     homogeneity: float | None = None
+
+    def __post_init__(self):
+        if (self.Gt is not None and self.homogeneity is None
+                and not isinstance(self.Gt, np.polynomial.Polynomial)):
+            raise DomainError("a constraint Gtilde must be homogeneous or a "
+                              "numpy Polynomial, so that it can be projected onto its level")
 
     def has_constraint(self) -> bool:
         return self.Gt is not None

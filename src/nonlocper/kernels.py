@@ -459,7 +459,6 @@ class CustomKernel(Kernel):
 _DESCENT_STEP = 0.2
 _DESCENT_V = np.arange(-25.0, 40.0 + _DESCENT_STEP / 2, _DESCENT_STEP)  # 326 nodes
 _DESCENT_TOL = 1e-6  # largest step-h vs step-2h gap, relative to the power part
-_DESCENT_CUT_STEP = 16  # each point's node cut is rounded up to a multiple of this
 
 
 @functools.lru_cache(maxsize=8)
@@ -477,21 +476,12 @@ def _descent_sums(a: np.ndarray, p: float) -> tuple:
     step-h and the step-2h trapezoid rule.  Along x = a (1 + iu),
     int_a^inf (x - a) x^(-p) sin x dx = Im[-e^(ia) a^(2-p) F(a)].
 
-    Each point drops the nodes with a u > 80, which add below e^-80, from
-    its own cut rounded up to a multiple of _DESCENT_CUT_STEP nodes, and
-    reduces its own row (np.vecdot), so its value does not depend on the
-    points it arrives with.  Points with the same cut share one exponential
-    table; the rounding keeps such groups few."""
+    One table exp(-a u) per row block, times the weights; the nodes with
+    a u > 745 add exact zeros."""
     u, weights = _descent_weights(p)
     sums = np.empty((a.size, 4))
-    cut = np.searchsorted(u, 80.0 / a)
-    cut = np.minimum(-(-cut // _DESCENT_CUT_STEP) * _DESCENT_CUT_STEP, u.size)
-    for n in np.unique(cut):
-        group = np.flatnonzero(cut == n)
-        for blk in _row_blocks(group.size, n):
-            idx = group[blk]
-            table = np.exp(a[idx, None] * -u[:n])
-            sums[idx] = np.vecdot(table[:, None, :], weights[:, :n])
+    for blk in _row_blocks(a.size, u.size):
+        sums[blk] = np.exp(a[blk, None] * -u) @ weights.T
     return sums[:, 0] + 1j * sums[:, 1], sums[:, 2] + 1j * sums[:, 3]
 
 

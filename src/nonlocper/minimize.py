@@ -9,6 +9,8 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyvander
 
 from .errors import (DivergenceError, DomainError, HypothesisViolationError,
                      ProjectionError)
@@ -54,71 +56,44 @@ ARMIJO_SHRINK = 0.5  # step factor per backtrack
 def project_constraint(u: PeriodicFunction, nl: Nonlinearity, c: float) -> PeriodicFunction:
     """Scale u so that int Gtilde(sigma u) = c, with defect < 1e-12.
 
-    Homogeneous constraints are solved in closed form; otherwise sigma is
-    bracketed in [1e-8, 2^200] and found by _illinois.  The bracket assumes
-    that int Gtilde(sigma u) grows with sigma > 0, and nothing checks it: it
-    holds for the power constraints, but a polynomial Gtilde such as
-    u^2 - u^3 may break it, and the projection may then fail or pick one of
-    several roots.
-    """
+    A homogeneous Gtilde is solved in closed form.  For a polynomial
+    Gtilde = sum_j g_j u^j, sigma is the positive real root nearest 1 of
+    sum_j g_j M_j sigma^j = c, with moments M_j = h sum_i u_i^j, polished by
+    two Newton steps.  A level that is not finite raises DomainError; no
+    positive root or a defect above tolerance raises ProjectionError."""
+    if not math.isfinite(c):
+        raise DomainError("constraint level must be finite")
     return PeriodicFunction(u.grid, _projected(u.grid, u.samples, nl, c))
 
 
 def _projected(grid, samples: np.ndarray, nl: Nonlinearity, c: float) -> np.ndarray:
-    """The samples of project_constraint's result (its array core)."""
-    base = _trapezoid(grid, samples, nl.Gt)
+    """The samples of project_constraint's result (its array core); c is finite."""
     if nl.homogeneity is not None:
-        if base <= 0 or c <= 0:
+        base = _trapezoid(grid, samples, nl.Gt)
+        if not base > 0 or c <= 0:
             raise ProjectionError(
                 f"constraint level {c:g} unreachable from int Gtilde(u) = {base:g}")
         return samples * (c / base) ** (1.0 / nl.homogeneity)
-
-    def defect(sigma: float) -> float:
-        return _trapezoid(grid, samples * sigma, nl.Gt) - c
-
-    lo, hi = 1e-8, 1.0
-    f_hi = defect(hi)
-    grow = 0
-    while f_hi < 0 and grow < 200:
-        hi *= 2.0
-        f_hi = defect(hi)
-        grow += 1
-    f_lo = defect(lo)
-    if f_lo > 0 or f_hi < 0:
-        raise ProjectionError("could not bracket the constraint level")
-    out = samples * _illinois(defect, lo, hi, f_lo, f_hi)
-    if abs(_trapezoid(grid, out, nl.Gt) - c) > 1e-12 * max(1.0, abs(c)):
+    coef = nl.Gt.convert().trim().coef  # a trailing zero times an infinite moment is NaN
+    with np.errstate(all="ignore"):  # what overflows fails a check below
+        q = Polynomial(coef * grid.spacing * polyvander(samples, coef.size - 1).sum(axis=0)) - c
+        if not np.all(np.isfinite(q.coef)):
+            raise ProjectionError("the moments of u are not finite")
+        try:
+            roots = q.roots()
+        except np.linalg.LinAlgError:  # the companion matrix overflows
+            raise ProjectionError("the roots of the moment polynomial overflow") from None
+        roots = roots.real[(roots.real > 0) & (np.abs(roots.imag) <= 1e-8 * np.abs(roots))]
+        if not roots.size:
+            raise ProjectionError(f"no sigma > 0 reaches the constraint level {c:g}")
+        sigma, dq = roots[np.argmin(np.abs(roots - 1.0))], q.deriv()
+        for _ in range(2):
+            sigma -= q(sigma) / dq(sigma)
+        out = samples * sigma
+        defect = abs(_trapezoid(grid, out, nl.Gt) - c)
+    if not defect <= 1e-12 * max(1.0, abs(c)):
         raise ProjectionError("projection defect above tolerance")
     return out
-
-
-def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """A root of f in [lo, hi], given f(lo) <= 0 <= f(hi): regula falsi with
-    the Illinois step (Dowell & Jarratt, BIT 11, 1971), which halves the
-    value kept at one end when the other end has moved twice in a row, so
-    that both ends close in.  A secant point that is not strictly inside
-    the bracket becomes its midpoint.  It stops when f vanishes or no double
-    is left between the ends, and returns the end where |f| is smaller."""
-    g_lo, g_hi = f_lo, f_hi  # the values the secant takes, halved by the step
-    moved = 0  # -1 when lo moved last, +1 when hi did
-    while f_lo != 0.0 and f_hi != 0.0:
-        x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:
-                break
-        fx = f(x)
-        if fx < 0.0:
-            lo, f_lo, g_lo = x, fx, fx
-            if moved == -1:
-                g_hi *= 0.5
-            moved = -1
-        else:
-            hi, f_hi, g_hi = x, fx, fx
-            if moved == 1:
-                g_lo *= 0.5
-            moved = 1
-    return lo if abs(f_lo) < abs(f_hi) else hi
 
 
 @dataclass(frozen=True)

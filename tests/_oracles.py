@@ -367,7 +367,7 @@ def sinetail_profile(s: float, t) -> np.ndarray:
     branch (a = t^2 < 100) read a table: there the steepest-descent
     trapezoid sum ran at every point, and raised on its step-2h estimate."""
     from nonlocper.errors import IntegrationError
-    from nonlocper.kernels import _DESCENT_CUT_STEP, _DESCENT_TOL, _descent_weights
+    from nonlocper.kernels import _DESCENT_TOL, _descent_weights
 
     p = s + 2.5
     a = np.asarray(t, dtype=float) ** 2
@@ -379,7 +379,7 @@ def sinetail_profile(s: float, t) -> np.ndarray:
     an = a[near]
     u, weights = _descent_weights(p)
     cut = np.searchsorted(u, 80.0 / an)
-    cut = np.minimum(-(-cut // _DESCENT_CUT_STEP) * _DESCENT_CUT_STEP, u.size)
+    cut = np.minimum(-(-cut // 16) * 16, u.size)  # each node cut rounded up to 16
     sums = np.array([weights[:, :n] @ np.exp(x * -u[:n]) for x, n in zip(an, cut)])
     fine = sums[:, 0] + 1j * sums[:, 1]
     coarse = sums[:, 2] + 1j * sums[:, 3]

@@ -348,8 +348,8 @@ class TestCommands:
         assert (tmp_path / "energy_trace.csv").exists()
 
     def test_minimize_with_polynomial_constraint(self, tmp_path):
-        # Gtilde = u^2 + u^3 is not homogeneous, so every projection takes the
-        # bracketed root find of project_constraint
+        # Gtilde = u^2 + u^3 is not homogeneous, so every projection solves
+        # project_constraint's moment polynomial for its root nearest 1
         code = run_cli(["minimize", "--config", write_config(tmp_path, POLYNOMIAL_MINIMIZE),
                         "--out", tmp_path])
         assert code == cli.EXIT_OK

@@ -26,7 +26,7 @@ class TestProjection:
 
     def test_polynomial_grows_its_bracket(self):
         # Gtilde = u^2 + u^4 is not homogeneous; at c = 1000 the root sigma
-        # lies beyond the starting bracket [1e-8, 1]
+        # of the moment polynomial lies above 1
         from scipy.optimize import brentq
 
         g = nl.PeriodicGrid(math.pi, 64)
@@ -56,6 +56,131 @@ class TestProjection:
         u = nl.PeriodicFunction.from_callable(g, np.cos)
         with pytest.raises(nl.DomainError):
             nl.MinimizeConfig(sym=sym, nl=nlty, initial=u, c=3.0)
+
+
+def cos_start(g, amplitude=1.0):
+    return nl.PeriodicFunction.from_callable(g, lambda x: amplitude * (1.0 + 0.3 * np.cos(x)))
+
+
+def two_root_constraint(u, lo, hi):
+    """Gtilde = u^2 + g3 u^3 and the level c at which int Gtilde(sigma u) = c
+    has its positive roots at sigma = lo and hi (with the grid's moments)."""
+    m2, m3 = (nl.potential_integral(u, lambda v, j=j: v**j) for j in (2, 3))
+    g3 = -m2 * (hi**2 - lo**2) / (m3 * (hi**3 - lo**3))
+    return [0.0, 0.0, 1.0, g3], m2 * lo**2 + g3 * m3 * lo**3
+
+
+class TestPolynomialProjection:
+    """project_constraint on a polynomial Gtilde: sigma is the root of the
+    moment polynomial nearest 1, checked against brentq on the trapezoid
+    integral of Gtilde(sigma u) near the root it must pick."""
+
+    @staticmethod
+    def check_sigma(u, nlty, c, near):
+        from scipy.optimize import brentq
+
+        v = nl.project_constraint(u, nlty, c)
+        val, _ = nl.constraint_value(v, nlty)
+        assert abs(val - c) <= 1e-12 * max(1.0, abs(c))
+        sigma = brentq(lambda x: nl.potential_integral(x * u, nlty.Gt) - c,
+                       0.95 * near, 1.05 * near, xtol=1e-15, rtol=8.9e-16)
+        i = int(np.argmax(u.samples))
+        assert v.samples[i] / u.samples[i] == pytest.approx(sigma, rel=4 * np.finfo(float).eps)
+        return v
+
+    @pytest.mark.parametrize("lo,hi,nearest", [(0.9, 2.0, 0.9), (0.5, 1.2, 1.2),
+                                               (1.1, 3.0, 1.1), (0.2, 0.7, 0.7)])
+    def test_two_positive_roots_take_the_one_nearest_1(self, lo, hi, nearest):
+        g = nl.PeriodicGrid(math.pi, 64)
+        u = cos_start(g)
+        coeffs, c = two_root_constraint(u, lo, hi)
+        self.check_sigma(u, nl.polynomial_nonlinearity([0.0], Gt_coeffs=coeffs), c, nearest)
+
+    @pytest.mark.parametrize("coeffs,c,near", [
+        ([-1.0, 0.0, 1.0], 3.0, 1.189),  # a constant term; the other root is -1.189
+        ([0.0, 0.0, 1.0, -1.0], -20.0, 1.793),  # below zero: only the falling branch
+        ([0.0, 2.0, 0.0, 0.0, 0.5], 40.0, 1.513),  # one negative, two complex roots
+    ])
+    def test_one_positive_root(self, coeffs, c, near):
+        g = nl.PeriodicGrid(math.pi, 64)
+        self.check_sigma(cos_start(g), nl.polynomial_nonlinearity([0.0], Gt_coeffs=coeffs),
+                         c, near)
+
+    @pytest.mark.parametrize("coeffs,c", [
+        ([0.0, 0.0, 1.0, 0.0, 1.0], -1.0),  # positive for sigma > 0
+        ([0.0, 0.0, 1.0, 0.0, -1.0], 5.0),  # above the largest reachable level
+        ([2.0], 1.0),  # a constant integral
+    ])
+    def test_no_positive_root_raises(self, coeffs, c):
+        g = nl.PeriodicGrid(math.pi, 64)
+        with pytest.raises(nl.ProjectionError, match="no sigma"):
+            nl.project_constraint(cos_start(g),
+                                  nl.polynomial_nonlinearity([0.0], Gt_coeffs=coeffs), c)
+
+    def test_trailing_zero_coefficients(self):
+        g = nl.PeriodicGrid(math.pi, 64)
+        u = cos_start(g)
+        plain = nl.polynomial_nonlinearity([0.0], Gt_coeffs=[0.0, 0.0, 1.0, 0.0, 1.0])
+        padded = nl.polynomial_nonlinearity([0.0], Gt_coeffs=[0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
+        want = self.check_sigma(u, plain, 30.0, 1.2)
+        assert np.array_equal(self.check_sigma(u, padded, 30.0, 1.2).samples, want.samples)
+        # the zeros do not meet moments that overflow: u^6 does, u^4 does not
+        big = cos_start(g, 1e60)
+        c = 1e240
+        assert np.array_equal(nl.project_constraint(big, padded, c).samples,
+                              nl.project_constraint(big, plain, c).samples)
+
+    def test_polynomial_with_a_non_default_domain(self):
+        g = nl.PeriodicGrid(math.pi, 64)
+        u = cos_start(g)
+        Gt = np.polynomial.Polynomial([0.5, -1.0, 2.0], domain=[-2.0, 3.0])
+        assert not np.array_equal(Gt.coef, Gt.convert().coef)
+        nlty = nl.Nonlinearity(Gt=Gt, gt=Gt.deriv())
+        # 0.78 - 0.72 u + 0.32 u^2 in u: roots 0.222 and 1.93, the first nearer 1
+        self.check_sigma(u, nlty, 4.0, 0.222)
+
+    @pytest.mark.parametrize("broken", ["nan", "overflow"])
+    def test_moments_that_are_not_finite_raise_projection_error(self, broken):
+        g = nl.PeriodicGrid(math.pi, 64)
+        if broken == "nan":
+            samples = cos_start(g).samples.copy()
+            samples[5] = np.nan
+            u = nl.PeriodicFunction(g, samples)
+        else:
+            u = cos_start(g, 1e80)  # u^2 is finite, u^4 is not
+        nlty = nl.polynomial_nonlinearity([0.0], Gt_coeffs=[0.0, 0.0, 1.0, 0.0, 1.0])
+        with pytest.raises(nl.ProjectionError, match="not finite"):
+            nl.project_constraint(u, nlty, 5.0)
+
+    def test_companion_matrix_overflow_raises_projection_error(self):
+        # finite moments whose ratio overflows: M_2/M_4 ~ 1e312
+        g = nl.PeriodicGrid(math.pi, 64)
+        nlty = nl.polynomial_nonlinearity([0.0], Gt_coeffs=[0.0, 0.0, 1.0, 0.0, 1.0])
+        with pytest.raises(nl.ProjectionError, match="overflow"):
+            nl.project_constraint(cos_start(g, 1e-78), nlty, 5.0)
+
+    def test_homogeneous_nan_sample_raises_projection_error(self):
+        g = nl.PeriodicGrid(math.pi, 64)
+        samples = cos_start(g).samples.copy()
+        samples[5] = np.nan
+        with pytest.raises(nl.ProjectionError):
+            nl.project_constraint(nl.PeriodicFunction(g, samples), nl.power_constraint(2.0), 5.0)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("family", ["power", "polynomial"])
+    def test_level_that_is_not_finite_raises_domain_error(self, family, c):
+        g = nl.PeriodicGrid(math.pi, 64)
+        nlty = (nl.power_constraint(2.0) if family == "power" else
+                nl.polynomial_nonlinearity([0.0], Gt_coeffs=[0.0, 0.0, 1.0, -1.0]))
+        with pytest.raises(nl.DomainError, match="finite"):
+            nl.project_constraint(cos_start(g), nlty, c)
+
+    def test_gtilde_neither_homogeneous_nor_polynomial_is_rejected(self):
+        with pytest.raises(nl.DomainError, match="Polynomial"):
+            nl.Nonlinearity(Gt=lambda u: u**2 - u**3, gt=lambda u: 2 * u - 3 * u**2)
+        # the same callables with a homogeneity, or no Gtilde at all, are accepted
+        nl.Nonlinearity(Gt=lambda u: u**2, gt=lambda u: 2 * u, homogeneity=2.0)
+        nl.Nonlinearity(G=lambda u: u**2, g=lambda u: 2 * u)
 
 
 class TestSymmetryDiagnostics:
@@ -186,6 +311,27 @@ class TestMinimize:
         assert res.converged
         assert res.multiplier is None
         assert res.u.l2_norm() < 1e-8
+
+
+    def test_non_monotone_polynomial_constraint_converges(self):
+        # Gtilde = u^2 - u^3 falls for large sigma, so int Gtilde(sigma u) = c
+        # may have two positive roots; projecting onto the one nearest 1
+        # takes both writings of this start to the same constant minimizer
+        g = nl.PeriodicGrid(math.pi, 64)
+        sym = nl.symbol_of_kernel(nl.FractionalKernel(0.5), g)
+        nlty = nl.polynomial_nonlinearity([0.0, 0.0, 0.5], Gt_coeffs=[0.0, 0.0, 1.0, -1.0])
+        energies = []
+        for start in (lambda x: 0.2 * (1.0 + 0.5 * np.cos(x)),
+                      lambda x: 0.2 * (1.0 + 0.5 * np.cos(np.pi * x / math.pi))):
+            res = nl.minimize(nl.MinimizeConfig(
+                sym=sym, nl=nlty, c=0.5, max_iters=400,
+                initial=nl.PeriodicFunction.from_callable(g, start)))
+            assert res.converged
+            assert np.ptp(res.u.samples) <= 1e-8  # the constant minimizer
+            assert res.constraint_defect < 1e-12
+            energies.append(res.energy_trace[-1])
+        assert energies[1] == pytest.approx(energies[0], rel=1e-12)
+        assert energies[0] == pytest.approx(-2.55739749481477, rel=1e-12)
 
 
 class TestMaxPrinciple:

@@ -66,8 +66,8 @@ CASES = {
     "double-well": (double_well, True, False),
     # Gtilde = u^2 + u^3 at L = 4 pi: the non-homogeneous projection converges
     "polynomial": (lambda: polynomial([0, 0, 1, 1], 5.0, L=4 * math.pi), True, False),
-    # Gtilde = u^2 - u^4 near its largest reachable level: the bracket of
-    # some candidates fails, and the descent runs out its budget
+    # Gtilde = u^2 - u^4 near its largest reachable level: some candidates
+    # cannot reach it (no positive root), and the descent runs out its budget
     "polynomial-unreachable-candidates": (
         lambda: polynomial([0, 0, 1, 0, -1], 0.9, amplitude=0.3, max_iters=10), False, True),
     "budget": (budget, False, False),

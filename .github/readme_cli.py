@@ -1,12 +1,15 @@
 """Run the installed `nonlocper` console script on every command of the
 README's CLI block, each with a u.csv of its --N samples in the working
-directory, and fail on a nonzero exit.  Then check six inputs that must
-exit 2, 2, 2, 3, 3 and 3 without a traceback: an unread flag, a CSV path
-that is a directory, a constraint level that a homogeneous constraint cannot
-reach, an iteration budget that the descent cannot meet, a principal value
-at a half period of 1e99, whose quadrature moments overflow (with a u.csv
-sampled on that grid), and a SineTail kernel class at a half period of
-1e-300, whose report would hold a NaN, which JSON cannot carry.
+directory, and fail on a nonzero exit.  Then check seven inputs that must
+exit 0, 2, 2, 2, 3, 3 and 3 without a traceback: a principal value of the
+fractional Laplacian at s = 0.95, whose kernel z^(-2.9) the quadrature
+must follow down to z = 0 (with a u.csv of 64 samples of exp(cos x)), an
+unread flag, a CSV path that is a directory, a constraint level that a
+homogeneous constraint cannot reach, an iteration budget that the descent
+cannot meet, a principal value at a half period of 1e99, whose quadrature
+moments overflow (with a u.csv sampled on that grid), and a SineTail kernel
+class at a half period of 1e-300, whose report would hold a NaN, which JSON
+cannot carry.
 
 Usage: python3 readme_cli.py path/to/README.md  (from a scratch directory)
 """
@@ -37,8 +40,13 @@ os.makedirs("blocked/symbol.csv", exist_ok=True)
 x = np.linspace(-1e99, 1e99, 65)[:-1]
 np.savetxt("big.csv", np.column_stack([x, np.exp(np.cos(np.pi * x / 1e99))]), delimiter=",",
            header="x,u", comments="")
+x = np.linspace(-np.pi, np.pi, 65)[:-1]
+np.savetxt("u.csv", np.column_stack([x, np.exp(np.cos(x))]), delimiter=",",
+           header="x,u", comments="")
 fraclap = ["--kernel", "fraclap", "--s", "0.5"]
 for want, argv in (
+        (0, ["apply", "--mode", "pv", "--kernel", "fraclap", "--s", "0.95", "--L", "3.14159",
+             "--N", "64", "--function", "u.csv", "--out", "out"]),
         (2, ["dtn-check", "--L", "2.0"]),
         (2, ["symbol", *fraclap, "--L", "3.14159", "--N", "64", "--out", "blocked"]),
         (2, ["minimize", *fraclap, "--L", "12.566", "--N", "64", "--constraint", "-1",

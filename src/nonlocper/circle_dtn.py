@@ -82,7 +82,7 @@ def half_lap_pv_circle(u: PeriodicFunction, x: float) -> float:
     """
     _require_circle(u)
     return float(_pv_fold(u, [x], lambda t: 1.0 / (4.0 * math.pi * np.sin(0.5 * t) ** 2),
-                          ())[0])
+                          (), 0.5)[0])
 
 
 @functools.cache

@@ -262,78 +262,116 @@ def apply_spectral(sym: SymbolTable, u: PeriodicFunction) -> PeriodicFunction:
 PV_EPS_SEQ = (1e-2, 1e-3, 1e-4)  # where the graded panels of each PV estimate start
 PV_STABILITY_TOL = 1e-6
 PV_RULE_CACHE = 8  # plans kept by _pv_rule, least recent dropped
-_PV_NODES = 12  # Gauss-Legendre nodes per panel of the PV rules
+_PV_NODES = 12  # Gauss-Legendre nodes per graded panel of the PV rules
+_PV_DEPTH = 12  # halvings of the graded panels below each eps, at least
+_PV_END_NODES = 20  # Gauss-Legendre nodes of the power-substitution panel
 
 
 @functools.lru_cache(maxsize=PV_RULE_CACHE)
-def _pv_rule(L: float, n_modes: int, breakpoints: tuple) -> tuple:
+def _pv_rule(L: float, n_modes: int, breakpoints: tuple, s: float) -> tuple:
     """The part of _pv_fold's quadrature that depends on neither the kernel
-    nor u, built once per key: (zs, w, cuts, cos_large), all read-only.
+    nor u, built once per key: (zs, w, cuts, cos_large, z2, powers), all
+    read-only.
 
-    zs holds the panel nodes of every eps rule, concatenated in PV_EPS_SEQ
-    order, and w their weights.  Rule i owns zs[start:stop] for
+    zs holds the nodes of every eps rule, concatenated in PV_EPS_SEQ order,
+    and w their weights.  Rule i owns zs[start:stop] for
     (start, switch, stop) = cuts[i]; its nodes ascend, so those below
-    z_switch = 1e-3 L are the prefix zs[start:switch].  cos_large is
-    cos(outer(z, omega)) over the nodes at or above z_switch, rule after
-    rule, with omega the n_modes frequencies pi k / L.
+    z_switch = 1e-3 L are the prefix zs[start:switch].  A rule halves its
+    Gauss-Legendre panels from eps down to a = eps 2^-J, J >= _PV_DEPTH
+    chosen so that no breakpoint lies below a.  (0, a) is one panel in v on
+    (0, 1) with z = a v^q, q = 1/(2 - 2s): the leading z^(1-2s) term of
+    z^2 Kbar(z) for a kernel of order s is then constant in v, so nothing
+    near z = 0 is dropped.  cos_large is cos(outer(z, omega)) over the
+    nodes at or above z_switch, rule after rule, with omega the n_modes
+    frequencies pi k / L.  z2 holds z^2 at the n nodes below z_switch, rule
+    after rule, and powers takes the products wk z^2 there to the nine
+    moments sum wk z^2m: its row 3i + m - 1 holds z^(2m-2) (m = 1, 2, 3)
+    on rule i's nodes and 0 elsewhere.
 
-    An entry holds 16 bytes per node and 8 n_modes bytes per node at or
-    above z_switch.  For L = pi, 374 of the 4752 nodes lie there: 0.17 MB
-    at N = 64, 0.46 MB at N = 256 and 6.2 MB at N = 4096."""
+    An entry holds 16 bytes per node, 80 more per node below z_switch, and
+    8 n_modes bytes per node at or above z_switch.  For L = pi and s = 1/2,
+    550 of the 924 nodes lie below z_switch and 374 above: 0.16 MB at
+    N = 64, 0.44 MB at N = 256 and 6.2 MB at N = 4096."""
     # below z_switch the direct second difference is pure cancellation noise
     z_switch = 1e-3 * L
+    q = 0.5 / (1.0 - s)
+    v, wv = _gl_panels([0.0, 1.0], _PV_END_NODES)
+    lowest = min(breakpoints, default=math.inf)
     zs, w, cuts, start = [], [], [], 0
     for eps in PV_EPS_SEQ:
-        # geometric panels toward z = 0 resolve the z^(1-2s) behavior; the
-        # dropped sliver [0, eps*2^-120] contributes O(eps^(2-2s) 2^-48)
-        bounds = [eps * 2.0 ** j for j in range(-120, 1)]
+        depth = _PV_DEPTH
+        while eps * 2.0 ** -depth >= lowest:
+            depth += 1
+        a = eps * 2.0 ** -depth
+        bounds = [eps * 2.0 ** -j for j in range(depth, -1, -1)]
         while bounds[-1] < L:
             bounds.append(min(2.0 * bounds[-1], L))
-        bounds = sorted(set(bounds) | {b for b in breakpoints if bounds[0] < b < L})
+        bounds = sorted(set(bounds) | {b for b in breakpoints if a < b < L})
         z, wz = _gl_panels(bounds, _PV_NODES)
-        zs.append(z)
-        w.append(wz)
-        cuts.append((start, start + int(np.searchsorted(z, z_switch)), start + z.size))
-        start += z.size
+        zs += [a * v**q, z]
+        w += [a * q * v ** (q - 1.0) * wv, wz]
+        stop = start + v.size + z.size
+        cuts.append((start, start + v.size + int(np.searchsorted(z, z_switch)), stop))
+        start = stop
     zs, w = np.concatenate(zs), np.concatenate(w)
+    z2 = np.concatenate([zs[start:switch] for start, switch, _ in cuts]) ** 2
+    powers = np.zeros((3 * len(cuts), z2.size))
+    col = 0
+    with np.errstate(over="ignore"):  # z^4 overflows once 1e-3 L passes about 1e77
+        for i, (start, switch, _) in enumerate(cuts):
+            cols = slice(col, col + switch - start)
+            powers[3 * i, cols] = 1.0
+            powers[3 * i + 1, cols] = z2[cols]
+            powers[3 * i + 2, cols] = z2[cols] ** 2
+            col = cols.stop
     cos_large = np.outer(np.concatenate([zs[switch:stop] for _, switch, stop in cuts]),
                          np.pi * np.arange(n_modes) / L)
     np.cos(cos_large, out=cos_large)
-    for a in (zs, w, cos_large):
-        a.setflags(write=False)
-    return zs, w, tuple(cuts), cos_large
+    for arr in (zs, w, cos_large, z2, powers):
+        arr.setflags(write=False)
+    return zs, w, tuple(cuts), cos_large, z2, powers
 
 
-def _pv_fold(u: PeriodicFunction, xs, kbar, breakpoints) -> np.ndarray:
-    """int_0^L (2u(x) - u(x+z) - u(x-z)) kbar(z) dz at every x in xs on graded
-    Gauss-Legendre panels, which never straddle a breakpoint of kbar.  The
-    estimates for all eps in PV_EPS_SEQ (where the grading starts) must agree
-    within PV_STABILITY_TOL relative to max(1, |value|), which certifies
-    that the principal-value limit has stabilized; a moment, value or
-    spread that is not finite raises IntegrationError too.  The panels come
-    from _pv_rule.  kbar is evaluated once per call, on the nodes of every eps
-    rule at once; then u's tables are built EVAL_BLOCK points at a time."""
+def _pv_fold(u: PeriodicFunction, xs, kbar, breakpoints, s: float) -> np.ndarray:
+    """int_0^L (2u(x) - u(x+z) - u(x-z)) kbar(z) dz at every x in xs, for a
+    kbar of order s (kbar(z) ~ z^(-1-2s) at 0), on the rules of _pv_rule,
+    whose panels never straddle a breakpoint of kbar.  The estimates for
+    all eps in PV_EPS_SEQ (where the grading starts) must agree within
+    PV_STABILITY_TOL relative to max(1, |value|), which certifies that the
+    principal-value limit has stabilized; a moment, value or spread that is
+    not finite raises IntegrationError too.  kbar is evaluated once per
+    call, on the nodes of every eps rule at once, and the nine moments
+    (three rules, powers z^2, z^4 and z^6) are one product of the plan's
+    powers with wk z^2 below z_switch; then u's tables are built EVAL_BLOCK
+    points at a time."""
     L = u.grid.half_period
     if PV_EPS_SEQ[0] >= L:
         raise DomainError(f"the half period must exceed the first eps, {PV_EPS_SEQ[0]:g}")
     xs = np.asarray(xs, dtype=float)
     omega = u.grid.frequencies()
-    zs, w, cuts, cos_large = _pv_rule(L, omega.size, tuple(breakpoints))
-    wk = w * kbar(zs)
+    zs, w, cuts, cos_large, z2, powers = _pv_rule(L, omega.size, tuple(breakpoints), s)
     # per eps rule: the weights of the direct second difference, and the
-    # moments sum wk z^2m of the nodes below z_switch, where the even Taylor
-    # series of the second difference in spectral derivatives is exact to
-    # rounding
-    rules = []
+    # moments of the nodes below z_switch, where the even Taylor series of
+    # the second difference in spectral derivatives is exact to rounding
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, switch, stop in cuts:
-            z2 = zs[start:switch] ** 2
-            wz2 = wk[start:switch] * z2
-            wz4 = wz2 * z2
-            rules.append((wk[switch:stop], np.sum(wz2), np.sum(wz4), np.sum(wz4 * z2)))
-    if not all(math.isfinite(m) for rule in rules for m in rule[1:]):
-        # wk z^6 overflows for half periods beyond about 1e64 (fraclap 0.5)
+        wk = w * kbar(zs)
+        wk_small = np.concatenate([wk[start:switch] for start, switch, _ in cuts])
+        moments = (powers @ (wk_small * z2)).reshape(len(cuts), 3)
+    if not np.all(np.isfinite(moments)):
+        bad = ~np.isfinite(wk_small)
+        if bad.any():
+            # kbar ~ z^(-1-2s) overflows at the smallest nodes for s beyond
+            # about 0.98, and z = a v^q underflows to 0 for s beyond about 0.996
+            z = np.concatenate([zs[start:switch] for start, switch, _ in cuts])
+            raise IntegrationError(f"the kernel of order s = {s:g} is not finite at the "
+                                   f"principal-value node z = {np.min(z[bad]):.3g}")
+        # sum wk z^6 overflows for half periods beyond about 1e64 (fraclap 0.5)
         raise IntegrationError(f"principal-value moments overflow at half period {L:g}")
+    directs = [wk[switch:stop] for _, switch, stop in cuts]
+    # the second difference is -2 sum_m u^(2m)(x) z^2m / (2m)!, m = 1, 2, 3,
+    # with u^(2m)(x) = sum_k a_k(x) (-omega_k^2)^m
+    d2 = -omega**2
+    taylor = np.stack([d2, d2**2 / 12.0, d2**3 / 360.0], axis=1)
     out = np.empty(xs.size)
     for i in range(0, xs.size, EVAL_BLOCK):  # caps the point-by-mode tables at EVAL_BLOCK rows
         x = xs[i:i + EVAL_BLOCK]
@@ -342,11 +380,10 @@ def _pv_fold(u: PeriodicFunction, xs, kbar, breakpoints) -> np.ndarray:
         # 0 <= k <= N/2, with a_k(x) the half-spectrum table of u at x
         modes = u.modes(x)
         diff = 2.0 * (ux - cos_large @ modes.T)
-        d2, d4, d6 = (modes @ (-omega**2) ** m for m in (1, 2, 3))
+        series = moments @ (modes @ taylor).T
         vals, row = [], 0
-        for direct, m2, m4, m6 in rules:
-            vals.append(direct @ diff[row:row + direct.size]
-                        - (d2 * m2 + d4 * m4 / 12.0 + d6 * m6 / 360.0))
+        for direct, corr in zip(directs, series):
+            vals.append(direct @ diff[row:row + direct.size] - corr)
             row += direct.size
         spread = np.max(np.abs(np.diff(vals, axis=0)), axis=0, initial=0.0)
         # NaN passes no comparison, and an estimate that is not finite leaves
@@ -373,13 +410,14 @@ def apply_pv(kernel: Kernel, u: PeriodicFunction, x: float,
         wrapped = wrap_kernel(kernel, u.grid.half_period)
     wrapped.require_kernel(kernel)
     wrapped.require_period(u.grid.half_period)
-    return float(_pv_fold(u, [x], wrapped, wrapped.breakpoints)[0])
+    return float(_pv_fold(u, [x], wrapped, wrapped.breakpoints, kernel.s)[0])
 
 
 def apply_pv_grid(kernel: Kernel, u: PeriodicFunction) -> PeriodicFunction:
     """apply_pv at every grid node (cross-validation helper)."""
     wrapped = wrap_kernel(kernel, u.grid.half_period)
-    return PeriodicFunction(u.grid, _pv_fold(u, u.grid.nodes, wrapped, wrapped.breakpoints))
+    return PeriodicFunction(u.grid, _pv_fold(u, u.grid.nodes, wrapped,
+                                             wrapped.breakpoints, kernel.s))
 
 
 def bilinear_fourier(sym: SymbolTable, u: PeriodicFunction,

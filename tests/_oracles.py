@@ -242,8 +242,86 @@ def line_rule(s: float) -> tuple:
     return _fine_and_coarse(zs, ws)
 
 
-def pv_rule(L: float, n_modes: int, breakpoints: tuple) -> tuple:
-    """(zs, w, cuts, cos_large) of nonlocper.operator._pv_rule."""
+def pv_rule(L: float, n_modes: int, breakpoints: tuple, s: float) -> tuple:
+    """(zs, w, cuts, cos_large, z2, powers) of nonlocper.operator._pv_rule."""
+    from scipy.linalg import block_diag
+
+    from nonlocper.operator import PV_EPS_SEQ
+
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(12)
+    end_nodes, end_weights = np.polynomial.legendre.leggauss(20)
+    v, wv = 0.5 * (end_nodes + 1.0), 0.5 * end_weights
+    q = 0.5 / (1.0 - s)
+    z_switch = 1e-3 * L
+    zs, w, cuts, start = [], [], [], 0
+    for eps in PV_EPS_SEQ:
+        depth = 12
+        while breakpoints and eps * 2.0 ** -depth >= min(breakpoints):
+            depth += 1
+        a = eps * 2.0 ** -depth
+        bounds = [eps * 2.0 ** -j for j in range(depth, -1, -1)]
+        while bounds[-1] < L:
+            bounds.append(min(2.0 * bounds[-1], L))
+        bounds = np.array(sorted(set(bounds) | {b for b in breakpoints if a < b < L}))
+        lo, half = bounds[:-1], 0.5 * np.diff(bounds)
+        graded = ((lo + half)[:, None] + half[:, None] * gl_nodes).ravel()
+        zs.append(np.concatenate([a * v**q, graded]))
+        w.append(np.concatenate([a * q * v ** (q - 1.0) * wv,
+                                 (half[:, None] * gl_weights).ravel()]))
+        stop = start + zs[-1].size
+        cuts.append((start, start + int(np.searchsorted(zs[-1], z_switch)), stop))
+        start = stop
+    zs, w = np.concatenate(zs), np.concatenate(w)
+    blocks = []
+    with np.errstate(over="ignore"):
+        for start, switch, _ in cuts:
+            z2 = zs[start:switch] ** 2
+            blocks.append(np.stack([np.ones_like(z2), z2, z2 ** 2]))
+    large = np.concatenate([zs[switch:stop] for _, switch, stop in cuts])
+    cos_large = np.outer(large, np.pi * np.arange(n_modes) / L)
+    np.cos(cos_large, out=cos_large)
+    z2 = np.concatenate([block[1] for block in blocks])
+    return zs, w, tuple(cuts), cos_large, z2, block_diag(*blocks)
+
+
+def pv_fold(u, xs, kbar, breakpoints, s: float) -> np.ndarray:
+    """nonlocper.operator._pv_fold, recursing over blocks of EVAL_BLOCK
+    points and evaluating kbar once per block."""
+    from nonlocper.errors import IntegrationError
+    from nonlocper.grids import EVAL_BLOCK
+    from nonlocper.operator import PV_STABILITY_TOL
+
+    L = u.grid.half_period
+    xs = np.asarray(xs, dtype=float)
+    if xs.size > EVAL_BLOCK:
+        return np.concatenate([pv_fold(u, xs[i:i + EVAL_BLOCK], kbar, breakpoints, s)
+                               for i in range(0, xs.size, EVAL_BLOCK)])
+    omega = u.grid.frequencies()
+    zs, w, cuts, cos_large, z2, powers = pv_rule(L, omega.size, tuple(breakpoints), s)
+    wk = w * kbar(zs)
+    moments = powers @ (np.concatenate([wk[start:switch] for start, switch, _ in cuts]) * z2)
+    ux = u.eval(xs)
+    modes = u.modes(xs)
+    diff = 2.0 * (ux - cos_large @ modes.T)
+    d2 = -omega**2
+    derivs = modes @ np.column_stack([d2, d2**2 / 12.0, d2**3 / 360.0])
+    series = moments.reshape(len(cuts), 3) @ derivs.T
+    vals, row = [], 0
+    for (start, switch, stop), corr in zip(cuts, series):
+        vals.append(wk[switch:stop] @ diff[row:row + stop - switch] - corr)
+        row += stop - switch
+    spread = np.max(np.abs(np.diff(vals, axis=0)), axis=0, initial=0.0)
+    bad = np.flatnonzero(spread > PV_STABILITY_TOL * np.maximum(1.0, np.abs(vals[-1])))
+    if bad.size:
+        raise IntegrationError(f"principal value unstable across PV_EPS_SEQ at "
+                               f"x={xs[bad[0]]:g}: {[float(v[bad[0]]) for v in vals]}")
+    return vals[-1]
+
+
+def pv_rule_graded120(L: float, n_modes: int, breakpoints: tuple) -> tuple:
+    """(zs, w, cuts, cos_large) of the retired principal-value plan: 120
+    halvings of the 12-point Gauss-Legendre panels below each eps, and the
+    sliver [0, eps 2^-120] dropped."""
     from nonlocper.operator import PV_EPS_SEQ
 
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(12)
@@ -267,9 +345,9 @@ def pv_rule(L: float, n_modes: int, breakpoints: tuple) -> tuple:
     return zs, w, tuple(cuts), cos_large
 
 
-def pv_fold(u, xs, kbar, breakpoints) -> np.ndarray:
-    """nonlocper.operator._pv_fold, recursing over blocks of EVAL_BLOCK
-    points and evaluating kbar once per block."""
+def pv_fold_graded120(u, xs, kbar, breakpoints) -> np.ndarray:
+    """The retired principal-value fold on pv_rule_graded120, its nine
+    moments taken as nine sums, recursing over blocks of EVAL_BLOCK points."""
     from nonlocper.errors import IntegrationError
     from nonlocper.grids import EVAL_BLOCK
     from nonlocper.operator import PV_STABILITY_TOL
@@ -277,10 +355,10 @@ def pv_fold(u, xs, kbar, breakpoints) -> np.ndarray:
     L = u.grid.half_period
     xs = np.asarray(xs, dtype=float)
     if xs.size > EVAL_BLOCK:
-        return np.concatenate([pv_fold(u, xs[i:i + EVAL_BLOCK], kbar, breakpoints)
+        return np.concatenate([pv_fold_graded120(u, xs[i:i + EVAL_BLOCK], kbar, breakpoints)
                                for i in range(0, xs.size, EVAL_BLOCK)])
     omega = u.grid.frequencies()
-    zs, w, cuts, cos_large = pv_rule(L, omega.size, tuple(breakpoints))
+    zs, w, cuts, cos_large = pv_rule_graded120(L, omega.size, tuple(breakpoints))
     wk = w * kbar(zs)
     ux = u.eval(xs)
     modes = u.modes(xs)

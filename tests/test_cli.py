@@ -293,6 +293,20 @@ class TestCommands:
                         delimiter=",", skiprows=1)
         assert np.max(np.abs(sp[:, 1] - pv[:, 1])) < 1e-8
 
+    def test_apply_pv_at_s_095_matches_spectral(self, tmp_path):
+        # the principal-value rule ends its grading toward 0 with one
+        # power-substitution panel; when it dropped the sliver below
+        # eps 2^-120 instead, this exited 3 (and s = 0.9 was 8.5e-9 off)
+        fpath = write_samples(tmp_path / "u.csv", lambda x: np.exp(np.cos(x)))
+        for mode in ("spectral", "pv"):
+            code = run_cli(["apply", "--mode", mode, "--kernel", "fraclap", "--s", 0.95,
+                            "--L", 3.14159, "--N", 64, "--function", fpath,
+                            "--out", tmp_path / mode])
+            assert code == cli.EXIT_OK
+        sp, pv = (np.loadtxt(tmp_path / mode / "applied.csv", delimiter=",", skiprows=1)
+                  for mode in ("spectral", "pv"))
+        assert np.max(np.abs(sp[:, 1] - pv[:, 1])) < 1e-10
+
     def test_energy(self, tmp_path):
         fpath = write_samples(tmp_path / "u.csv")
         code = run_cli(["energy", "--kernel", "fraclap", "--s", 0.5,

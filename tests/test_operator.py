@@ -344,7 +344,7 @@ class TestApplyPV:
         kbar = lambda z: np.where(z > 1.0, np.inf, 1.0)  # noqa: E731
         with np.errstate(invalid="ignore"):
             with pytest.raises(nl.IntegrationError, match="unstable"):
-                op._pv_fold(u, [0.3], kbar, ())
+                op._pv_fold(u, [0.3], kbar, (), 0.5)
 
     def test_sinetail_panels_end_at_the_switch_fold(self):
         # the profile jumps at its t = 10 switch, which folds to 4 pi - 10;
@@ -361,9 +361,54 @@ class TestApplyPV:
             assert nl.apply_pv(k, u, x, wrapped=wk) == pytest.approx(spec.eval(x), abs=tol)
 
 
+# |PV - spectral| / max|spectral| at the grid nodes of L = pi, N = 64 and
+# 256, for u = cos x + 0.3 sin 2x + 0.2 cos 5x + 0.1 sin 8x.  The bounds sit
+# above what the rule reads (1.8e-14 at fraclap 0.05, 5.4e-14 at 0.5, 4.5e-13
+# at 0.8, 5.7e-13 at 0.9, 4.6e-13 at 0.95, 2.3e-15 for Delaunay, 1.5e-15 for
+# the compact table, 8.7e-16 for the indicator, 2.1e-10 for SineTail, whose
+# wrap sets it).  The rule that graded 120 levels toward 0 and dropped the
+# rest read 1.1e-8 at s = 0.9 and raised IntegrationError at s = 0.95.
+_BENCH_T = np.linspace(1e-3, 0.6 * math.pi, 64)
+PV_ACCURACY = {
+    "fraclap-0.05": (nl.FractionalKernel(0.05), 1e-13),
+    "fraclap-0.2": (nl.FractionalKernel(0.2), 1e-13),
+    "fraclap-0.5": (nl.FractionalKernel(0.5), 2e-13),
+    "fraclap-0.8": (nl.FractionalKernel(0.8), 1e-12),
+    "fraclap-0.9": (nl.FractionalKernel(0.9), 1e-12),
+    "fraclap-0.95": (nl.FractionalKernel(0.95), 1e-12),
+    "delaunay": (nl.DelaunayKernel(2, 0.5, 1.0), 1e-14),
+    "compact": (nl.CompactKernel(_BENCH_T, 1.0 - _BENCH_T / (0.6 * math.pi), s=0.5), 1e-14),
+    "indicator": (nl.indicator_kernel(1.3 * math.pi), 1e-14),
+    "sinetail": (nl.SineTailKernel(0.5), 5e-10),
+}
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("name", list(PV_ACCURACY))
+def test_pv_accuracy_matrix(name, n):
+    kernel, bound = PV_ACCURACY[name]
+    g = nl.PeriodicGrid(math.pi, n)
+    u = nl.PeriodicFunction.from_callable(
+        g, lambda x: np.cos(x) + 0.3 * np.sin(2 * x) + 0.2 * np.cos(5 * x) + 0.1 * np.sin(8 * x))
+    spec = nl.apply_spectral(nl.symbol_of_kernel(kernel, g), u).samples
+    pv = nl.apply_pv_grid(kernel, u).samples
+    assert np.max(np.abs(pv - spec)) / np.max(np.abs(spec)) <= bound
+
+
+def test_pv_names_the_order_and_node_where_the_kernel_overflows():
+    # at s = 0.99 the power-substitution panel's smallest node is about
+    # 1.5e-131, where z^(-1-2s) overflows; the half period is not to blame
+    g = nl.PeriodicGrid(math.pi, 64)
+    u = nl.PeriodicFunction.from_callable(g, np.cos)
+    with pytest.raises(nl.IntegrationError, match=r"order s = 0\.99 .* node z = 1\.5\de-131"):
+        nl.apply_pv(nl.FractionalKernel(0.99), u, 0.3)
+    assert nl.apply_pv(nl.FractionalKernel(0.98), u, 0.3) == pytest.approx(
+        math.cos(0.3), abs=1e-12)
+
+
 class TestPVRule:
-    """The panels and cos table that _pv_fold caches in one plan per
-    (L, N/2 + 1, breakpoints)."""
+    """The panels, cos table and moment powers that _pv_fold caches in one
+    plan per (L, N/2 + 1, breakpoints, s)."""
 
     @staticmethod
     def setup_case():
@@ -380,19 +425,19 @@ class TestPVRule:
         u, kernel, wk = self.setup_case()
         nl.apply_pv(kernel, u, 0.3, wrapped=wk)
         warm = [nl.apply_pv(kernel, u, x, wrapped=wk) for x in (-2.0, 0.3, 1.7)]
-        warm_grid = op._pv_fold(u, u.grid.nodes, wk, wk.breakpoints)
+        warm_grid = op._pv_fold(u, u.grid.nodes, wk, wk.breakpoints, kernel.s)
         cold = []
         for x in (-2.0, 0.3, 1.7):
             self.clear()
             cold.append(nl.apply_pv(kernel, u, x, wrapped=wk))
         self.clear()
-        cold_grid = op._pv_fold(u, u.grid.nodes, wk, wk.breakpoints)
+        cold_grid = op._pv_fold(u, u.grid.nodes, wk, wk.breakpoints, kernel.s)
         assert warm == cold
         assert np.array_equal(warm_grid, cold_grid)
 
     def test_cached_arrays_are_read_only(self):
-        zs, w, cuts, cos_large = op._pv_rule(math.pi, 33, (0.5,))
-        for a in (zs, w, cos_large):
+        zs, w, cuts, cos_large, z2, powers = op._pv_rule(math.pi, 33, (0.5,), 0.5)
+        for a in (zs, w, cos_large, z2, powers):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
@@ -404,10 +449,14 @@ class TestPVRule:
         for start, switch, stop in cuts:
             assert np.all(np.diff(zs[start:stop]) > 0)
             assert zs[switch - 1] < 1e-3 * math.pi <= zs[switch]
+        # one row per rule and power, one column per node below z_switch
+        small = np.concatenate([zs[a:b] for a, b, _ in cuts])
+        assert np.array_equal(z2, small**2)
+        assert powers.shape == (9, small.size)
 
     def test_cache_is_bounded(self):
         for i in range(op.PV_RULE_CACHE + 5):
-            op._pv_rule(math.pi / (i + 1), 17, ())
+            op._pv_rule(math.pi / (i + 1), 17, (), 0.5)
         info = op._pv_rule.cache_info()
         assert info.maxsize == op.PV_RULE_CACHE
         assert info.currsize <= info.maxsize
@@ -420,14 +469,41 @@ class TestPVRule:
             sizes.append(np.size(z))
             return wk(z)
 
-        op._pv_fold(u, [0.3], counting, wk.breakpoints)
+        op._pv_fold(u, [0.3], counting, wk.breakpoints, kernel.s)
         assert len(sizes) == 1
         xs = np.linspace(-math.pi, math.pi, 2 * EVAL_BLOCK + 1, endpoint=False)
         sizes.clear()
-        op._pv_fold(u, xs, counting, wk.breakpoints)
+        op._pv_fold(u, xs, counting, wk.breakpoints, kernel.s)
         # one call for all three blocks, on the nodes of all three eps rules
-        zs = op._pv_rule(math.pi, 33, wk.breakpoints)[0]
+        zs = op._pv_rule(math.pi, 33, wk.breakpoints, kernel.s)[0]
         assert sizes == [zs.size]
+
+    def test_kbar_sees_924_nodes_per_call(self):
+        # 20 nodes on (0, eps 2^-12) and 12 per graded panel above, for each
+        # of the three eps rules: 924 at L = pi; 120 levels of grading took 4752
+        u = self.setup_case()[0]
+        for kern in (nl.FractionalKernel(0.5), nl.FractionalKernel(0.95)):
+            wk = nl.wrap_kernel(kern, math.pi)
+            sizes = []
+
+            def counting(z):
+                sizes.append(np.size(z))
+                return wk(z)
+
+            op._pv_fold(u, [0.3], counting, wk.breakpoints, kern.s)
+            assert sizes == [924]
+
+    def test_kernel_orders_get_their_own_plans(self):
+        g = nl.PeriodicGrid(math.pi, 64)
+        u = nl.PeriodicFunction.from_callable(g, np.cos)
+        self.clear()
+        for s in (0.3, 0.7, 0.3):
+            nl.apply_pv(nl.FractionalKernel(s), u, 0.3)
+        info = op._pv_rule.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+        z3 = op._pv_rule(math.pi, 33, (), 0.3)[0]
+        z7 = op._pv_rule(math.pi, 33, (), 0.7)[0]
+        assert z3.size == z7.size and z3[0] != z7[0]
 
     def test_circle_half_laplacian_shares_the_plan(self):
         # the chord kernel has no breakpoints, like the fractional kernel

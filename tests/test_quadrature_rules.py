@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 from _oracles import (diagonal_cell, energy_identity_check, line_rule, pv_fold,
-                      pv_rule, sinetail_panels, support_panels)
+                      pv_fold_graded120, pv_rule, sinetail_panels, support_panels)
 
 import nonlocper as nl
 from nonlocper import kernels
@@ -50,10 +50,29 @@ def test_line_rule(s):
     (math.pi, 33, ()), (math.pi, 129, (4 * math.pi - 10,)), (12.566, 17, (0.5, 2.0)),
     (0.05, 9, ())])
 def test_pv_rule(L, n_modes, breakpoints):
-    zs, w, cuts, cos_large = op._pv_rule(L, n_modes, breakpoints)
-    ref = pv_rule(L, n_modes, breakpoints)
-    assert_all_equal((zs, w, cos_large), (ref[0], ref[1], ref[3]))
+    for s in (0.05, 0.5, 0.95):
+        zs, w, cuts, cos_large, z2, powers = op._pv_rule(L, n_modes, breakpoints, s)
+        ref = pv_rule(L, n_modes, breakpoints, s)
+        assert_all_equal((zs, w, cos_large, z2, powers), ref[:2] + ref[3:])
+        assert cuts == ref[2]
+
+
+def test_pv_rule_grades_below_its_smallest_breakpoint():
+    # a kink at 1e-9 lies below eps 2^-12 for every eps: each rule halves its
+    # panels until the power-substitution panel (0, a) ends below it
+    breakpoints = (1e-9, 0.5)
+    zs, w, cuts, cos_large, z2, powers = op._pv_rule(math.pi, 17, breakpoints, 0.3)
+    ref = pv_rule(math.pi, 17, breakpoints, 0.3)
+    assert_all_equal((zs, w, cos_large, z2, powers), ref[:2] + ref[3:])
     assert cuts == ref[2]
+    for (start, _, _), eps in zip(cuts, op.PV_EPS_SEQ):
+        # 20 nodes on (0, a), then the 12 of the first graded panel, which
+        # starts at a: its weights sum to its length
+        end, first = zs[start:start + 20], slice(start + 20, start + 32)
+        a = zs[first].mean() - 0.5 * w[first].sum()
+        depth = math.log2(eps / a)
+        assert end[-1] < a < 1e-9
+        assert depth > 12 and abs(depth - round(depth)) < 1e-9
 
 
 @pytest.mark.parametrize("xi_max", [0.0, 5.0, 50.0, 1000.0])
@@ -92,14 +111,40 @@ def test_pv_fold_over_several_blocks(case):
     u = nl.PeriodicFunction.from_callable(
         g, lambda x: np.cos(np.outer(x, k)) @ a + np.sin(np.outer(x, k)) @ b)
     if case == "chord":
-        kbar, breakpoints = chord, ()
+        kbar, breakpoints, s = chord, (), 0.5
     else:
         kernel = (nl.FractionalKernel(0.4) if case == "fraclap" else
                   nl.CompactKernel([1e-3, 0.5, 1.5], [1.0, 0.6, 0.0], s=0.5))
         kbar = nl.wrap_kernel(kernel, math.pi)
-        breakpoints = kbar.breakpoints
+        breakpoints, s = kbar.breakpoints, kernel.s
     xs = rng.uniform(-math.pi, math.pi, 2 * EVAL_BLOCK + 1)
-    assert np.array_equal(op._pv_fold(u, xs, kbar, breakpoints),
-                          pv_fold(u, xs, kbar, breakpoints))
-    assert np.array_equal(op._pv_fold(u, xs[:1], kbar, breakpoints),
-                          pv_fold(u, xs[:1], kbar, breakpoints))
+    assert np.array_equal(op._pv_fold(u, xs, kbar, breakpoints, s),
+                          pv_fold(u, xs, kbar, breakpoints, s))
+    assert np.array_equal(op._pv_fold(u, xs[:1], kbar, breakpoints, s),
+                          pv_fold(u, xs[:1], kbar, breakpoints, s))
+
+
+_BENCH_T = np.linspace(1e-3, 0.6 * math.pi, 64)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("kernel", [
+    nl.FractionalKernel(0.2), nl.FractionalKernel(0.5), nl.DelaunayKernel(2, 0.5, 1.0),
+    nl.CompactKernel(_BENCH_T, 1.0 - _BENCH_T / (0.6 * math.pi), s=0.5),
+    nl.indicator_kernel(1.3 * math.pi)],
+    ids=["fraclap-0.2", "fraclap-0.5", "delaunay", "compact", "indicator"])
+def test_pv_fold_agrees_with_the_graded120_rule(kernel, n):
+    # the power-substitution panel on (0, eps 2^-12) against 108 more levels
+    # of graded panels and the sliver below them dropped, on the kernels of
+    # the benchmark's pv-crossval workload
+    g = nl.PeriodicGrid(math.pi, n)
+    rng = np.random.default_rng(n)
+    k = np.arange(1, 9)
+    a, b = rng.standard_normal((2, k.size)) / k
+    u = nl.PeriodicFunction.from_callable(
+        g, lambda x: np.cos(np.outer(x, k)) @ a + np.sin(np.outer(x, k)) @ b)
+    wk = nl.wrap_kernel(kernel, math.pi)
+    xs = np.concatenate([g.nodes[::n // 16], rng.uniform(-math.pi, math.pi, 16)])
+    new = op._pv_fold(u, xs, wk, wk.breakpoints, kernel.s)
+    old = pv_fold_graded120(u, xs, wk, wk.breakpoints)
+    assert np.all(np.abs(new - old) <= 1e-13 * np.maximum(1.0, np.abs(old)))

@@ -53,8 +53,14 @@ class PeriodicGrid:
         return k
 
     def frequencies(self) -> np.ndarray:
-        """Physical frequencies pi*k/L for k = 0..N/2."""
-        return np.pi * np.arange(self.size // 2 + 1) / self.half_period
+        """Physical frequencies pi*k/L for k = 0..N/2 (cached, read-only)."""
+        return self._frequencies
+
+    @cached_property
+    def _frequencies(self) -> np.ndarray:
+        omega = np.pi * np.arange(self.size // 2 + 1) / self.half_period
+        omega.setflags(write=False)
+        return omega
 
 
 def _half_to_samples(half: np.ndarray, m: int) -> np.ndarray:
@@ -63,10 +69,12 @@ def _half_to_samples(half: np.ndarray, m: int) -> np.ndarray:
     N/2 + 1, one function per row), by one zero-padded irfft.  On a finer
     grid the Nyquist cosine is the +-N/2 pair, each with half its entry."""
     n_half = half.shape[-1] - 1
-    spec = np.zeros(half.shape[:-1] + (m // 2 + 1,), dtype=complex)
-    spec[..., :n_half + 1] = half
     if m > 2 * n_half:
+        spec = np.zeros(half.shape[:-1] + (m // 2 + 1,), dtype=complex)
+        spec[..., :n_half + 1] = half
         spec[..., n_half] *= 0.5
+    else:
+        spec = np.array(half, dtype=complex)
     spec[..., 1::2] *= -1.0  # nodes start at -L: mode k has phase (-1)^k there
     return np.fft.irfft(spec, m) * m
 
@@ -134,11 +142,17 @@ class PeriodicFunction:
         a_k(x_i) = re_k cos(omega_k x_i) - im_k sin(omega_k x_i), k = 0..N/2,
         the +-k Fourier terms at x_i summed (the Nyquist mode one-sided).
         Row sums are u(x); sum_k (-omega_k^2)^m a_k(x) is u^(2m)(x)."""
+        re, im = self._amplitudes
+        phase = np.outer(x, self.grid.frequencies())
+        return np.cos(phase) * re - np.sin(phase) * im
+
+    @cached_property
+    def _amplitudes(self) -> tuple:
+        """(re_k, im_k) for modes: 2 u_k, and u_k at k = 0 and N/2 (cached)."""
         a = 2.0 * self.half_spectrum()
         a[0] *= 0.5
         a[-1] *= 0.5
-        phase = np.outer(x, self.grid.frequencies())
-        return np.cos(phase) * a.real - np.sin(phase) * a.imag
+        return a.real.copy(), a.imag.copy()
 
     def eval(self, x) -> np.ndarray | float:
         """Band-limited (trigonometric) interpolation at arbitrary points:

@@ -309,7 +309,10 @@ class CompactKernel(Kernel):
         if np.any(k_table < 0) or np.any(np.diff(k_table) > 1e-12):
             raise DomainError("compact profile must be nonnegative nonincreasing")
         cutoff = float(t_table[-1])
-        Lam = float(np.max(k_table * t_table ** (1.0 + 2.0 * s)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            Lam = float(np.max(k_table * t_table ** (1.0 + 2.0 * s)))
+        if not math.isfinite(Lam):
+            raise DomainError(f"the bound Lambda = max K(t) t^(1+2s) overflows at t = {cutoff:g}")
         super().__init__(s=s, lambda_lo=0.0, Lambda_hi=Lam, support=cutoff)
         object.__setattr__(self, "t_table", t_table)
         object.__setattr__(self, "k_table", k_table)
@@ -1019,7 +1022,7 @@ class _HermiteTable:
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         x = t * self.cells_per_unit
-        i = np.clip(x.astype(np.intp), 0, _TABLE_CELLS - 1)
+        i = np.fmax(np.fmin(x, _TABLE_CELLS - 1), 0).astype(np.intp)
         u = x - i
         c0, c1, c2, c3 = (c[i] for c in self.coeffs)
         return c0 + u * (c1 + u * (c2 + u * c3))

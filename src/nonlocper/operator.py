@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import (DomainError, GridMismatchError, IntegrationError,
                      UnsupportedKernelError)
-from .grids import EVAL_BLOCK, PeriodicFunction, PeriodicGrid
+from .grids import (COEFF_NOISE_FLOOR, EVAL_BLOCK, PeriodicFunction, PeriodicGrid,
+                    _half_to_samples)
 from .kernels import Kernel, WrappedKernel, _gl_panels, _row_blocks, wrap_kernel
 
 
@@ -261,43 +262,37 @@ def apply_spectral(sym: SymbolTable, u: PeriodicFunction) -> PeriodicFunction:
 
 PV_EPS_SEQ = (1e-2, 1e-3, 1e-4)  # where the graded panels of each PV estimate start
 PV_STABILITY_TOL = 1e-6
-PV_RULE_CACHE = 8  # plans kept by _pv_rule, least recent dropped
+PV_PLAN_BYTES = 64 << 20  # cap on the arrays of the cached PV plans, least recent dropped
 _PV_NODES = 12  # Gauss-Legendre nodes per graded panel of the PV rules
 _PV_DEPTH = 12  # halvings of the graded panels below each eps, at least
 _PV_END_NODES = 20  # Gauss-Legendre nodes of the power-substitution panel
+_PV_SWITCH = 1e-3  # z_switch / L: below it the second difference comes from its Taylor series
+_PV_PLANS: dict = {}  # (build function, *key) -> plan, least recently used first
 
 
-@functools.lru_cache(maxsize=PV_RULE_CACHE)
-def _pv_rule(L: float, n_modes: int, breakpoints: tuple, s: float) -> tuple:
-    """The part of _pv_fold's quadrature that depends on neither the kernel
-    nor u, built once per key: (zs, w, cuts, cos_large, z2, powers), all
-    read-only.
+def _pv_plan(build, *key) -> tuple:
+    """build(*key), its arrays made read-only and kept in _PV_PLANS.  A miss
+    drops the least recently used plans until the arrays kept, the new
+    plan's included, take at most PV_PLAN_BYTES; a larger plan is kept alone."""
+    plan = _PV_PLANS.pop((build, *key), None)
+    if plan is None:
+        plan = build(*key)
+        for arr in plan:
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+        while _PV_PLANS and sum(a.nbytes for p in (plan, *_PV_PLANS.values()) for a in p
+                                if isinstance(a, np.ndarray)) > PV_PLAN_BYTES:
+            del _PV_PLANS[next(iter(_PV_PLANS))]
+    _PV_PLANS[(build, *key)] = plan  # (re)inserted last: the most recent
+    return plan
 
-    zs holds the nodes of every eps rule, concatenated in PV_EPS_SEQ order,
-    and w their weights.  Rule i owns zs[start:stop] for
-    (start, switch, stop) = cuts[i]; its nodes ascend, so those below
-    z_switch = 1e-3 L are the prefix zs[start:switch].  A rule halves its
-    Gauss-Legendre panels from eps down to a = eps 2^-J, J >= _PV_DEPTH
-    chosen so that no breakpoint lies below a.  (0, a) is one panel in v on
-    (0, 1) with z = a v^q, q = 1/(2 - 2s): the leading z^(1-2s) term of
-    z^2 Kbar(z) for a kernel of order s is then constant in v, so nothing
-    near z = 0 is dropped.  cos_large is cos(outer(z, omega)) over the
-    nodes at or above z_switch, rule after rule, with omega the n_modes
-    frequencies pi k / L.  z2 holds z^2 at the n nodes below z_switch, rule
-    after rule, and powers takes the products wk z^2 there to the nine
-    moments sum wk z^2m: its row 3i + m - 1 holds z^(2m-2) (m = 1, 2, 3)
-    on rule i's nodes and 0 elsewhere.
 
-    An entry holds 16 bytes per node, 80 more per node below z_switch, and
-    8 n_modes bytes per node at or above z_switch.  For L = pi and s = 1/2,
-    550 of the 924 nodes lie below z_switch and 374 above: 0.16 MB at
-    N = 64, 0.44 MB at N = 256 and 6.2 MB at N = 4096."""
-    # below z_switch the direct second difference is pure cancellation noise
-    z_switch = 1e-3 * L
-    q = 0.5 / (1.0 - s)
-    v, wv = _gl_panels([0.0, 1.0], _PV_END_NODES)
+def _pv_panels(L: float, breakpoints: tuple) -> list:
+    """(a, z, wz) per eps rule: Gauss-Legendre panels halving from L down to
+    eps and on to a = eps 2^-J, J >= _PV_DEPTH chosen so that no breakpoint
+    lies below a."""
     lowest = min(breakpoints, default=math.inf)
-    zs, w, cuts, start = [], [], [], 0
+    rules = []
     for eps in PV_EPS_SEQ:
         depth = _PV_DEPTH
         while eps * 2.0 ** -depth >= lowest:
@@ -307,93 +302,132 @@ def _pv_rule(L: float, n_modes: int, breakpoints: tuple, s: float) -> tuple:
         while bounds[-1] < L:
             bounds.append(min(2.0 * bounds[-1], L))
         bounds = sorted(set(bounds) | {b for b in breakpoints if a < b < L})
-        z, wz = _gl_panels(bounds, _PV_NODES)
-        zs += [a * v**q, z]
-        w += [a * q * v ** (q - 1.0) * wv, wz]
-        stop = start + v.size + z.size
-        cuts.append((start, start + v.size + int(np.searchsorted(z, z_switch)), stop))
-        start = stop
-    zs, w = np.concatenate(zs), np.concatenate(w)
-    z2 = np.concatenate([zs[start:switch] for start, switch, _ in cuts]) ** 2
-    powers = np.zeros((3 * len(cuts), z2.size))
-    col = 0
-    with np.errstate(over="ignore"):  # z^4 overflows once 1e-3 L passes about 1e77
-        for i, (start, switch, _) in enumerate(cuts):
-            cols = slice(col, col + switch - start)
-            powers[3 * i, cols] = 1.0
-            powers[3 * i + 1, cols] = z2[cols]
-            powers[3 * i + 2, cols] = z2[cols] ** 2
-            col = cols.stop
-    cos_large = np.outer(np.concatenate([zs[switch:stop] for _, switch, stop in cuts]),
-                         np.pi * np.arange(n_modes) / L)
+        rules.append((a, *_gl_panels(bounds, _PV_NODES)))
+    return rules
+
+
+def _pv_free(L: float, n_modes: int, breakpoints: tuple) -> tuple:
+    """The s-free tier of the PV plan: the Taylor columns d2, d2^2/12 and
+    d2^3/360 (d2 = -omega^2, omega = pi k / L), and cos_large =
+    cos(outer(z, omega)) over the direct nodes z >= z_switch, rule after
+    rule; below z_switch the direct second difference is pure cancellation
+    noise."""
+    omega = np.pi * np.arange(n_modes) / L
+    d2 = -omega**2
+    taylor = np.stack([d2, d2**2 / 12.0, d2**3 / 360.0], axis=1)
+    large = np.concatenate([z[z >= _PV_SWITCH * L] for _, z, _ in _pv_panels(L, breakpoints)])
+    cos_large = np.outer(large, omega)
     np.cos(cos_large, out=cos_large)
-    for arr in (zs, w, cos_large, z2, powers):
-        arr.setflags(write=False)
-    return zs, w, tuple(cuts), cos_large, z2, powers
+    return taylor, cos_large
+
+
+def _pv_rule(L: float, breakpoints: tuple, s: float) -> tuple:
+    """The s tier of the PV plan: (zs, w, n_small, segs, z2, powers).  Each
+    rule of _pv_panels gains a panel on (0, a) in v on (0, 1), z = a v^q,
+    q = 1/(2 - 2s): the leading z^(1-2s) term of z^2 Kbar(z) for a kernel
+    of order s is then constant in v, so nothing near 0 is dropped.  zs
+    holds the n_small nodes below z_switch, rule after rule, then the
+    direct ones, rule i's on zs[n_small:][segs[i]]; w their weights.
+    z2 = zs[:n_small]^2, and row 3i + m - 1 of powers holds z^(2m-2)
+    (m = 1, 2, 3) on rule i's small nodes and 0 elsewhere."""
+    q = 0.5 / (1.0 - s)
+    v, wv = _gl_panels([0.0, 1.0], _PV_END_NODES)
+    rules = _pv_panels(L, breakpoints)
+    zs = np.concatenate([np.concatenate([a * v**q, z]) for a, z, _ in rules])
+    w = np.concatenate([np.concatenate([a * q * v ** (q - 1.0) * wv, wz]) for a, _, wz in rules])
+    rule = np.repeat(np.arange(len(rules)), [v.size + z.size for _, z, _ in rules])
+    small = zs < _PV_SWITCH * L
+    order = np.argsort(np.where(small, rule, rule + len(rules)), kind="stable")
+    zs, w, rule, n_small = zs[order], w[order], rule[order], int(np.count_nonzero(small))
+    bounds = np.searchsorted(rule[n_small:], np.arange(len(rules) + 1))
+    segs = tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    z2 = zs[:n_small] ** 2
+    powers = np.zeros((3 * len(rules), n_small))
+    with np.errstate(over="ignore"):  # z^4 overflows once 1e-3 L passes about 1e77
+        for m in range(3):
+            powers[3 * rule[:n_small] + m, np.arange(n_small)] = z2**m
+    return zs, w, n_small, segs, z2, powers
+
+
+def _pv_weights(u: PeriodicFunction, kbar, breakpoints, s: float) -> tuple:
+    """(wd, segs, moments, taylor, cos_large) of one fold: kbar once on every
+    node of the s tier, wd = w kbar on the direct nodes, moments[i, m - 1]
+    the sum of w kbar z^2m over rule i's small nodes by one product with
+    powers, and the s-free tier."""
+    L = u.grid.half_period
+    if PV_EPS_SEQ[0] >= L:
+        raise DomainError(f"the half period must exceed the first eps, {PV_EPS_SEQ[0]:g}")
+    zs, w, n_small, segs, z2, powers = _pv_plan(_pv_rule, L, tuple(breakpoints), s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wk = w * kbar(zs)
+        moments = (powers @ (wk[:n_small] * z2)).reshape(len(segs), 3)
+    if not np.isfinite(moments).all():
+        bad = ~np.isfinite(wk[:n_small])
+        if bad.any():
+            # kbar ~ z^(-1-2s) overflows at the smallest nodes for s beyond
+            # about 0.98, and z = a v^q underflows to 0 for s beyond about 0.996
+            raise IntegrationError(f"the kernel of order s = {s:g} is not finite at the "
+                                   f"principal-value node z = {np.min(zs[:n_small][bad]):.3g}")
+        # sum wk z^6 overflows for half periods beyond about 1e64 (fraclap 0.5)
+        raise IntegrationError(f"principal-value moments overflow at half period {L:g}")
+    return (wk[n_small:], segs, moments,
+            *_pv_plan(_pv_free, L, u.grid.size // 2 + 1, tuple(breakpoints)))
+
+
+def _pv_settle(u: PeriodicFunction, x: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The last row of the estimates vals (rule x point), once the rules
+    agree within PV_STABILITY_TOL relative to max(1, |value|), which
+    certifies that the principal-value limit has stabilized."""
+    spread = np.abs(vals[1:] - vals[:-1]).max(axis=0) / np.maximum(1.0, np.abs(vals[-1]))
+    # NaN passes no comparison, so an estimate that is not finite is bad
+    bad = np.flatnonzero(~(spread <= PV_STABILITY_TOL))
+    if bad.size:
+        amp = np.abs(u.half_spectrum())
+        top = np.flatnonzero(amp > COEFF_NOISE_FLOOR * amp.max()).max(initial=0)
+        raise IntegrationError(
+            f"principal value unstable across PV_EPS_SEQ at x={x[bad[0]]:g}: the estimates "
+            f"{vals[:, bad[0]].tolist()} spread by {spread[bad[0]]:.3g} of max(1, |value|), "
+            f"above PV_STABILITY_TOL = {PV_STABILITY_TOL:g}; u has modes up to k = {top} "
+            "above COEFF_NOISE_FLOOR")
+    return vals[-1]
 
 
 def _pv_fold(u: PeriodicFunction, xs, kbar, breakpoints, s: float) -> np.ndarray:
     """int_0^L (2u(x) - u(x+z) - u(x-z)) kbar(z) dz at every x in xs, for a
-    kbar of order s (kbar(z) ~ z^(-1-2s) at 0), on the rules of _pv_rule,
-    whose panels never straddle a breakpoint of kbar.  The estimates for
-    all eps in PV_EPS_SEQ (where the grading starts) must agree within
-    PV_STABILITY_TOL relative to max(1, |value|), which certifies that the
-    principal-value limit has stabilized; a moment, value or spread that is
-    not finite raises IntegrationError too.  kbar is evaluated once per
-    call, on the nodes of every eps rule at once, and the nine moments
-    (three rules, powers z^2, z^4 and z^6) are one product of the plan's
-    powers with wk z^2 below z_switch; then u's tables are built EVAL_BLOCK
-    points at a time."""
-    L = u.grid.half_period
-    if PV_EPS_SEQ[0] >= L:
-        raise DomainError(f"the half period must exceed the first eps, {PV_EPS_SEQ[0]:g}")
+    kbar of order s (kbar(z) ~ z^(-1-2s) at 0), on the PV plan, whose panels
+    never straddle a breakpoint of kbar.  Each eps rule of PV_EPS_SEQ is one
+    estimate: the direct second difference on its direct nodes, and below
+    z_switch its even Taylor series, exact to rounding there, against the
+    moments.  u's tables take EVAL_BLOCK points at a time."""
+    wd, segs, moments, taylor, cos_large = _pv_weights(u, kbar, breakpoints, s)
     xs = np.asarray(xs, dtype=float)
-    omega = u.grid.frequencies()
-    zs, w, cuts, cos_large, z2, powers = _pv_rule(L, omega.size, tuple(breakpoints), s)
-    # per eps rule: the weights of the direct second difference, and the
-    # moments of the nodes below z_switch, where the even Taylor series of
-    # the second difference in spectral derivatives is exact to rounding
-    with np.errstate(over="ignore", invalid="ignore"):
-        wk = w * kbar(zs)
-        wk_small = np.concatenate([wk[start:switch] for start, switch, _ in cuts])
-        moments = (powers @ (wk_small * z2)).reshape(len(cuts), 3)
-    if not np.all(np.isfinite(moments)):
-        bad = ~np.isfinite(wk_small)
-        if bad.any():
-            # kbar ~ z^(-1-2s) overflows at the smallest nodes for s beyond
-            # about 0.98, and z = a v^q underflows to 0 for s beyond about 0.996
-            z = np.concatenate([zs[start:switch] for start, switch, _ in cuts])
-            raise IntegrationError(f"the kernel of order s = {s:g} is not finite at the "
-                                   f"principal-value node z = {np.min(z[bad]):.3g}")
-        # sum wk z^6 overflows for half periods beyond about 1e64 (fraclap 0.5)
-        raise IntegrationError(f"principal-value moments overflow at half period {L:g}")
-    directs = [wk[switch:stop] for _, switch, stop in cuts]
-    # the second difference is -2 sum_m u^(2m)(x) z^2m / (2m)!, m = 1, 2, 3,
-    # with u^(2m)(x) = sum_k a_k(x) (-omega_k^2)^m
-    d2 = -omega**2
-    taylor = np.stack([d2, d2**2 / 12.0, d2**3 / 360.0], axis=1)
     out = np.empty(xs.size)
-    for i in range(0, xs.size, EVAL_BLOCK):  # caps the point-by-mode tables at EVAL_BLOCK rows
+    for i in range(0, xs.size, EVAL_BLOCK):
         x = xs[i:i + EVAL_BLOCK]
         ux = u.eval(x)
-        # addition theorem: u(x+z) + u(x-z) = 2 sum_k a_k(x) cos(omega_k z) over
-        # 0 <= k <= N/2, with a_k(x) the half-spectrum table of u at x
+        # addition theorem: u(x+z) + u(x-z) = 2 sum_k a_k(x) cos(omega_k z), a_k(x)
+        # the half-spectrum table of u at x (0 <= k <= N/2); the second difference
+        # is -2 sum_m u^(2m)(x) z^2m / (2m)!, u^(2m)(x) = sum_k a_k(x) (-omega_k^2)^m
         modes = u.modes(x)
         diff = 2.0 * (ux - cos_large @ modes.T)
-        series = moments @ (modes @ taylor).T
-        vals, row = [], 0
-        for direct, corr in zip(directs, series):
-            vals.append(direct @ diff[row:row + direct.size] - corr)
-            row += direct.size
-        spread = np.max(np.abs(np.diff(vals, axis=0)), axis=0, initial=0.0)
-        # NaN passes no comparison, and an estimate that is not finite leaves
-        # the ratio NaN or inf, so it counts as bad
-        bad = np.flatnonzero(~(spread / np.maximum(1.0, np.abs(vals[-1])) <= PV_STABILITY_TOL))
-        if bad.size:
-            raise IntegrationError(f"principal value unstable across PV_EPS_SEQ at "
-                                   f"x={x[bad[0]]:g}: {[float(v[bad[0]]) for v in vals]}")
-        out[i:i + EVAL_BLOCK] = vals[-1]
+        direct = np.array([wd[seg] @ diff[seg] for seg in segs])
+        out[i:i + EVAL_BLOCK] = _pv_settle(u, x, direct - moments @ (modes @ taylor).T)
     return out
+
+
+def _pv_fold_grid(u: PeriodicFunction, kbar, breakpoints, s: float) -> np.ndarray:
+    """_pv_fold at every node of u's grid.  u(x + z) + u(x - z) at all nodes
+    x is one inverse FFT of u's half spectrum times cos(omega z) per direct
+    node z, batched in kernels._row_blocks, and u'', u'''' and u^(6) are
+    three more: evaluations of u, never a transform of the weights."""
+    wd, segs, moments, taylor, cos_large = _pv_weights(u, kbar, breakpoints, s)
+    n, half = u.grid.size, u.half_spectrum()
+    rules = np.array([np.pad(wd[seg], (seg.start, wd.size - seg.stop)) for seg in segs])
+    vals = -(moments @ _half_to_samples(taylor.T * half, n))
+    for blk in _row_blocks(wd.size, n):
+        shifted = _half_to_samples(cos_large[blk] * half, n)  # (u(x + z) + u(x - z)) / 2
+        vals += rules[:, blk] @ (2.0 * (u.samples - shifted))
+    return _pv_settle(u, u.grid.nodes, vals)
 
 
 def apply_pv(kernel: Kernel, u: PeriodicFunction, x: float,
@@ -414,10 +448,9 @@ def apply_pv(kernel: Kernel, u: PeriodicFunction, x: float,
 
 
 def apply_pv_grid(kernel: Kernel, u: PeriodicFunction) -> PeriodicFunction:
-    """apply_pv at every grid node (cross-validation helper)."""
+    """apply_pv at every grid node (cross-validation helper), by _pv_fold_grid."""
     wrapped = wrap_kernel(kernel, u.grid.half_period)
-    return PeriodicFunction(u.grid, _pv_fold(u, u.grid.nodes, wrapped,
-                                             wrapped.breakpoints, kernel.s))
+    return PeriodicFunction(u.grid, _pv_fold_grid(u, wrapped, wrapped.breakpoints, kernel.s))
 
 
 def bilinear_fourier(sym: SymbolTable, u: PeriodicFunction,

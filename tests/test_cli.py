@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,30 @@ class TestCommands:
         sp, pv = (np.loadtxt(tmp_path / mode / "applied.csv", delimiter=",", skiprows=1)
                   for mode in ("spectral", "pv"))
         assert np.max(np.abs(sp[:, 1] - pv[:, 1])) < 1e-10
+
+    def test_apply_pv_names_the_unresolved_mode(self, tmp_path, capsys):
+        # cos 24x at N = 64 is beyond the rule's resolution: the message gives
+        # the spread against PV_STABILITY_TOL and u's highest mode, 24
+        fpath = write_samples(tmp_path / "u.csv", lambda x: np.cos(24 * x))
+        code = run_cli(["apply", "--mode", "pv", "--kernel", "fraclap", "--s", 0.5,
+                        "--L", L, "--N", 64, "--function", fpath, "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_NUMERICAL
+        assert err.startswith("numerical failure: principal value unstable")
+        assert "spread by" in err and "PV_STABILITY_TOL = 1e-06" in err
+        assert "u has modes up to k = 24 above COEFF_NOISE_FLOOR" in err
+
+    def test_indicator_whose_growth_bound_overflows_exits_2(self, tmp_path, capsys):
+        # Lambda = max K(t) t^(1+2s) is 1e600 at cutoff 1e300: it overflowed
+        # with a RuntimeWarning, and the command exited 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["kernel-class", "--kernel", "indicator", "--cutoff", 1e300,
+                            "--s", 0.5, "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("configuration error: the bound Lambda")
+        assert not (tmp_path / "kernel-class_report.json").exists()
 
     def test_energy(self, tmp_path):
         fpath = write_samples(tmp_path / "u.csv")

@@ -407,8 +407,9 @@ def test_pv_names_the_order_and_node_where_the_kernel_overflows():
 
 
 class TestPVRule:
-    """The panels, cos table and moment powers that _pv_fold caches in one
-    plan per (L, N/2 + 1, breakpoints, s)."""
+    """The PV plan in two tiers, in one store capped in bytes: the s-free
+    tier (Taylor columns and cos table) per (L, N/2 + 1, breakpoints) and
+    the s tier (nodes, weights, moment powers) per (L, breakpoints, s)."""
 
     @staticmethod
     def setup_case():
@@ -419,7 +420,11 @@ class TestPVRule:
 
     @staticmethod
     def clear():
-        op._pv_rule.cache_clear()
+        op._PV_PLANS.clear()
+
+    @staticmethod
+    def plan_kinds():
+        return sorted(key[0].__name__ for key in op._PV_PLANS)
 
     def test_cold_and_warm_cache_agree_bitwise(self):
         u, kernel, wk = self.setup_case()
@@ -436,30 +441,71 @@ class TestPVRule:
         assert np.array_equal(warm_grid, cold_grid)
 
     def test_cached_arrays_are_read_only(self):
-        zs, w, cuts, cos_large, z2, powers = op._pv_rule(math.pi, 33, (0.5,), 0.5)
-        for a in (zs, w, cos_large, z2, powers):
+        taylor, cos_large = op._pv_plan(op._pv_free, math.pi, 33, (0.5,))
+        zs, w, n_small, segs, z2, powers = op._pv_plan(op._pv_rule, math.pi, (0.5,), 0.5)
+        for a in (taylor, cos_large, zs, w, z2, powers):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
-        # each rule's nodes ascend, and its small-z prefix ends at z_switch
-        assert [c[0] for c in cuts] == [0, *(c[2] for c in cuts[:-1])]
-        assert cuts[-1][2] == zs.size
-        large = np.concatenate([zs[b:c] for _, b, c in cuts])
-        assert cos_large.shape == (large.size, 33)
-        for start, switch, stop in cuts:
-            assert np.all(np.diff(zs[start:stop]) > 0)
-            assert zs[switch - 1] < 1e-3 * math.pi <= zs[switch]
+        # the nodes below z_switch, then the direct ones in rule segments;
+        # each rule's nodes ascend and its direct ones start at z_switch
+        direct = zs[n_small:]
+        assert segs[0].start == 0 and segs[-1].stop == direct.size
+        assert all(a.stop == b.start for a, b in zip(segs, segs[1:]))
+        assert taylor.shape == (33, 3) and cos_large.shape == (direct.size, 33)
+        assert np.all(zs[:n_small] < 1e-3 * math.pi)
+        for i, seg in enumerate(segs):
+            assert direct[seg][0] >= 1e-3 * math.pi
+            assert np.all(np.diff(direct[seg]) > 0)
+            small = zs[:n_small][powers[3 * i] == 1.0]
+            assert small.size and np.all(np.diff(small) > 0)
         # one row per rule and power, one column per node below z_switch
-        small = np.concatenate([zs[a:b] for a, b, _ in cuts])
-        assert np.array_equal(z2, small**2)
-        assert powers.shape == (9, small.size)
+        assert np.array_equal(z2, zs[:n_small] ** 2)
+        assert powers.shape == (9, n_small)
 
-    def test_cache_is_bounded(self):
-        for i in range(op.PV_RULE_CACHE + 5):
-            op._pv_rule(math.pi / (i + 1), 17, (), 0.5)
-        info = op._pv_rule.cache_info()
-        assert info.maxsize == op.PV_RULE_CACHE
-        assert info.currsize <= info.maxsize
+    def test_cache_is_bounded(self, monkeypatch):
+        # at N = 256 the s-free tier takes 0.39 MB and an s tier 59 kB: 1 MiB
+        # holds the s-free tier, in use on every call, and the newest 11 orders
+        self.clear()
+        monkeypatch.setattr(op, "PV_PLAN_BYTES", 1 << 20)
+        u = nl.PeriodicFunction.from_callable(nl.PeriodicGrid(math.pi, 256), np.cos)
+        for s in np.linspace(0.1, 0.9, 13):
+            op._pv_fold(u, [0.3], nl.FractionalKernel(s), (), s)
+            sizes = [a.nbytes for plan in op._PV_PLANS.values() for a in plan
+                     if isinstance(a, np.ndarray)]
+            assert sum(sizes) <= op.PV_PLAN_BYTES
+        assert self.plan_kinds().count("_pv_free") == 1
+        assert len(op._PV_PLANS) == 12
+        # the newest order is kept, the first is gone
+        assert (op._pv_rule, math.pi, (), 0.9) in op._PV_PLANS
+        assert (op._pv_rule, math.pi, (), 0.1) not in op._PV_PLANS
+        # a plan over the cap is kept, alone
+        monkeypatch.setattr(op, "PV_PLAN_BYTES", 1 << 16)
+        op._pv_plan(op._pv_free, math.pi, 257, ())
+        assert list(op._PV_PLANS) == [(op._pv_free, math.pi, 257, ())]
+        self.clear()
+
+    def test_sixteen_orders_build_one_s_free_tier(self, monkeypatch):
+        # with one plan per (L, N, breakpoints, s) in 8 slots, a ninth order
+        # in a loop missed on every call and rebuilt its cos table
+        self.clear()
+        builds = []
+        for name in ("_pv_free", "_pv_rule"):
+            def counting(*key, build=getattr(op, name)):
+                builds.append(build.__name__)
+                return build(*key)
+            monkeypatch.setattr(op, name, counting)
+        g = nl.PeriodicGrid(math.pi, 256)
+        u = band_limited(g, np.random.default_rng(4))
+        kernels = [nl.FractionalKernel(s) for s in np.linspace(0.1, 0.85, 16)]
+        wrapped = [nl.wrap_kernel(k, math.pi) for k in kernels]
+        for _ in range(3):
+            for k, wk in zip(kernels, wrapped):
+                nl.apply_pv(k, u, 0.3, wrapped=wk)
+        # built once each, and nothing evicted
+        assert builds.count("_pv_free") == 1 and builds.count("_pv_rule") == 16
+        assert len(op._PV_PLANS) == 17
+        self.clear()
 
     def test_kbar_called_once_per_call(self):
         u, kernel, wk = self.setup_case()
@@ -475,7 +521,10 @@ class TestPVRule:
         sizes.clear()
         op._pv_fold(u, xs, counting, wk.breakpoints, kernel.s)
         # one call for all three blocks, on the nodes of all three eps rules
-        zs = op._pv_rule(math.pi, 33, wk.breakpoints, kernel.s)[0]
+        zs = op._pv_rule(math.pi, wk.breakpoints, kernel.s)[0]
+        assert sizes == [zs.size]
+        sizes.clear()
+        op._pv_fold_grid(u, counting, wk.breakpoints, kernel.s)
         assert sizes == [zs.size]
 
     def test_kbar_sees_924_nodes_per_call(self):
@@ -499,10 +548,10 @@ class TestPVRule:
         self.clear()
         for s in (0.3, 0.7, 0.3):
             nl.apply_pv(nl.FractionalKernel(s), u, 0.3)
-        info = op._pv_rule.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
-        z3 = op._pv_rule(math.pi, 33, (), 0.3)[0]
-        z7 = op._pv_rule(math.pi, 33, (), 0.7)[0]
+        # one s-free tier, one s tier per order
+        assert self.plan_kinds() == ["_pv_free", "_pv_rule", "_pv_rule"]
+        z3 = op._pv_rule(math.pi, (), 0.3)[0]
+        z7 = op._pv_rule(math.pi, (), 0.7)[0]
         assert z3.size == z7.size and z3[0] != z7[0]
 
     def test_circle_half_laplacian_shares_the_plan(self):
@@ -510,9 +559,57 @@ class TestPVRule:
         g = nl.PeriodicGrid(math.pi, 64)
         u = nl.PeriodicFunction.from_callable(g, np.cos)
         nl.apply_pv(nl.FractionalKernel(0.5), u, 0.3)
-        hits = op._pv_rule.cache_info().hits
+        keys = list(op._PV_PLANS)
         nl.half_lap_pv_circle(u, 0.3)
-        assert op._pv_rule.cache_info().hits == hits + 1
+        assert sorted(op._PV_PLANS, key=keys.index) == keys
+
+
+class TestPVGrid:
+    """apply_pv_grid evaluates u(x + z) + u(x - z) at every node by inverse
+    FFTs, on the point route's plan, moments and checks."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("name", ["fraclap-0.2", "fraclap-0.5", "delaunay", "compact",
+                                      "indicator"])
+    def test_equals_apply_pv_at_every_node(self, name, n):
+        kernel = PV_ACCURACY[name][0]
+        g = nl.PeriodicGrid(math.pi, n)
+        u = band_limited(g, np.random.default_rng(n))
+        wk = nl.wrap_kernel(kernel, math.pi)
+        spec = nl.apply_spectral(nl.symbol_of_kernel(kernel, g), u).samples
+        grid = nl.apply_pv_grid(kernel, u).samples
+        points = np.array([nl.apply_pv(kernel, u, x, wrapped=wk) for x in g.nodes])
+        assert np.max(np.abs(grid - points)) <= 1e-13 * np.max(np.abs(spec))
+
+    def test_n4096_agrees_with_spectral_in_bounded_memory(self):
+        # README: an N = 4096 call at L = pi holds the 6.2 MB plan and one
+        # node block; with the wrap it peaks below 7.5 MB (6.8 MB measured)
+        import tracemalloc
+
+        g = nl.PeriodicGrid(math.pi, 4096)
+        u = band_limited(g, np.random.default_rng(7))
+        kernel = nl.FractionalKernel(0.3)
+        spec = nl.apply_spectral(nl.symbol_of_kernel(kernel, g), u).samples
+        op._PV_PLANS.clear()
+        tracemalloc.start()
+        try:
+            pv = nl.apply_pv_grid(kernel, u).samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.max(np.abs(pv - spec)) <= 1e-12 * np.max(np.abs(spec))
+        assert peak < 7.5e6
+        op._PV_PLANS.clear()
+
+    def test_unresolved_mode_is_named(self):
+        # cos 24x at N = 64: the panels above z_switch do not resolve it
+        g = nl.PeriodicGrid(math.pi, 64)
+        u = nl.PeriodicFunction.from_callable(g, lambda x: np.cos(24 * x))
+        for apply in (lambda k: nl.apply_pv_grid(k, u), lambda k: nl.apply_pv(k, u, 0.3)):
+            with pytest.raises(nl.IntegrationError,
+                               match=r"unstable .* spread by .* PV_STABILITY_TOL = 1e-06; "
+                                     r"u has modes up to k = 24 "):
+                apply(nl.FractionalKernel(0.5))
 
 
 class TestBilinearForm:

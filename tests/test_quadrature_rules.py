@@ -46,28 +46,48 @@ def test_line_rule(s):
     assert_all_equal(op._line_rule(s), line_rule(s))
 
 
+def reordered(ref):
+    """The oracle's plan in the two tiers' layout: the nodes below z_switch,
+    rule after rule, then the direct ones; (zs, w, n_small, direct sizes),
+    cos_large, z2 and powers."""
+    zs, w, cuts, cos_large, z2, powers = ref
+    order = np.concatenate([np.arange(a, b) for a, b, _ in cuts]
+                           + [np.arange(b, c) for _, b, c in cuts])
+    n_small = sum(b - a for a, b, _ in cuts)
+    return zs[order], w[order], n_small, [c - b for _, b, c in cuts], cos_large, z2, powers
+
+
+def assert_plan_matches(L, n_modes, breakpoints, s):
+    taylor, cos_large = op._pv_free(L, n_modes, breakpoints)
+    zs, w, n_small, segs, z2, powers = op._pv_rule(L, breakpoints, s)
+    rzs, rw, r_small, r_sizes, r_cos, rz2, r_powers = reordered(
+        pv_rule(L, n_modes, breakpoints, s))
+    assert_all_equal((zs, w, cos_large, z2, powers), (rzs, rw, r_cos, rz2, r_powers))
+    assert n_small == r_small
+    assert [seg.stop - seg.start for seg in segs] == r_sizes
+    assert [seg.start for seg in segs] == [0, *np.cumsum(r_sizes)[:-1]]
+    d2 = -(np.pi * np.arange(n_modes) / L) ** 2
+    assert_all_equal(taylor.T, (d2, d2**2 / 12.0, d2**3 / 360.0))
+    return zs, w, powers
+
+
 @pytest.mark.parametrize("L,n_modes,breakpoints", [
     (math.pi, 33, ()), (math.pi, 129, (4 * math.pi - 10,)), (12.566, 17, (0.5, 2.0)),
     (0.05, 9, ())])
 def test_pv_rule(L, n_modes, breakpoints):
     for s in (0.05, 0.5, 0.95):
-        zs, w, cuts, cos_large, z2, powers = op._pv_rule(L, n_modes, breakpoints, s)
-        ref = pv_rule(L, n_modes, breakpoints, s)
-        assert_all_equal((zs, w, cos_large, z2, powers), ref[:2] + ref[3:])
-        assert cuts == ref[2]
+        assert_plan_matches(L, n_modes, breakpoints, s)
 
 
 def test_pv_rule_grades_below_its_smallest_breakpoint():
     # a kink at 1e-9 lies below eps 2^-12 for every eps: each rule halves its
     # panels until the power-substitution panel (0, a) ends below it
-    breakpoints = (1e-9, 0.5)
-    zs, w, cuts, cos_large, z2, powers = op._pv_rule(math.pi, 17, breakpoints, 0.3)
-    ref = pv_rule(math.pi, 17, breakpoints, 0.3)
-    assert_all_equal((zs, w, cos_large, z2, powers), ref[:2] + ref[3:])
-    assert cuts == ref[2]
-    for (start, _, _), eps in zip(cuts, op.PV_EPS_SEQ):
-        # 20 nodes on (0, a), then the 12 of the first graded panel, which
-        # starts at a: its weights sum to its length
+    zs, w, powers = assert_plan_matches(math.pi, 17, (1e-9, 0.5), 0.3)
+    for i, eps in enumerate(op.PV_EPS_SEQ):
+        # rule i's nodes below z_switch are the columns where its row of
+        # z^0 is 1: 20 nodes on (0, a), then the 12 of the first graded
+        # panel, which starts at a: its weights sum to its length
+        start = int(np.flatnonzero(powers[3 * i])[0])
         end, first = zs[start:start + 20], slice(start + 20, start + 32)
         a = zs[first].mean() - 0.5 * w[first].sum()
         depth = math.log2(eps / a)

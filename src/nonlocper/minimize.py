@@ -190,8 +190,10 @@ class MinimizeResult:
 
 
 def _dot(grid, a: np.ndarray, b: np.ndarray) -> float:
-    """The trapezoid L^2 inner product of two sample arrays."""
-    return grid.spacing * float(np.sum(a * b))
+    """The trapezoid L^2 inner product of two sample arrays.  np.add.reduce
+    is np.sum's own reduction, bitwise equal, without np.sum's dispatch,
+    which costs as much as the sum itself at N = 256."""
+    return grid.spacing * float(np.add.reduce(a * b))
 
 
 def _preconditioned(sym: SymbolTable, samples: np.ndarray) -> np.ndarray:
@@ -226,7 +228,12 @@ def _multiplier(grid, samples: np.ndarray, r: np.ndarray, nl: Nonlinearity,
 def minimize(cfg: MinimizeConfig) -> MinimizeResult:
     """Projected gradient descent with least-squares multiplier, spectral
     preconditioning, Armijo backtracking on the energy, and constraint
-    re-projection after every step.
+    re-projection after every step.  Each iteration's first trial step is
+    the preconditioned Barzilai-Borwein step <s, y>/<y, P y> (s and y the
+    changes of u and of the projected gradient over the last accepted step,
+    P the preconditioner), or 1.5 times the last accepted step where either
+    inner product is <= 0; both are capped at 1e6, and a rejected step is
+    halved.
 
     The loop carries sample arrays and one real half spectrum per iterate:
     spec = rfft(u) gives the energy (_lagrangian) and the gradient
@@ -274,13 +281,17 @@ def minimize(cfg: MinimizeConfig) -> MinimizeResult:
                     stagnant += 1
                 else:
                     stagnant = 0
-                u = cand
-                lam, pg = _multiplier(grid, u, _gradient(sym, nlty, u, spec), nlty,
-                                      constrained)
-                d = _preconditioned(sym, pg)
+                lam, pg_new = _multiplier(grid, cand, _gradient(sym, nlty, cand, spec),
+                                          nlty, constrained)
+                d_new = _preconditioned(sym, pg_new)
+                # next trial step: BB2 <s, y>/<y, P y> (P y = d_new - d, as
+                # P is linear); 1.5 times this step where a curvature is <= 0
+                y = pg_new - pg
+                sy, ypy = _dot(grid, cand - u, y), _dot(grid, y, d_new - d)
+                step = min(sy / ypy if sy > 0 and ypy > 0 else 1.5 * step, 1e6)
+                u, pg, d = cand, pg_new, d_new
                 d_norm = math.sqrt(_dot(grid, d, d))
                 trace.append(total)
-                step = min(step * 1.5, 1e6)
                 accepted = True
                 break
             step *= ARMIJO_SHRINK

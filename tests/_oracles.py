@@ -39,7 +39,12 @@ def minimize_loop(cfg):
     """The descent of nonlocper.minimize with every Armijo candidate taken
     through the public multiplier_and_residual (energy, gradient and
     multiplier) and project_constraint: the library's loop evaluates only
-    the energy per candidate and must reproduce this one bit for bit."""
+    the energy per candidate and must reproduce this one bit for bit.  Each
+    iteration's first trial step is the preconditioned Barzilai-Borwein
+    step <s, y>/<y, P y> (s the change of u after projection, y that of the
+    projected gradient, P y that of its preconditioned form), or 1.5 times
+    the last accepted step where either inner product is <= 0; both are
+    capped at 1e6."""
     import nonlocper as nl
     from nonlocper.minimize import (ARMIJO_C1, ARMIJO_SHRINK, _dot, _preconditioned,
                                     multiplier_and_residual)
@@ -82,11 +87,17 @@ def minimize_loop(cfg):
                     stagnant += 1
                 else:
                     stagnant = 0
-                u, lam, pg = cand, lam_c, pg_c
-                d = precondition(pg)
+                d_c = precondition(pg_c)
+                y = pg_c.samples - pg.samples
+                sy = _dot(u.grid, cand.samples - u.samples, y)
+                ypy = _dot(u.grid, y, d_c.samples - d.samples)
+                if sy > 0 and ypy > 0:
+                    step = min(sy / ypy, 1e6)  # Barzilai-Borwein 2
+                else:
+                    step = min(step * 1.5, 1e6)
+                u, lam, pg, d = cand, lam_c, pg_c, d_c
                 d_norm = d.l2_norm()
                 trace.append(rep_c.total)
-                step = min(step * 1.5, 1e6)
                 accepted = True
                 break
             step *= ARMIJO_SHRINK

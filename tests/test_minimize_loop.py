@@ -4,6 +4,7 @@ multiplier_and_residual (tests/_oracles.py); and MinimizeConfig's checks of
 inputs that the descent cannot honour."""
 
 import importlib
+import json
 import math
 
 import numpy as np
@@ -17,10 +18,10 @@ minimize_mod = importlib.import_module("nonlocper.minimize")
 frac = nl.FractionalKernel(0.5)
 
 
-def bench_bo_starts():
+def bench_bo_starts(seed=1):
     """The three Benjamin-Ono starts of the benchmark's variational workload
-    at seed 1."""
-    rng = np.random.default_rng([1, 3])
+    at a seed."""
+    rng = np.random.default_rng([seed, 3])
     g = nl.PeriodicGrid(4.0 * math.pi, 256)
     sym = nl.symbol_of_kernel(frac, g)
     base = 1.0 + np.cos(np.pi * g.nodes / g.half_period)
@@ -149,3 +150,60 @@ def test_unreachable_homogeneous_level_exits_2(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert err.startswith("configuration error")
     assert "numerical failure" not in err and "Traceback" not in err
+
+
+# Each iteration's first trial step is the preconditioned Barzilai-Borwein
+# step.  The bounds below are the iterations of the slowest cases of the
+# plain 1.5x step rule, which the spectral step cuts; the energies are that
+# rule's, which the new step must reach or undercut.
+
+@pytest.mark.parametrize("seed", range(1, 41))
+def test_bench_starts_converge_in_few_iterations(seed):
+    # the 1.5x step rule took up to 81 iterations per start
+    for cfg in bench_bo_starts(seed):
+        res = nl.minimize(cfg)
+        assert res.converged and res.iterations <= 32
+        assert res.energy_trace[-1] == pytest.approx(6.37881626632055, rel=1e-12)
+
+
+@pytest.mark.parametrize("c,parent_energy", [(5, 5.68064931405029), (20, 14.941807502507508)])
+def test_polynomial_constraint_cli_case_converges(tmp_path, c, parent_energy):
+    # the 1.5x step rule took 14056 (c = 5) and 11054 (c = 20) iterations
+    config = {"command": "minimize", "kernel": {"family": "fraclap", "s": 0.5},
+              "grid": {"L": 12.566, "N": 64}, "constraint": c, "seed": 1,
+              "nonlinearity": {"name": "polynomial", "G_coeffs": [0, 0, -0.5],
+                               "Gt_coeffs": [0, 0, 0.1, 1 / 3]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["minimize", "--config", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "minimize_report.json").read_text())["result"]
+    assert report["converged"] and report["iterations"] <= 1000
+    assert report["final_energy"] == pytest.approx(parent_energy, rel=1e-10)
+
+
+def test_readme_quick_start_converges_in_few_iterations():
+    # the 1.5x step rule took 33008 iterations along the degenerate
+    # direction cos x (the second variation there is 0)
+    g = nl.PeriodicGrid(math.pi, 256)
+    u = nl.PeriodicFunction.from_callable(g, np.cos)
+    res = nl.minimize(nl.MinimizeConfig(sym=nl.symbol_of_kernel(frac, g),
+                                        nl=nl.benjamin_ono_type(2.0), initial=u + 1.0, c=5.0))
+    assert res.converged and res.iterations <= 2000
+    assert res.energy_trace[-1] <= 5.611652890759811
+
+
+def test_step_falls_back_where_a_curvature_is_not_positive(monkeypatch):
+    # slope and norms are positive, so a nonpositive inner product is one of
+    # the spectral step's <s, y> or <y, P y>, where the 1.5x rule takes over
+    dot, values = minimize_mod._dot, []
+
+    def recording(*args):
+        values.append(dot(*args))
+        return values[-1]
+
+    monkeypatch.setattr(minimize_mod, "_dot", recording)
+    cfg = sign_changing()
+    res = nl.minimize(cfg)
+    assert min(values) <= 0
+    assert res.iterations == cfg.max_iters and not res.converged
+    assert res.flags == ("sign-changing symbol: no convergence guarantee",)

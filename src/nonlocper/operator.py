@@ -440,27 +440,17 @@ def apply_pv(kernel: Kernel, u: PeriodicFunction, x: float,
         int_0^L (2u(x) - u(x+z) - u(x-z)) Kbar(z) dz.
     A wrapped= given for speed must wrap kernel (DomainError otherwise).
     """
-    wrapped = _wrap_for(kernel, u, wrapped)
+    if wrapped is None:
+        wrapped = wrap_kernel(kernel, u.grid.half_period)
+    wrapped.require_kernel(kernel)
+    wrapped.require_period(u.grid.half_period)
     return float(_pv_fold(u, [x], wrapped, wrapped.breakpoints, kernel.s)[0])
 
 
-def apply_pv_grid(kernel: Kernel, u: PeriodicFunction,
-                  wrapped: WrappedKernel | None = None) -> PeriodicFunction:
-    """apply_pv at every grid node (cross-validation helper), by _pv_fold_grid;
-    wrapped= as in apply_pv."""
-    wrapped = _wrap_for(kernel, u, wrapped)
+def apply_pv_grid(kernel: Kernel, u: PeriodicFunction) -> PeriodicFunction:
+    """apply_pv at every grid node (cross-validation helper), by _pv_fold_grid."""
+    wrapped = wrap_kernel(kernel, u.grid.half_period)
     return PeriodicFunction(u.grid, _pv_fold_grid(u, wrapped, wrapped.breakpoints, kernel.s))
-
-
-def _wrap_for(kernel: Kernel, u: PeriodicFunction,
-              wrapped: WrappedKernel | None) -> WrappedKernel:
-    """kernel's wrap at u's half period, or a given wrapped= once it is
-    checked to wrap kernel (DomainError) at that period (GridMismatchError)."""
-    if wrapped is None:
-        return wrap_kernel(kernel, u.grid.half_period)
-    wrapped.require_kernel(kernel)
-    wrapped.require_period(u.grid.half_period)
-    return wrapped
 
 
 def bilinear_fourier(sym: SymbolTable, u: PeriodicFunction,

@@ -192,18 +192,43 @@ def test_readme_quick_start_converges_in_few_iterations():
     assert res.energy_trace[-1] <= 5.611652890759811
 
 
+@pytest.mark.parametrize("s", [0.05, 0.2])
+@pytest.mark.parametrize("start", ["noise", "cos2"])
+def test_small_s_starts_stay_within_their_recorded_cost(s, start):
+    # the spectral step's slow cases, with no grid-converged minimizer to
+    # reach: 13 and 273 iterations at s = 0.05, 94 and 61 at s = 0.2 (the
+    # 1.5x step rule took 23-30)
+    g = nl.PeriodicGrid(4.0 * math.pi, 256)
+    base = 1.0 + np.cos(np.pi * g.nodes / g.half_period)
+    bump = (0.1 * np.random.default_rng(1).standard_normal(g.size) if start == "noise"
+            else 0.3 * np.cos(2.0 * np.pi * g.nodes / g.half_period))
+    res = nl.minimize(nl.MinimizeConfig(sym=nl.symbol_of_kernel(nl.FractionalKernel(s), g),
+                                        nl=nl.benjamin_ono_type(2.0), c=5.0,
+                                        initial=nl.PeriodicFunction(g, base + bump)))
+    assert res.converged and res.iterations <= 400
+
+
 def test_step_falls_back_where_a_curvature_is_not_positive(monkeypatch):
-    # slope and norms are positive, so a nonpositive inner product is one of
-    # the spectral step's <s, y> or <y, P y>, where the 1.5x rule takes over
-    dot, values = minimize_mod._dot, []
+    # after each accepted step's _multiplier (whose <g~, g~> and <r, g~> are
+    # _dot calls too), the next two _dot calls are the spectral step's
+    # <s, y> and <y, P y>; where one is <= 0 the 1.5x rule takes over
+    dot, multiplier, values, marks = minimize_mod._dot, minimize_mod._multiplier, [], []
 
     def recording(*args):
         values.append(dot(*args))
         return values[-1]
 
+    def marking(*args):
+        out = multiplier(*args)
+        marks.append(len(values))
+        return out
+
     monkeypatch.setattr(minimize_mod, "_dot", recording)
+    monkeypatch.setattr(minimize_mod, "_multiplier", marking)
     cfg = sign_changing()
     res = nl.minimize(cfg)
-    assert min(values) <= 0
+    curvatures = [values[i:i + 2] for i in marks[1:]]  # marks[0]: the start's multiplier
+    assert len(curvatures) == len(res.energy_trace) - 1
+    assert any(sy <= 0 or ypy <= 0 for sy, ypy in curvatures)
     assert res.iterations == cfg.max_iters and not res.converged
     assert res.flags == ("sign-changing symbol: no convergence guarantee",)

@@ -650,23 +650,3 @@ def test_no_adaptive_quadrature_outside_custom_kernels(monkeypatch):
     for k in (dk, st, nl.CustomKernel(dk.profile, s=0.5, Lambda_hi=dk.Lambda_hi)):
         nl.wrap_kernel(k, math.pi)
         nl.classify_kernel(k)
-
-
-class TestPVGridWrapped:
-    """apply_pv_grid takes a wrap to skip re-wrapping, checked as apply_pv's."""
-
-    def test_result_does_not_depend_on_wrapped(self):
-        kernel = nl.FractionalKernel(0.3)
-        u = nl.PeriodicFunction.from_callable(nl.PeriodicGrid(math.pi, 64),
-                                              lambda x: np.exp(np.cos(x)))
-        wk = nl.wrap_kernel(kernel, math.pi)
-        assert np.array_equal(nl.apply_pv_grid(kernel, u, wrapped=wk).samples,
-                              nl.apply_pv_grid(kernel, u).samples)
-
-    def test_wrap_of_another_kernel_or_period_raises(self):
-        kernel = nl.FractionalKernel(0.3)
-        u = nl.PeriodicFunction.from_callable(nl.PeriodicGrid(math.pi, 32), np.cos)
-        with pytest.raises(nl.DomainError, match="wrapped="):
-            nl.apply_pv_grid(kernel, u, wrapped=nl.wrap_kernel(nl.FractionalKernel(0.7), math.pi))
-        with pytest.raises(nl.GridMismatchError, match="half period"):
-            nl.apply_pv_grid(kernel, u, wrapped=nl.wrap_kernel(kernel, 2 * math.pi))

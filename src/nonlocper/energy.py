@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, GridMismatchError
-from .grids import PeriodicFunction
+from .grids import PeriodicFunction, _trapezoid
 from .kernels import WrappedKernel, _gl_panels
 from .operator import SymbolTable, bilinear_fourier
 
@@ -189,11 +189,7 @@ def _diagonal_cell(wk: WrappedKernel, h: float) -> float:
 
 def potential_integral(u: PeriodicFunction, fn: Callable) -> float:
     """Trapezoid of int_{-L}^{L} fn(u); spectrally accurate for smooth u."""
-    return _trapezoid(u.grid, u.samples, fn)
-
-
-def _trapezoid(grid, samples: np.ndarray, fn: Callable) -> float:
-    return grid.spacing * float(np.sum(np.asarray(fn(samples), dtype=float)))
+    return _trapezoid(u.grid, fn(u.samples))
 
 
 def _lagrangian(sym: SymbolTable, nl: Nonlinearity, samples: np.ndarray,
@@ -204,7 +200,7 @@ def _lagrangian(sym: SymbolTable, nl: Nonlinearity, samples: np.ndarray,
     Fourier seminorm folded onto the half spectrum (the node phase (-1)^k
     drops out of |spec|)."""
     kinetic = float(sym.kinetic_weights @ (spec.real**2 + spec.imag**2))
-    potential = _trapezoid(sym.grid, samples, nl.G) if nl.G is not None else 0.0
+    potential = _trapezoid(sym.grid, nl.G(samples)) if nl.G is not None else 0.0
     return kinetic, potential
 
 

@@ -67,17 +67,6 @@ def _gl_panels(edges, n: int) -> tuple:
     return ((lo + half)[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
-def _gaussian_symbol(xi, r: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Symbol of the profile sum_j c_j exp(-t^2 r_j) at every xi, with
-    weights_j = c_j sqrt(pi/r_j): each Gaussian has the multiplier
-    2 int_0^inf (1 - cos(xi t)) exp(-t^2 r) dt = sqrt(pi/r) (1 - exp(-xi^2/4r))."""
-    xi = np.abs(np.asarray(xi, dtype=float))
-    out = np.empty_like(xi)
-    for blk in _row_blocks(xi.size, r.size):
-        out[blk] = -np.expm1(-np.outer(xi[blk] ** 2, 0.25 / r)) @ weights
-    return out
-
-
 @dataclass(frozen=True)
 class Kernel:
     """Base kernel.  lambda_lo/Lambda_hi bound K between lambda_lo*t^(-1-2s)
@@ -90,12 +79,10 @@ class Kernel:
     support: float | None = None
     # how symbol() computes the multiplier: "exact" (closed form) or
     # "quadrature" (a fixed rule over all frequencies); None means the family
-    # has no symbol() and operator.symbol_value computes it
+    # has no symbol() and operator.symbol_value computes it.  The "exact"
+    # families are also those whose profile is smooth between its breaks and
+    # does not oscillate, so that symbol_value may take one fixed rule
     symbol_rule: ClassVar[str | None] = None
-    # True when the profile is smooth between its breaks and does not
-    # oscillate, so that operator.symbol_value may take one fixed rule for
-    # every frequency; otherwise it integrates adaptively per frequency
-    smooth_profile: ClassVar[bool] = False
 
     def __post_init__(self):
         if not 0 < self.s < 1:
@@ -212,7 +199,6 @@ class FractionalKernel(Kernel):
         return self.lambda_lo
 
     symbol_rule = "exact"
-    smooth_profile = True
 
     def profile(self, t):
         return self.constant * t ** (-1.0 - 2.0 * self.s)
@@ -251,47 +237,51 @@ class DelaunayKernel(Kernel):
         object.__setattr__(self, "a", a)
 
     symbol_rule = "exact"
-    smooth_profile = True
 
     def profile(self, t):
         return (t**2 + self.a**2) ** (-(self.n + self.s) / 2.0)
 
     def symbol(self, xi):
-        """The Laplace (Bernstein) form of the symbol (Schilling, Song &
-        Vondracek, Bernstein Functions, ch. 1): with mu = (n+s)/2 and
-        nu = mu - 1/2, K is the Laplace transform of r^(mu-1) e^(-a^2 r)/G(mu),
-        and u = a^2 r gives
-            ell = sqrt(pi) a^(-2nu)/G(mu)
-                  int_0^inf e^(-u) (1 - exp(-(a xi)^2/4u)) u^(nu-1) du,
-        the same sum of Gaussian multipliers that LaplaceKernel.symbol takes.
-        It is the trapezoid rule in x = log u, whose integrand is analytic and
-        decays on both sides, so the rule converges geometrically: step
-        0.25 min(1, sqrt(2/nu)), from x = log(40 + 4 nu) down to where
-        e^(nu x) is below e^-36 of the value at the smallest xi.  Against
-        mpmath at 40 digits it is within 2.0e-15 relative for
-        (n, s, a) in {(2, .5, 1), (3, .2, .5), (2, .8, 2), (5, .9, .3)} and
-        xi in [1e-5, 3000].  Basset's Bessel form (DLMF 10.32.11) subtracts
-        two nearly equal terms at small xi: for (5, .9, .3) it is 1.4e-11 off
-        on [pi/40, 3000], and 6.4e-4 off at xi = 1e-5."""
+        """The symbol of K's Laplace (Bernstein) form (Schilling, Song &
+        Vondracek, Bernstein Functions, ch. 1), built by _measure with its
+        lower end set by the smallest xi > 0, so that it is exact at every
+        period.  Against mpmath at 40 digits it is within 2.0e-15 relative
+        for (n, s, a) in {(2, .5, 1), (3, .2, .5), (2, .8, 2), (5, .9, .3)}
+        and xi in [1e-5, 3000].  Basset's Bessel form (DLMF 10.32.11)
+        subtracts two nearly equal terms at small xi: for (5, .9, .3) it is
+        1.4e-11 off on [pi/40, 3000], and 6.4e-4 off at xi = 1e-5."""
         xi = np.abs(np.asarray(xi, dtype=float))
-        mu = 0.5 * (self.n + self.s)
-        nu = mu - 0.5
-        a = self.a
         pos = xi[xi > 0]
         if pos.size == 0:
             return np.zeros_like(xi)
-        # below the smallest c = (a xi)^2/4 the integrand is about u^nu, and
-        # its value about c^min(nu, 1); the rule stops e^-36 below that
-        log_c = min(0.0, math.log(0.25 * (a * float(np.min(pos))) ** 2))
-        x_lo = (min(nu, 1.0) * log_c - 36.0) / nu
+        return self._measure(math.log(0.25 * (self.a * float(np.min(pos))) ** 2)).symbol(xi)
+
+    def _measure(self, log_c: float, t_max: float = 0.0) -> LaplaceKernel:
+        """K as the LaplaceKernel of its density r^(mu-1) e^(-a^2 r)/G(mu),
+        mu = (n+s)/2, tabulated on the trapezoid rule in x = log(a^2 r).
+        With u = e^x and nu = mu - 1/2 the symbol is
+            ell = sqrt(pi) a^(-2nu)/G(mu)
+                  int e^(nu x - u) (1 - exp(-(a xi)^2/4u)) dx,
+        an integrand analytic in x and decaying on both sides, so the rule
+        converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014):
+        step 0.25 min(1, sqrt(2/nu)), from x = log(40 + 4 nu) down to where
+        e^(nu x) is e^-36 below the symbol at c = (a xi)^2/4 = e^log_c, and,
+        for t_max > 0, e^(mu x) e^-36 below the profile at t = t_max a."""
+        mu = 0.5 * (self.n + self.s)
+        nu = mu - 0.5
+        # below c the symbol's integrand is about u^nu, and its value about
+        # c^min(nu, 1); the profile's integrand e^(mu x - u (1 + (t/a)^2))
+        # peaks near u = mu (a/t)^2 and is about u^mu below
+        x_lo = (min(nu, 1.0) * min(0.0, log_c) - 36.0) / nu
+        if t_max > 0.0:
+            x_lo = min(x_lo, math.log(mu / t_max**2) - 36.0 / mu)
         # e^(nu x - u) peaks at u = nu with width 1/sqrt(nu) in x, and beyond
         # u = 40 + 4 nu it is below 1e-17 of its peak
         h = 0.25 * min(1.0, math.sqrt(2.0 / nu))
-        x = np.arange(math.log(40.0 + 4.0 * nu), x_lo - h, -h)
-        u = np.exp(x)
-        weights = (h * math.sqrt(math.pi) / math.gamma(mu) * a ** (-2.0 * nu)
-                   * np.exp(nu * x - u))
-        return _gaussian_symbol(xi, u / (a * a), weights)
+        x = np.arange(math.log(40.0 + 4.0 * nu), x_lo - h, -h)[::-1]
+        log_r = x - 2.0 * math.log(self.a)
+        density = np.exp((mu - 1.0) * log_r - np.exp(x)) / math.gamma(mu)
+        return LaplaceKernel(np.exp(log_r), density, s=self.s, Lambda_hi=self.Lambda_hi)
 
 
 @dataclass(frozen=True)
@@ -318,7 +308,6 @@ class CompactKernel(Kernel):
         object.__setattr__(self, "k_table", k_table)
 
     symbol_rule = "exact"
-    smooth_profile = True
 
     @property
     def breaks(self) -> tuple:
@@ -405,21 +394,28 @@ class LaplaceKernel(Kernel):
         return vals
 
     symbol_rule = "exact"
-    smooth_profile = True
 
     def symbol(self, xi):
         """Exact symbol of the tabulated kernel: the profile is a finite sum
         of Gaussians exp(-t^2 r), each with multiplier
         2 int_0^inf (1 - cos(xi t)) exp(-t^2 r) dt = sqrt(pi/r) (1 - exp(-xi^2/4r)),
         so the same trapezoid weights in log r give ell(xi) exactly.
+        DelaunayKernel.symbol is this sum too, over its own measure.
 
         This is the symbol of the kernel as tabulated, cut off where the
-        r grid ends: laplace_measure_of(FractionalKernel(0.2)) falls off
-        near t = 1e-4 and t = 1e7, and its symbol is 1.8e-3 below |xi|^0.4
-        at xi = 1.  operator.symbol_value, whose far part takes the exact
-        tail_integral below, agrees with it to 5e-11 at xi = 1, 4 and 32."""
+        r grid ends.  For laplace_measure_of(DelaunayKernel) that cut is
+        below e^-36 of the symbol, which is within 1e-15 of the Delaunay
+        one on xi in [1e-5, 3000].  laplace_measure_of(FractionalKernel(0.2))
+        falls off near t = 1e-4 and t = 1e7, and its symbol is 1.8e-3 below
+        |xi|^0.4 at xi = 1; operator.symbol_value, whose far part takes the
+        exact tail_integral below, agrees with it to 5e-11 at xi = 1, 4 and 32."""
+        xi = np.abs(np.asarray(xi, dtype=float))
         r = self.r_grid
-        return _gaussian_symbol(xi, r, self._trapezoid_weights() * np.sqrt(math.pi * r))
+        weights = self._trapezoid_weights() * np.sqrt(math.pi * r)
+        out = np.empty_like(xi)
+        for blk in _row_blocks(xi.size, r.size):
+            out[blk] = -np.expm1(-np.outer(xi[blk] ** 2, 0.25 / r)) @ weights
+        return out
 
     def tail_integral(self, a: float) -> float:
         """Exact for the tabulated kernel, as symbol() is: each Gaussian
@@ -441,7 +437,9 @@ class LaplaceKernel(Kernel):
 
 @dataclass(frozen=True)
 class CustomKernel(Kernel):
-    fn: Callable[[np.ndarray], np.ndarray] = field(default=None, compare=False)
+    # compared too, by identity: two profiles with the same growth data are
+    # still two kernels, and a wrap of one must not pass for the other
+    fn: Callable[[np.ndarray], np.ndarray] = None
 
     def __init__(self, fn, s: float, lambda_lo: float = 0.0,
                  Lambda_hi: float = math.inf, support: float | None = None):
@@ -706,21 +704,23 @@ DEFAULT_R_GRID = np.geomspace(1e-14, 1e8, 1600)
 
 
 def laplace_measure_of(kernel: Kernel) -> LaplaceKernel:
-    """Closed-form Laplace (Bernstein) density reproducing the kernel,
-    tabulated on DEFAULT_R_GRID.
-
-    Only the fractional and Delaunay families have a known closed form:
+    """Closed-form Laplace (Bernstein) density reproducing the kernel, as a
+    LaplaceKernel.  Only the fractional and Delaunay families have one:
     densities c_s r^(s-1/2)/Gamma(s+1/2) and r^((n+s)/2-1) e^(-a^2 r)/Gamma((n+s)/2).
+
+    The Delaunay density is tabulated on the trapezoid rule of
+    DelaunayKernel.symbol (see _measure), down to where it is exact for the
+    symbol at (a xi)^2/4 >= e^-48 and for the profile out to t = 1e7 a.
+    The fractional power law has no exact finite rule: it is tabulated on
+    DEFAULT_R_GRID, whose ends cut the profile off near t = 1e-4 and 1e7.
     """
     if not isinstance(kernel, (FractionalKernel, DelaunayKernel)):
         raise UnsupportedKernelError(
             f"no closed-form Laplace density for {type(kernel).__name__}")
+    if isinstance(kernel, DelaunayKernel):
+        return kernel._measure(-48.0, 1e7)
     r = DEFAULT_R_GRID
-    if isinstance(kernel, FractionalKernel):
-        dens = kernel.constant * r ** (kernel.s - 0.5) / math.gamma(kernel.s + 0.5)
-    else:
-        g = (kernel.n + kernel.s) / 2.0
-        dens = np.exp((g - 1.0) * np.log(r) - kernel.a**2 * r) / math.gamma(g)
+    dens = kernel.constant * r ** (kernel.s - 0.5) / math.gamma(kernel.s + 0.5)
     return LaplaceKernel(r, dens, s=kernel.s,
                          lambda_lo=kernel.lambda_lo, Lambda_hi=kernel.Lambda_hi)
 

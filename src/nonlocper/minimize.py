@@ -14,11 +14,10 @@ from numpy.polynomial.polynomial import polyvander
 
 from .errors import (DivergenceError, DomainError, HypothesisViolationError,
                      ProjectionError)
-from .grids import PeriodicFunction, _half_to_samples
+from .grids import PeriodicFunction, _half_to_samples, _trapezoid
 from .kernels import Kernel
 from .operator import SymbolTable, apply_pv
-from .energy import (Nonlinearity, _gradient, _lagrangian, _trapezoid, energy,
-                     potential_integral)
+from .energy import Nonlinearity, _gradient, _lagrangian, energy, potential_integral
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ def project_constraint(u: PeriodicFunction, nl: Nonlinearity, c: float) -> Perio
 def _projected(grid, samples: np.ndarray, nl: Nonlinearity, c: float) -> np.ndarray:
     """The samples of project_constraint's result (its array core); c is finite."""
     if nl.homogeneity is not None:
-        base = _trapezoid(grid, samples, nl.Gt)
+        base = _trapezoid(grid, nl.Gt(samples))
         if not base > 0 or c <= 0:
             raise ProjectionError(
                 f"constraint level {c:g} unreachable from int Gtilde(u) = {base:g}")
@@ -90,7 +89,7 @@ def _projected(grid, samples: np.ndarray, nl: Nonlinearity, c: float) -> np.ndar
         for _ in range(2):
             sigma -= q(sigma) / dq(sigma)
         out = samples * sigma
-        defect = abs(_trapezoid(grid, out, nl.Gt) - c)
+        defect = abs(_trapezoid(grid, nl.Gt(out)) - c)
     if not defect <= 1e-12 * max(1.0, abs(c)):
         raise ProjectionError("projection defect above tolerance")
     return out
@@ -190,10 +189,8 @@ class MinimizeResult:
 
 
 def _dot(grid, a: np.ndarray, b: np.ndarray) -> float:
-    """The trapezoid L^2 inner product of two sample arrays.  np.add.reduce
-    is np.sum's own reduction, bitwise equal, without np.sum's dispatch,
-    which costs as much as the sum itself at N = 256."""
-    return grid.spacing * float(np.add.reduce(a * b))
+    """The trapezoid L^2 inner product of two sample arrays."""
+    return _trapezoid(grid, a * b)
 
 
 def _preconditioned(sym: SymbolTable, samples: np.ndarray) -> np.ndarray:

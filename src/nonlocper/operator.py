@@ -57,13 +57,14 @@ def symbol_value(kernel: Kernel, xi):
     """ell_K(xi) = 2 int_0^inf (1 - cos(xi t)) K(t) dt for a frequency or an
     array of them; a scalar xi gives a float.  The symbol is even in xi.
 
-    A family that declares smooth_profile takes one fixed rule for all
-    frequencies at once (_fixed_rule), in numpy alone.  A frequency whose
-    error estimate exceeds SYMBOL_RTOL relative to its value is redone by
-    _adaptive_value, and so is every frequency of the other families
-    (SineTail and custom kernels), whose profile may oscillate where the
-    estimate cannot see it.  _adaptive_value needs the optional
-    "quadrature" extra; without it, UnsupportedKernelError.
+    A family whose symbol_rule is "exact" has a smooth, non-oscillating
+    profile and takes one fixed rule for all frequencies at once
+    (_fixed_rule), in numpy alone.  A frequency whose error estimate exceeds
+    SYMBOL_RTOL relative to its value is redone by _adaptive_value, and so
+    is every frequency of the other families (SineTail and custom kernels),
+    whose profile may oscillate where the estimate cannot see it.
+    _adaptive_value needs the optional "quadrature" extra; without it,
+    UnsupportedKernelError.
     """
     xi_arr = np.abs(np.asarray(xi, dtype=float))
     xs = xi_arr.ravel()
@@ -71,7 +72,7 @@ def symbol_value(kernel: Kernel, xi):
         raise DomainError("symbol frequencies must be finite")
     out = np.zeros_like(xs)
     todo = np.flatnonzero(xs > 0)
-    if kernel.smooth_profile and todo.size:
+    if kernel.symbol_rule == "exact" and todo.size:
         vals, est = _fixed_rule(kernel, xs[todo])
         out[todo] = vals
         todo = todo[~(est <= SYMBOL_RTOL * np.abs(vals))]  # a NaN is redone too

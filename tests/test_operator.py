@@ -111,6 +111,18 @@ class TestClosedFormSymbols:
         assert exact.values[0] == 0.0
         assert _max_rel(exact.values, quad.values) < 1e-8
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_custom_on_a_support(self, n):
+        # the bench's 64-knot compact profile as a custom kernel: symbol_value
+        # integrates it adaptively on its support, against the closed form
+        tt = np.linspace(1e-3, 0.6 * math.pi, 64)
+        compact = nl.CompactKernel(tt, 1.0 - tt / (0.6 * math.pi), s=0.5)
+        custom = nl.CustomKernel(compact.profile, s=0.5, support=compact.support)
+        grid = nl.PeriodicGrid(math.pi, n)
+        quad = nl.symbol_of_kernel(custom, grid)
+        assert quad.provenance == "quadrature"
+        assert _max_rel(quad.values, nl.symbol_of_kernel(compact, grid).values) < 1e-10
+
     def test_laplace_of_delaunay(self):
         exact, quad = _symbol_routes(nl.laplace_measure_of(nl.DelaunayKernel(2, 0.5, 1.0)))
         assert exact.provenance == "exact"
@@ -247,6 +259,12 @@ def _tabulated_laplace():
     return nl.LaplaceKernel(r, np.exp(-r), s=0.5)
 
 
+def _lorentzian(height):
+    """A custom kernel height/(1 + t^2) whose growth data do not depend on
+    the height: two heights differ only in their profiles."""
+    return lambda: nl.CustomKernel(lambda t: height / (1.0 + t * t), s=0.5, Lambda_hi=5.0)
+
+
 class TestWrappedMustWrapTheKernel:
     """apply_pv and polya_szego_check take a kernel and its wrap; a wrap of
     another kernel is rejected instead of silently used."""
@@ -257,7 +275,9 @@ class TestWrappedMustWrapTheKernel:
         (lambda: nl.FractionalKernel(0.5), lambda: nl.DelaunayKernel(2, 0.5, 1.0)),
         # two LaplaceKernels built alike: their == raises on the array fields
         (_tabulated_laplace, _tabulated_laplace),
-    ], ids=["fraclap-other-s", "other-family", "equality-raises"])
+        # equal s, bounds and support: only the profiles tell them apart
+        (_lorentzian(1.0), _lorentzian(5.0)),
+    ], ids=["fraclap-other-s", "other-family", "equality-raises", "custom-other-profile"])
     def test_mismatch_raises(self, check, given, wrapped):
         u = nl.PeriodicFunction.from_callable(nl.PeriodicGrid(math.pi, 32),
                                               lambda x: 1.0 + np.cos(x))
@@ -272,7 +292,8 @@ class TestWrappedMustWrapTheKernel:
                                               lambda x: 1.0 + np.cos(x))
         args = (u, 0.3) if check == "apply_pv" else (u,)
         laplace = _tabulated_laplace()
-        for given, wrapped in ((laplace, laplace),
+        custom = _lorentzian(1.0)()
+        for given, wrapped in ((laplace, laplace), (custom, custom),
                                (nl.FractionalKernel(0.2), nl.FractionalKernel(0.2))):
             wk = nl.wrap_kernel(wrapped, math.pi)
             assert getattr(nl, check)(given, *args, wrapped=wk) == \

@@ -180,6 +180,47 @@ class TestRiesz:
         assert res["holds"] and res["equality"]
         assert res["equality_inconclusive"]  # no aligning shift required
 
+    @staticmethod
+    def rolled_rearrangement(g, seed, cells):
+        rng = np.random.default_rng(seed)
+        star = nl.rearrange_periodic(nl.PeriodicFunction(g, rng.uniform(0, 1, g.size)))
+        return nl.PeriodicFunction(g, np.roll(star.samples, cells))
+
+    def test_common_roll_is_the_aligned_shift(self):
+        # f and h rolled by the same 5 cells: f(x) = f*(x - 5h), so the
+        # shift that aligns both with their rearrangements is -5h
+        g = grid()
+        weight = nl.PeriodicFunction.from_callable(
+            g, lambda x: 1.0 + np.cos(math.pi * x / g.half_period))
+        f, h = (self.rolled_rearrangement(g, seed, 5) for seed in (14, 15))
+        res = nl.riesz_circle_check(f, weight, h)
+        assert res["holds"] and res["equality"]
+        assert not res["equality_inconclusive"]
+        assert res["aligned_shift"] == pytest.approx(-5 * g.spacing, rel=1e-12)
+
+    def test_constant_weight_with_other_rolls_is_inconclusive(self):
+        # a constant weight makes both sides (sum f)(sum h) times it, so
+        # equality holds although no common shift aligns f and h
+        g = grid()
+        weight = nl.PeriodicFunction(g, np.full(g.size, 0.7))
+        f = self.rolled_rearrangement(g, 16, 5)
+        h = self.rolled_rearrangement(g, 17, 9)
+        res = nl.riesz_circle_check(f, weight, h)
+        assert res["holds"] and res["equality"]
+        assert res["equality_inconclusive"]
+        assert res["aligned_shift"] is None
+
+    def test_constant_h_is_inconclusive(self):
+        g = grid()
+        weight = nl.PeriodicFunction.from_callable(
+            g, lambda x: 1.0 + np.cos(math.pi * x / g.half_period))
+        f = self.rolled_rearrangement(g, 18, 5)
+        h = nl.PeriodicFunction(g, np.full(g.size, 0.4))
+        res = nl.riesz_circle_check(f, weight, h)
+        assert res["holds"] and res["equality"]
+        assert res["equality_inconclusive"]
+        assert res["aligned_shift"] is None
+
     def test_bad_weight_rejected(self):
         g = grid()
         rng = np.random.default_rng(13)

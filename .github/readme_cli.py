@@ -1,17 +1,18 @@
 """Run the installed `nonlocper` console script on every command of the
 README's CLI block, each with a u.csv of its --N samples in the working
-directory, and fail on a nonzero exit.  Then check eight inputs that must
-exit 0, 0, 2, 2, 2, 3, 3 and 3 without a traceback: a principal value of
+directory, and fail on a nonzero exit.  Then check nine inputs that must
+exit 0, 0, 2, 2, 2, 2, 3, 3 and 3 without a traceback: a principal value of
 the fractional Laplacian at s = 0.95, whose kernel z^(-2.9) the quadrature
 must follow down to z = 0 (with a u.csv of 64 samples of exp(cos x)), the
 principal value on the grid at N = 1024 (with a u1024.csv of exp(cos x)),
 whose applied.csv must then match that of --mode spectral to 1e-10, an
 unread flag, a CSV path that is a directory, a constraint level that a
-homogeneous constraint cannot reach, an iteration budget that the descent
-cannot meet, a principal value at a half period of 1e99, whose quadrature
-moments overflow (with a u.csv sampled on that grid), and a SineTail kernel
-class at a half period of 1e-300, whose report would hold a NaN, which JSON
-cannot carry.
+homogeneous constraint cannot reach, a SineTail symbol at a half period of
+1e-4, whose rule would need 2e7 nodes, above the cap on its node count, an
+iteration budget that the descent cannot meet, a principal value at a half
+period of 1e99, whose quadrature moments overflow (with a u.csv sampled on
+that grid), and a SineTail kernel class at a half period of 1e-300, whose
+report would hold a NaN, which JSON cannot carry.
 
 Usage: python3 readme_cli.py path/to/README.md  (from a scratch directory)
 """
@@ -58,6 +59,8 @@ for want, argv in (
         (2, ["symbol", *fraclap, "--L", "3.14159", "--N", "64", "--out", "blocked"]),
         (2, ["minimize", *fraclap, "--L", "12.566", "--N", "64", "--constraint", "-1",
              "--seed", "1", "--out", "out"]),
+        (2, ["symbol", "--kernel", "sinetail", "--s", "0.5", "--L", "0.0001", "--N", "16",
+             "--out", "out"]),
         (3, ["minimize", *fraclap, "--L", "12.566", "--N", "256", "--constraint", "5",
              "--seed", "1", "--max-iters", "1", "--out", "out"]),
         (3, ["apply", "--mode", "pv", *fraclap, "--L", "1e99", "--N", "64",

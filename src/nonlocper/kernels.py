@@ -67,6 +67,98 @@ def _gl_panels(edges, n: int) -> tuple:
     return ((lo + half)[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
+# cap on the nodes of a symbol rule whose node count grows with the largest
+# frequency (_sinetail_panels, operator._support_panels): about 6x the
+# 167536 nodes of SineTail's rule at L = pi and N = 4096
+_MAX_RULE_NODES = 1 << 20
+
+
+def _check_rule_nodes(nodes: float, what: str, xi_max: float) -> None:
+    """DomainError when a rule would take more than _MAX_RULE_NODES nodes,
+    raised before any of them is built."""
+    if not nodes <= _MAX_RULE_NODES:
+        raise DomainError(f"{what} needs about {nodes:.3g} nodes at the largest "
+                          f"frequency {xi_max:g}, above the cap of {_MAX_RULE_NODES}: "
+                          "take a longer period or fewer modes")
+
+
+_RESEED = 64  # row blocks that _sine_square_sums rotates between two direct evaluations
+
+
+def _unit(phase: np.ndarray) -> np.ndarray:
+    """e^(i phase) from one cos and one sin call, which together take about
+    half the time of numpy's complex exp at phases below 2."""
+    z = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=z.real)
+    np.sin(phase, out=z.imag)
+    return z
+
+
+def _sine_square_sums(xi: np.ndarray, t: np.ndarray, w: np.ndarray,
+                      starts: tuple = (0,)) -> np.ndarray:
+    """sum_j w_j 4 sin^2(xi_k t_j / 2) for every frequency xi_k (a row
+    each) and every run of nodes t[starts[c]:starts[c + 1]] (a column
+    each): the sine table of every fixed symbol rule, the runs being rules
+    laid end to end.  It is built in _row_blocks.
+
+    When xi_k = xi_0 + k d to within 4 ulp of each xi_k, as for
+    PeriodicGrid.frequencies() and its slices, a block of B rows
+    follows from the one before it by one complex multiply per entry,
+    z *= e^(i B d t/2) in place with z = e^(i xi t/2) and sin = Im z: one
+    complex exponential per node, each run summed pairwise
+    (np.add.reduceat).  Every _RESEED blocks z is evaluated afresh, so its
+    phase carries the rounding of at most that many products.
+
+    A table of one block, or any other xi, takes the direct sine table,
+    one sin per entry, each run summed by the matrix product that the
+    rules took before the ladder, so its values are unchanged.  Only the
+    ladder sums pairwise,
+    since over the 88240 nodes of the fine support rule at N = 4096 and
+    L = 0.7, BLAS's few running sums leave up to 2e-14 of rounding where
+    the pairwise sum leaves 2e-15."""
+    out = np.empty((xi.size, len(starts)))
+    rows = max(1, _BLOCK // max(t.size, 1))
+    ladder = False
+    if xi.size > rows:
+        d = (xi[-1] - xi[0]) / (xi.size - 1)
+        off = np.abs(xi - (xi[0] + d * np.arange(xi.size)))
+        ladder = bool(np.all(off <= 4.0 * np.finfo(float).eps * np.abs(xi)))
+    if not ladder:
+        runs = [slice(a, b) for a, b in zip(starts, (*starts[1:], t.size))]
+        for blk in _row_blocks(xi.size, t.size):
+            square = 4.0 * np.sin(0.5 * np.outer(xi[blk], t)) ** 2
+            for c, run in enumerate(runs):
+                out[blk, c] = square[:, run] @ w[run]
+        return out
+    turn = _unit((0.5 * rows * d) * t)
+    terms = np.empty((rows, t.size))
+    for i, blk in enumerate(_row_blocks(xi.size, t.size)):
+        if i % _RESEED:
+            z *= turn
+        elif i == 0 and rows == 1 and xi[0] == d:
+            z = turn[None, :].copy()  # a grid's ladder k >= 1 starts at its step
+        else:
+            z = _unit(0.5 * np.outer(xi[blk], t))
+        m = min(rows, xi.size - blk.start)
+        np.square(z.imag[:m], out=terms[:m])
+        terms[:m] *= w
+        out[blk] = 4.0 * np.add.reduceat(terms[:m], starts, axis=1)
+    return out
+
+
+def _each_start(integral: Callable) -> Callable:
+    """tail_integral(a) for a float or an array a from integral(self, flat),
+    which maps a 1-D array of starts to the integrals from each: an array
+    keeps its shape, and a float gives the float that the array call gives
+    for it, since each start is reduced on its own."""
+    @functools.wraps(integral)
+    def tail_integral(self, a):
+        a = np.asarray(a, dtype=float)
+        out = integral(self, a.ravel())
+        return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
+    return tail_integral
+
+
 @dataclass(frozen=True)
 class Kernel:
     """Base kernel.  lambda_lo/Lambda_hi bound K between lambda_lo*t^(-1-2s)
@@ -121,33 +213,29 @@ class Kernel:
         by the family's own rule (see symbol_rule)."""
         raise NotImplementedError
 
-    def tail_integral(self, a: float) -> float:
-        """int_a^infinity K(t) dt by one fixed double-exponential rule
-        (Takahasi & Mori, 1974): tanh-sinh on [a, b] for a support b, and
-        otherwise exp-sinh, t = a (1 + e^((pi/2) sinh tau)).  Exp-sinh
-        assumes what the wrap's Euler-Maclaurin tail assumes, that K is smooth
-        on [a, inf) and decays like t^(-1-2s), and it needs a finite
-        Lambda_hi (see _exp_sinh_rule).  At a = 0 it is tanh-sinh on [0, 1]
-        plus exp-sinh from 1."""
-        if a < 0.0:
+    @_each_start
+    def tail_integral(self, a):
+        """int_a^infinity K(t) dt for a >= 0, a float or an array, by one
+        fixed double-exponential rule (Takahasi & Mori, 1974): tanh-sinh on
+        [a, b] for a support b, and otherwise exp-sinh,
+        t = a (1 + e^((pi/2) sinh tau)).  Exp-sinh assumes what the wrap's
+        Euler-Maclaurin tail assumes, that K is smooth on [a, inf) and
+        decays like t^(-1-2s), and it needs a finite Lambda_hi (see
+        _exp_sinh_rule).  At a = 0 it is tanh-sinh on [0, 1] plus exp-sinh
+        from 1.  The starts go in row blocks, one profile call per block."""
+        if np.any(a < 0.0):
             raise DomainError("the tail integral starts at a >= 0")
         if self.support is not None:
-            return _tanh_sinh(self, a, self.support) if a < self.support else 0.0
-        if not math.isfinite(self.Lambda_hi):
+            out = _tanh_sinh(self, a, self.support)
+        elif not math.isfinite(self.Lambda_hi):
             raise DomainError("cannot bound the tail integral without a "
                               "finite upper growth constant")
-        if a == 0.0:
-            return _tanh_sinh(self, 0.0, 1.0) + self.tail_integral(1.0)
-        x, w, rest = _exp_sinh_rule(self.s)
-        n = int(np.searchsorted(x, 1e300 / a))
-        k = _safe_profile(self, a * x[:n])
-        val = a * float(k @ w[:n])
-        if 0 < n < rest.size:
-            # beyond t = 1e300 the rule goes on with K(t) = K(T) (t/T)^(-1-2s)
-            # from its last node T = a x: a K(T) x^(1+2s) sum w x^(-1-2s)
-            xn = x[n - 1]
-            val += a * float(k[-1] * xn * xn ** (2.0 * self.s) * rest[n])
-        return val
+        else:
+            whole = a == 0.0
+            out = _exp_sinh(self, np.where(whole, 1.0, a))
+            if whole.any():
+                out[whole] += _tanh_sinh(self, np.zeros(1), 1.0)[0]
+        return out
 
 
 _DE_STEP = 1.0 / 32  # step in tau of both double-exponential rules
@@ -166,26 +254,72 @@ def _exp_sinh_rule(s: float) -> tuple:
     For s below 0.0284 that end lies beyond x = 1e300, where a x overflows,
     so x and w stop there.  rest[j] holds sum w x^(-1-2s) over the nodes from
     j to the end, each term written as e^(-2sv) (1 + e^-v)^(-1-2s) dv so that
-    it does not overflow; Kernel.tail_integral scales it by the last profile
-    value it could take."""
+    it does not overflow; _exp_sinh scales it by the last profile value it
+    could take."""
     tau = np.arange(-4.0, math.asinh(_EXP_SINH_V / (2.0 * s) / (0.5 * math.pi))
                     + _DE_STEP / 2, _DE_STEP)
     v = 0.5 * math.pi * np.sinh(tau)
     dv = _DE_STEP * 0.5 * math.pi * np.cosh(tau)
     rest = np.cumsum((dv * np.exp(-2.0 * s * v) * (1.0 + np.exp(-v)) ** (-1.0 - 2.0 * s))[::-1])
     u = np.exp(v[v < math.log(1e300)])
-    return 1.0 + u, dv[:u.size] * u, rest[::-1]
+    rule = 1.0 + u, dv[:u.size] * u, rest[::-1]
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
-def _tanh_sinh(kernel: Kernel, a: float, b: float) -> float:
-    """int_a^b K(t) dt for 0 <= a < b, with t = a + (b - a) y and
+def _exp_sinh(kernel: Kernel, a: np.ndarray) -> np.ndarray:
+    """int_a^inf K for every a > 0 of an array by the rule of _exp_sinh_rule,
+    over the nodes with a x <= 1e300.  Beyond, where a row stops before the
+    rule ends (s < 0.0284, or a huge a), the rule goes on with
+    K(t) = K(T) (t/T)^(-1-2s) from the row's last node T = a x:
+    a K(T) x^(1+2s) sum w x^(-1-2s)."""
+    x, w, rest = _exp_sinh_rule(kernel.s)
+    n = np.searchsorted(x, 1e300 / a)
+    short = n < rest.size
+    out = np.empty(a.size)
+    for blk in _row_blocks(a.size, x.size):
+        ab, nb = a[blk], n[blk]
+        if not short[blk].any():
+            k = _safe_profile(kernel, (ab[:, None] * x).ravel()).reshape(ab.size, x.size)
+            out[blk] = ab * np.vecdot(k, w)
+            continue
+        keep = np.arange(x.size) < nb[:, None]
+        k = _safe_profile(kernel, (ab[:, None] * np.where(keep, x, 1.0)).ravel())
+        k = np.where(keep, k.reshape(keep.shape), 0.0)
+        out[blk] = ab * np.vecdot(k, w)
+        on = np.flatnonzero((nb > 0) & short[blk])
+        last = nb[on] - 1
+        xn = x[last]
+        out[blk][on] += ab[on] * (k[on, last] * xn * xn ** (2.0 * kernel.s) * rest[nb[on]])
+    return out
+
+
+@functools.cache
+def _tanh_sinh_rule() -> tuple:
+    """Nodes y in (0, 1) and weights of the tanh-sinh rule on [0, 1]:
     y = 1/(1 + e) for e = e^(-pi sinh tau), on the tau grid of the exp-sinh
-    rule cut at |tau| = 4, where the weights fall below 1e-35."""
+    rule cut at |tau| = 4, where the weights fall below 1e-35 (read-only)."""
     tau = np.arange(-4.0, 4.0 + _DE_STEP / 2, _DE_STEP)
     e = np.exp(-math.pi * np.sinh(tau))
     y = 1.0 / (1.0 + e)
     w = _DE_STEP * math.pi * np.cosh(tau) * e * y**2  # dy/dtau, with 1 - y = e y
-    return (b - a) * float(_safe_profile(kernel, a + (b - a) * y) @ w)
+    y.setflags(write=False)
+    w.setflags(write=False)
+    return y, w
+
+
+def _tanh_sinh(kernel: Kernel, a: np.ndarray, b: float) -> np.ndarray:
+    """int_a^b K(t) dt for every a >= 0 of an array, with t = a + (b - a) y
+    on the rule of _tanh_sinh_rule; zero where a >= b."""
+    y, w = _tanh_sinh_rule()
+    out = np.zeros(a.size)
+    live = np.flatnonzero(a < b)
+    for blk in _row_blocks(live.size, y.size):
+        lo = a[live[blk]]
+        k = _safe_profile(kernel, (lo[:, None] + (b - lo)[:, None] * y).ravel())
+        out[live[blk]] = (b - lo) * np.vecdot(k.reshape(lo.size, y.size), w)
+    return out
 
 
 @dataclass(frozen=True)
@@ -239,7 +373,19 @@ class DelaunayKernel(Kernel):
     symbol_rule = "exact"
 
     def profile(self, t):
-        return (t**2 + self.a**2) ** (-(self.n + self.s) / 2.0)
+        """(t^2 + a^2)^(-(n+s)/2); where t or a passes 1e150, so that t^2 + a^2
+        could overflow, as m^(-(n+s)) ((t/m)^2 + (a/m)^2)^(-(n+s)/2) with
+        m = max(t, a)."""
+        t = np.asarray(t, dtype=float)
+        e = -(self.n + self.s) / 2.0
+        big = np.maximum(t, self.a) > 1e150
+        if not big.any():
+            return (t**2 + self.a**2) ** e
+        out = np.empty_like(t)
+        out[~big] = (t[~big] ** 2 + self.a**2) ** e
+        m = np.maximum(t[big], self.a)
+        out[big] = m ** (2.0 * e) * ((t[big] / m) ** 2 + (self.a / m) ** 2) ** e
+        return out
 
     def symbol(self, xi):
         """The symbol of K's Laplace (Bernstein) form (Schilling, Song &
@@ -339,19 +485,25 @@ class CompactKernel(Kernel):
         mass = self.tail_integral(0.0)
         out = np.zeros_like(xi)
         pos = np.flatnonzero(xi > 0)
-        for blk in _row_blocks(pos.size, t.size):
-            x = xi[pos[blk]]
-            bends = np.sin(0.5 * np.outer(x, t)) ** 2 @ turns
-            out[pos[blk]] = 2.0 * (mass - k[-1] * np.sin(x * t[-1]) / x
-                                   + 2.0 * bends / x**2)
+        x = xi[pos]
+        bends = 0.5 * _sine_square_sums(x, t, turns)[:, 0]
+        out[pos] = 2.0 * (mass - k[-1] * np.sin(x * t[-1]) / x + bends / x**2)
         return out
 
-    def tail_integral(self, a: float) -> float:
-        """Exact: the trapezoid rule is exact on each linear piece."""
-        if a >= self.support:
-            return 0.0
-        ts = np.concatenate([[a], self.t_table[self.t_table > a]])
-        return float(np.trapezoid(np.interp(ts, self.t_table, self.k_table), ts))
+    @_each_start
+    def tail_integral(self, a):
+        """Exact: the trapezoid rule is exact on each linear piece.  Piece j
+        of the table is cut at a, the flat piece (0, t_0] included."""
+        t, k = self.t_table, self.k_table
+        starts = np.concatenate([[-math.inf], t[:-1]])
+        out = np.empty(a.size)
+        for blk in _row_blocks(a.size, t.size):
+            lo = np.maximum(starts, a[blk, None])
+            width = np.maximum(t - lo, 0.0)
+            # interp's left value k_0 makes the flat piece's start k_0
+            area = width * (k + np.interp(lo, t, k)) / 2.0
+            out[blk] = np.add.reduce(area, axis=1)
+        return out
 
 
 @dataclass(frozen=True)
@@ -360,6 +512,8 @@ class LaplaceKernel(Kernel):
 
     r_grid: np.ndarray = field(default=None)
     density: np.ndarray = field(default=None)
+    # _trapezoid_weights, computed once in __init__
+    _weights: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __init__(self, r_grid, density, s: float,
                  lambda_lo: float = 0.0, Lambda_hi: float = math.inf):
@@ -367,15 +521,25 @@ class LaplaceKernel(Kernel):
         density = np.asarray(density, dtype=float)
         if r_grid.size < 2:  # one node has zero trapezoid weight: K = 0
             raise DomainError("a Laplace profile needs at least two r nodes")
-        if np.any(r_grid <= 0) or np.any(np.diff(r_grid) <= 0):
+        # one comparison pass: r_0 > 0 and every step up (a NaN fails it)
+        if not (r_grid[0] > 0 and (r_grid[1:] > r_grid[:-1]).all()):
             raise DomainError("r grid must be positive increasing")
-        if np.any(density < 0):
+        if (density < 0).any():
             raise DomainError("Laplace density must be nonnegative")
-        if not np.all(np.isfinite(density)):
+        if not np.isfinite(density).all():
             raise IntegrationError("Laplace density contains non-finite values")
         super().__init__(s=s, lambda_lo=lambda_lo, Lambda_hi=Lambda_hi)
         object.__setattr__(self, "r_grid", r_grid)
         object.__setattr__(self, "density", density)
+        # trapezoid weights in w = log r: half the gaps on either side
+        log_r = np.log(r_grid)
+        dw = log_r[1:] - log_r[:-1]
+        trap = np.empty_like(log_r)
+        trap[0], trap[-1] = dw[0], dw[-1]
+        np.add(dw[1:], dw[:-1], out=trap[1:-1])
+        weights = 0.5 * trap * density
+        weights.setflags(write=False)
+        object.__setattr__(self, "_weights", weights)
 
     def profile(self, t):
         t = np.asarray(t, dtype=float)
@@ -417,22 +581,26 @@ class LaplaceKernel(Kernel):
             out[blk] = -np.expm1(-np.outer(xi[blk] ** 2, 0.25 / r)) @ weights
         return out
 
-    def tail_integral(self, a: float) -> float:
+    @_each_start
+    def tail_integral(self, a):
         """Exact for the tabulated kernel, as symbol() is: each Gaussian
         contributes int_a^inf exp(-t^2 r) dt = sqrt(pi/r) erfc(a sqrt(r))/2."""
         r = self.r_grid
-        x = a * np.sqrt(r)
-        erfc = np.zeros_like(x)
-        live = x < 27.25  # beyond, math.erfc underflows to 0.0
-        erfc[live] = list(map(math.erfc, x[live].tolist()))
-        return float(np.sum(self._trapezoid_weights() * 0.5 * np.sqrt(math.pi * r) * erfc))
+        root = np.sqrt(r)
+        weights = self._trapezoid_weights() * 0.5 * np.sqrt(math.pi * r)
+        out = np.empty(a.size)
+        for blk in _row_blocks(a.size, r.size):
+            x = np.outer(a[blk], root)
+            erfc = np.zeros_like(x)
+            live = x < 27.25  # beyond, math.erfc underflows to 0.0
+            erfc[live] = list(map(math.erfc, x[live].tolist()))
+            out[blk] = np.add.reduce(weights * erfc, axis=1)
+        return out
 
     def _trapezoid_weights(self) -> np.ndarray:
-        """Trapezoid weights in w = log r times kappa(r): the profile is
-        sum_j weights_j r_j exp(-t^2 r_j)."""
-        dw = np.diff(np.log(self.r_grid))
-        trap = 0.5 * (np.concatenate([dw, [0.0]]) + np.concatenate([[0.0], dw]))
-        return trap * self.density
+        """Trapezoid weights in w = log r times kappa(r), read-only: the
+        profile is sum_j weights_j r_j exp(-t^2 r_j)."""
+        return self._weights
 
 
 @dataclass(frozen=True)
@@ -564,7 +732,15 @@ def _sinetail_panels(xi_max: float) -> tuple:
     30 times toward 0, where the sine part has a t^(1-2s) term; beyond,
     each spans at most 8/(2t + xi_max), about one period of
     sin(t^2) cos(xi t).  A panel edge sits at t = 10, where the profile
-    switches to its asymptotic branch."""
+    switches to its asymptotic branch.
+
+    A step from t is 1/max(2, (2t + xi_max)/8) long, so the march to 40
+    takes at most 80 + 200 + 5 xi_max steps, plus the edge at 10 and a
+    last short one: with the 31 halving panels, at most 313 + 5 xi_max
+    panels of 16 nodes.  DomainError is raised before any is built when
+    that count passes _MAX_RULE_NODES (xi_max about 13000, N about 26000
+    at L = pi)."""
+    _check_rule_nodes(16.0 * (313.0 + 5.0 * xi_max), "the SineTail symbol rule", xi_max)
     t0 = 8.0 / max(8.0, xi_max)
     edges = [0.0] + [t0 * 2.0**-j for j in range(30, -1, -1)]
     while edges[-1] < _SYMBOL_CUT:
@@ -649,42 +825,50 @@ class SineTailKernel(Kernel):
             out[near] += _sine_part(a[near], p)
         return out
 
-    def tail_integral(self, a: float) -> float:
+    @_each_start
+    def tail_integral(self, a):
         """int_a^inf K = int_{a^2}^inf (2 + sin x) x^(-p) g(x) dx, where
         g(x) = int_a^sqrt(x) (x - t^2) dt = 2x^(3/2)/3 - a x + a^3/3.  The
         constant part sums three power integrals; the sine part goes along
-        x = a^2 (1 + iu), where g = a^3 (w - 1)^2 (2w + 1)/3, w = sqrt(1 + iu)."""
+        x = a^2 (1 + iu), where g = a^3 (w - 1)^2 (2w + 1)/3, w = sqrt(1 + iu).
+        The step-2h estimate of each start is checked against its own power
+        part."""
         s, p = self.s, self.s + 2.5
-        b = a * a
-        scale = a ** (-2.0 * s)
-        power = 2.0 * scale * (2.0 / (3.0 * s) - 1.0 / (s + 0.5)
-                               + 1.0 / (3.0 * (s + 1.5)))
         bu = np.exp(_DESCENT_V)  # nodes of b u, the weight being e^(-b u)
-        z = 1j * bu / b
-        w = np.sqrt(1.0 + z)
-        f = (bu / b) * (1.0 + z) ** (-p) * (z / (w + 1.0)) ** 2 * (2.0 * w + 1.0) / 3.0
-        f = f * np.exp(-bu)
-        fine = _DESCENT_STEP * f.sum()
-        coarse = 2.0 * _DESCENT_STEP * f[::2].sum()
-        if scale * abs(fine - coarse) > _DESCENT_TOL * power:
-            raise IntegrationError(
-                f"sine-part tail quadrature error {scale * abs(fine - coarse):g}")
-        return float(power + scale * np.real(np.exp(1j * b) * fine))
+        out = np.empty(a.size)
+        for blk in _row_blocks(a.size, bu.size):
+            a_blk = a[blk]
+            b = (a_blk * a_blk)[:, None]
+            scale = a_blk ** (-2.0 * s)
+            power = 2.0 * scale * (2.0 / (3.0 * s) - 1.0 / (s + 0.5)
+                                   + 1.0 / (3.0 * (s + 1.5)))
+            z = 1j * bu / b
+            w = np.sqrt(1.0 + z)
+            f = (bu / b) * (1.0 + z) ** (-p) * (z / (w + 1.0)) ** 2 * (2.0 * w + 1.0) / 3.0
+            f = f * np.exp(-bu)
+            fine = _DESCENT_STEP * f.sum(axis=1)
+            coarse = 2.0 * _DESCENT_STEP * f[:, ::2].sum(axis=1)
+            err = scale * np.abs(fine - coarse)
+            bad = np.flatnonzero(err > _DESCENT_TOL * power)
+            if bad.size:
+                raise IntegrationError(f"sine-part tail quadrature error {err[bad[0]]:g}")
+            out[blk] = power + scale * np.real(np.exp(1j * b[:, 0]) * fine)
+        return out
 
     def symbol(self, xi):
         """K splits into the power part 2 t^(-1-2s)/((p-1)(p-2)), whose
         symbol is that multiple of |xi|^(2s)/c_s, and the sine part, no
         worse than t^(1-2s) at 0 and decaying like t^(-2s-5).  One profile
-        call on a fixed panel rule over (0, 40) serves every xi; the dropped
-        tail is O(40^(-2s-6))."""
+        call on a fixed panel rule over (0, 40) serves every xi, and one
+        _sine_square_sums table sums it; the dropped tail is O(40^(-2s-6))."""
         xi = np.abs(np.asarray(xi, dtype=float))
         p = self.s + 2.5
         c = 2.0 / ((p - 1.0) * (p - 2.0))
         t, w = _sinetail_panels(float(np.max(xi, initial=0.0)))
         rest = w * (self.profile(t) - c * t ** (-1.0 - 2.0 * self.s))
         out = c / frac_lap_constant(self.s) * xi ** (2.0 * self.s)
-        for blk in _row_blocks(xi.size, t.size):
-            out[blk] += 4.0 * np.sin(0.5 * np.outer(xi[blk], t)) ** 2 @ rest
+        pos = np.flatnonzero(xi > 0)
+        out[pos] += _sine_square_sums(xi[pos], t, rest)[:, 0]
         return out
 
     def sqrt_profile_third_derivative(self, tau):
@@ -874,7 +1058,7 @@ def _exact_remainder(kernel: Kernel, L: float) -> Callable:
     @functools.cache
     def tail_fit() -> np.ndarray:
         nodes = _cheb_points(lo, hi, _TAIL_POINTS)
-        return _cheb_coeffs(np.array([kernel.tail_integral(x) for x in nodes]))
+        return _cheb_coeffs(kernel.tail_integral(nodes))
 
     def remainder(t) -> np.ndarray:
         t = np.asarray(t, dtype=float)

@@ -15,7 +15,8 @@ from .errors import (DomainError, GridMismatchError, IntegrationError,
                      UnsupportedKernelError)
 from .grids import (COEFF_NOISE_FLOOR, EVAL_BLOCK, PeriodicFunction, PeriodicGrid,
                     _half_to_samples)
-from .kernels import Kernel, WrappedKernel, _gl_panels, _row_blocks, wrap_kernel
+from .kernels import (Kernel, WrappedKernel, _check_rule_nodes, _gl_panels, _row_blocks,
+                      _sine_square_sums, wrap_kernel)
 
 
 @dataclass(frozen=True)
@@ -200,10 +201,15 @@ def _line_rule(s: float) -> tuple:
 def _support_panels(support: float, breaks: tuple, xi_max: float) -> tuple:
     """Nodes t on (0, support) and a (node x 2) weight matrix of fine and
     coarse Gauss-Legendre panels.  Panels split at every break and span at
-    most pi/xi_max, half a period of the fastest cosine."""
+    most pi/xi_max, half a period of the fastest cosine.  Their count, and
+    so the node count, grows with support * xi_max: DomainError is raised
+    before any panel is built when the nodes would pass _MAX_RULE_NODES."""
     edges = sorted({0.0, support} | {b for b in breaks if 0.0 < b < support})
-    cuts = [np.linspace(lo, hi, max(1, math.ceil((hi - lo) * xi_max / math.pi)) + 1)[:-1]
-            for lo, hi in zip(edges[:-1], edges[1:])]
+    counts = np.maximum(1.0, np.ceil(np.diff(edges) * xi_max / math.pi))
+    _check_rule_nodes(float(np.sum(counts)) * sum(_PANEL_NODES), "the symbol rule on a support",
+                      xi_max)
+    cuts = [np.linspace(lo, hi, int(n) + 1)[:-1]
+            for lo, hi, n in zip(edges[:-1], edges[1:], counts)]
     edges = np.append(np.concatenate(cuts), support)
     ts, ws = zip(*(_gl_panels(edges, n) for n in _PANEL_NODES))
     return _fine_and_coarse(ts, ws)
@@ -211,23 +217,26 @@ def _support_panels(support: float, breaks: tuple, xi_max: float) -> tuple:
 
 def _fixed_rule(kernel: Kernel, xi: np.ndarray) -> tuple:
     """(values, error estimates) of ell at every xi > 0 by one fixed rule:
-    Gauss-Legendre panels on a support, and otherwise _line_rule plus
-    Kernel.tail_integral.  The (frequency x node) profile table is built in
-    row blocks, so memory stays bounded whatever the number of frequencies.
-    The estimate is the fine rule's distance from the coarse one."""
+    Gauss-Legendre panels on a support, the fine and the coarse rule each
+    summing the sine table of its own nodes in one kernels._sine_square_sums
+    call, and otherwise _line_rule plus one Kernel.tail_integral call for
+    every xi.
+    The (frequency x node) tables are built in row blocks, so memory stays
+    bounded whatever the number of frequencies.  The estimate is the fine
+    rule's distance from the coarse one."""
     if kernel.support is not None:
         t, weights = _support_panels(kernel.support, kernel.breaks, float(np.max(xi)))
-        wk = weights * kernel(t)[:, None]
-        sums = np.empty((xi.size, 2))
-        for blk in _row_blocks(xi.size, t.size):
-            sums[blk] = np.sin(0.5 * np.outer(xi[blk], t)) ** 2 @ wk
-        return 4.0 * sums[:, 0], 4.0 * np.abs(sums[:, 0] - sums[:, 1])
+        # the fine rule's nodes, then the coarse one's: each row of weights
+        # has one nonzero entry, and each rule is one run of nodes
+        runs = (0, np.count_nonzero(weights[:, 0]))
+        sums = _sine_square_sums(xi, t, weights.sum(axis=1) * kernel(t), runs)
+        return sums[:, 0], np.abs(sums[:, 0] - sums[:, 1])
     z, weights = _line_rule(kernel.s)
     sums = np.empty((xi.size, 2))
     for blk in _row_blocks(xi.size, z.size):
         t = z / xi[blk, None]
         sums[blk] = kernel(t.ravel()).reshape(t.shape) @ weights
-    tails = np.array([kernel.tail_integral(0.5 * math.pi / x) for x in xi])
+    tails = kernel.tail_integral(0.5 * math.pi / xi)
     return 2.0 / xi * sums[:, 0] + 2.0 * tails, 2.0 / xi * np.abs(sums[:, 0] - sums[:, 1])
 
 

@@ -527,6 +527,106 @@ def grid_values(wk, distances) -> np.ndarray:
     return np.where(tf > 0, _safe_profile(kernel, tf), np.inf) + rest
 
 
+
+# The tail integrals one start a at a time, as Kernel.tail_integral and the
+# overrides of CompactKernel, LaplaceKernel and SineTailKernel took them
+# before they accepted arrays, when _fixed_rule and the wrap's tail fit
+# called them once per start in a Python loop.
+
+def de_tail_integral(kernel, a: float) -> float:
+    """nonlocper.Kernel.tail_integral: tanh-sinh on [a, support], or exp-sinh
+    from a > 0, or tanh-sinh on [0, 1] plus exp-sinh from 1 at a = 0."""
+    import math
+
+    from nonlocper.kernels import _DE_STEP, _exp_sinh_rule, _safe_profile
+
+    def tanh_sinh(lo, hi):
+        tau = np.arange(-4.0, 4.0 + _DE_STEP / 2, _DE_STEP)
+        e = np.exp(-math.pi * np.sinh(tau))
+        y = 1.0 / (1.0 + e)
+        w = _DE_STEP * math.pi * np.cosh(tau) * e * y**2
+        return (hi - lo) * float(_safe_profile(kernel, lo + (hi - lo) * y) @ w)
+
+    if kernel.support is not None:
+        return tanh_sinh(a, kernel.support) if a < kernel.support else 0.0
+    if a == 0.0:
+        return tanh_sinh(0.0, 1.0) + de_tail_integral(kernel, 1.0)
+    x, w, rest = _exp_sinh_rule(kernel.s)
+    n = int(np.searchsorted(x, 1e300 / a))
+    k = _safe_profile(kernel, a * x[:n])
+    val = a * float(k @ w[:n])
+    if 0 < n < rest.size:
+        xn = x[n - 1]
+        val += a * float(k[-1] * xn * xn ** (2.0 * kernel.s) * rest[n])
+    return val
+
+
+def compact_tail_integral(kernel, a: float) -> float:
+    """nonlocper.CompactKernel.tail_integral: the trapezoid rule on the knots
+    beyond a."""
+    if a >= kernel.support:
+        return 0.0
+    ts = np.concatenate([[a], kernel.t_table[kernel.t_table > a]])
+    return float(np.trapezoid(np.interp(ts, kernel.t_table, kernel.k_table), ts))
+
+
+def laplace_tail_integral(kernel, a: float) -> float:
+    """nonlocper.LaplaceKernel.tail_integral: the Gaussian tails
+    sqrt(pi/r) erfc(a sqrt(r))/2 on the trapezoid weights in log r."""
+    import math
+
+    r = kernel.r_grid
+    dw = np.diff(np.log(r))
+    trap = 0.5 * (np.concatenate([dw, [0.0]]) + np.concatenate([[0.0], dw]))
+    x = a * np.sqrt(r)
+    erfc = np.zeros_like(x)
+    live = x < 27.25
+    erfc[live] = list(map(math.erfc, x[live].tolist()))
+    return float(np.sum(trap * kernel.density * 0.5 * np.sqrt(math.pi * r) * erfc))
+
+
+def sinetail_tail_integral(kernel, a: float) -> float:
+    """nonlocper.SineTailKernel.tail_integral: three power integrals and the
+    sine part along x = a^2 (1 + iu), checked against its step-2h sum."""
+    from nonlocper.errors import IntegrationError
+    from nonlocper.kernels import _DESCENT_STEP, _DESCENT_TOL, _DESCENT_V
+
+    s, p = kernel.s, kernel.s + 2.5
+    b = a * a
+    scale = a ** (-2.0 * s)
+    power = 2.0 * scale * (2.0 / (3.0 * s) - 1.0 / (s + 0.5) + 1.0 / (3.0 * (s + 1.5)))
+    bu = np.exp(_DESCENT_V)
+    z = 1j * bu / b
+    w = np.sqrt(1.0 + z)
+    f = (bu / b) * (1.0 + z) ** (-p) * (z / (w + 1.0)) ** 2 * (2.0 * w + 1.0) / 3.0
+    f = f * np.exp(-bu)
+    fine = _DESCENT_STEP * f.sum()
+    coarse = 2.0 * _DESCENT_STEP * f[::2].sum()
+    if scale * abs(fine - coarse) > _DESCENT_TOL * power:
+        raise IntegrationError(f"sine-part tail quadrature error {scale * abs(fine - coarse):g}")
+    return float(power + scale * np.real(np.exp(1j * b) * fine))
+
+
+def sine_square_sums(xi, t, w, starts=(0,), pairwise=False) -> np.ndarray:
+    """sum_j w_j 4 sin^2(xi_k t_j / 2) for every xi_k and every run of nodes
+    from starts[c], one sin per entry, in the row blocks of
+    nonlocper.kernels._row_blocks.  Each run is summed by a matrix product,
+    as nonlocper.kernels._sine_square_sums does off the frequency ladder
+    and the symbol rules did before it; with pairwise, by np.add.reduceat,
+    the more accurate reference that the ladder is held to."""
+    from nonlocper.kernels import _row_blocks
+
+    out = np.empty((np.size(xi), len(starts)))
+    ends = (*starts[1:], np.size(t))
+    for blk in _row_blocks(out.shape[0], np.size(t)):
+        square = 4.0 * np.sin(0.5 * np.outer(xi[blk], t)) ** 2
+        if pairwise:
+            out[blk] = np.add.reduceat(square * w, starts, axis=1)
+        else:
+            for c, (a, b) in enumerate(zip(starts, ends)):
+                out[blk, c] = square[:, a:b] @ w[a:b]
+    return out
+
 # The full-spectrum forms that PeriodicFunction, apply_spectral,
 # bilinear_fourier and the circle routes used before the library kept one
 # real half spectrum: N coefficients in fft order from a complex FFT, the

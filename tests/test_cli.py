@@ -950,3 +950,41 @@ class TestImportCost:
         proc = run_fresh(args + ["--out", tmp_path], child=_CHILD_WATCH)
         assert proc.returncode == cli.EXIT_OK, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# runs the CLI, or with --support a fixed-rule symbol of a compact kernel at
+# the given half period and N, under a 3 GiB address-space limit set in the
+# child only: without the node cap these asked for more than a GiB
+_CHILD_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+import nonlocper as nl
+from nonlocper import cli
+if sys.argv[1] == "--support":
+    k = nl.CompactKernel([0.5, 1.0], [1.0, 0.0], s=0.5)
+    try:
+        nl.symbol_of_kernel(k, nl.PeriodicGrid(float(sys.argv[2]), int(sys.argv[3])),
+                            force_quadrature=True)
+    except nl.DomainError as exc:
+        sys.exit(f"DomainError: {exc}")
+    sys.exit(0)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestRuleNodeCap:
+    """A symbol rule whose node count grows like N/L refuses a count above
+    kernels._MAX_RULE_NODES before it allocates anything."""
+
+    def test_sinetail_short_period_exits_2(self, tmp_path):
+        pytest.importorskip("resource")
+        proc = run_fresh(["symbol", "--kernel", "sinetail", "--s", 0.5, "--L", 1e-4, "--N", 16,
+                          "--out", tmp_path], child=_CHILD_CAPPED)
+        assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+        assert "cap of 1048576" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_support_rule_short_period_raises(self):
+        pytest.importorskip("resource")
+        proc = run_fresh(["--support", 1e-4, 16], child=_CHILD_CAPPED)
+        assert proc.stderr.startswith("DomainError: the symbol rule on a support needs about")
+        assert "cap of 1048576" in proc.stderr

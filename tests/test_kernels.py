@@ -166,6 +166,29 @@ class TestLaplaceRepresentations:
         with pytest.raises(nl.DomainError, match="two r nodes"):
             nl.LaplaceKernel([1.0], [1.0], s=0.5)
 
+    @pytest.mark.parametrize("r,density,error,message", [
+        ([0.0, 1.0], [1.0, 1.0], nl.DomainError, "r grid must be positive increasing"),
+        ([-1.0, 1.0], [1.0, 1.0], nl.DomainError, "r grid must be positive increasing"),
+        ([1.0, 1.0], [1.0, 1.0], nl.DomainError, "r grid must be positive increasing"),
+        ([1.0, 3.0, 2.0], [1.0, 1.0, 1.0], nl.DomainError, "r grid must be positive increasing"),
+        ([1.0, 2.0], [1.0, -1.0], nl.DomainError, "Laplace density must be nonnegative"),
+        ([1.0, 2.0], [1.0, np.inf], nl.IntegrationError, "non-finite"),
+        ([1.0, 2.0], [np.nan, 1.0], nl.IntegrationError, "non-finite")],
+        ids=["zero-r", "negative-r", "repeated-r", "decreasing-r", "negative-density",
+             "infinite-density", "nan-density"])
+    def test_rejected_inputs(self, r, density, error, message):
+        with pytest.raises(error, match=message):
+            nl.LaplaceKernel(r, density, s=0.5)
+
+    def test_trapezoid_weights_once_and_read_only(self):
+        r = np.geomspace(1e-3, 1e3, 60)
+        lk = nl.LaplaceKernel(r, np.exp(-r), s=0.5)
+        weights = lk._trapezoid_weights()
+        assert lk._trapezoid_weights() is weights and not weights.flags.writeable
+        dw = np.diff(np.log(r))
+        trap = 0.5 * (np.concatenate([dw, [0.0]]) + np.concatenate([[0.0], dw]))
+        assert np.array_equal(weights, trap * np.exp(-r))
+
     def test_laplace_kernel_direct_oracle(self):
         # K(t) = int e^-r e^{-t^2 r} dr = 1/(1 + t^2), density kappa = e^-r
         r = nl.kernels.DEFAULT_R_GRID
@@ -894,6 +917,25 @@ class TestClosedFormTails:
         lk = nl.laplace_measure_of(dk)
         for A in (0.1, 1.0, 10.0):
             assert lk.tail_integral(A) == pytest.approx(dk.tail_integral(A), rel=1e-8)
+
+
+class TestDelaunayProfile:
+    @pytest.mark.parametrize("s", [0.05, 0.5])
+    def test_no_overflow_out_to_1e300(self, s):
+        # t^2 overflowed beyond t = 1.3e154; past t = 1e150 the profile
+        # factors out max(t, a), and below it is the plain formula, bit for bit
+        k = nl.DelaunayKernel(2, s, 1.0)
+        t = np.concatenate([np.geomspace(1e-3, 1e150, 400), np.geomspace(1e150, 1e300, 151)[1:]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = k.profile(t)
+            below = t <= 1e150
+            assert np.array_equal(vals[below], (t[below] ** 2 + 1.0) ** (-(2 + s) / 2.0))
+        assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+        assert np.all(np.diff(vals) <= 0.0)
+        # both sides of the switch
+        edge = k.profile(np.array([1e150, np.nextafter(1e150, np.inf)]))
+        assert edge[1] == pytest.approx(edge[0], rel=1e-14)
 
 
 class TestDelaunaySymbol:

@@ -40,37 +40,46 @@ def dtn_multiplier(u: PeriodicFunction) -> PeriodicFunction:
 DTN_DELTA_SEQ = (1e-2, 5e-3, 2.5e-3, 1.25e-3)  # radial steps of dtn_poisson
 
 
+def _poisson_weights(n: int, radii, coef) -> np.ndarray:
+    """sum_j coef_j w_j(k), k = 0..N/2: w_j is the Poisson kernel P_(r_j)'s
+    Fourier coefficient by the trapezoid rule on M_j >= N nodes (error
+    ~ r_j^M_j).  The M_j are powers of two, so each rule's half-period
+    samples go at stride M/M_j into one even sequence on the finest grid
+    (M nodes), and one irfft sums them all.  Written as (1 - r)(1 + r) /
+    (2 pi ((1 - r)^2 + 4 r sin^2(phi/2))), P does not cancel near phi = 0."""
+    gaps = [1.0 - r for r in radii]
+    sizes = [max(n, 1 << max(10, math.ceil(math.log2(40.0 / g)))) for g in gaps]
+    m = max(sizes)
+    if m > 1 << 22:
+        raise StepSizeError("radius too close to 1 for stable quadrature")
+    sin_sq = 4.0 * np.sin(np.pi / m * np.arange(m // 2 + 1)) ** 2
+    half = np.zeros(m // 2 + 1)
+    for r, g, mj, c in zip(radii, gaps, sizes, coef):  # (2 pi/M_j) P_r(2 pi i/M_j)
+        half[:: m // mj] += (c * g * (1.0 + r) / mj) / (g * g + r * sin_sq[:: m // mj])
+    return np.fft.irfft(half, m, norm="forward")[: n // 2 + 1]
+
+
 def poisson_extension(u: PeriodicFunction, radius: float) -> np.ndarray:
-    """Harmonic extension sampled at radius*e^{i theta_j}, computed by
-    trapezoid quadrature of the Poisson kernel (a circular convolution) on
-    M >= N nodes; M follows from the radius (error ~ radius^M) and N.  At
-    the N nodes it is u's half spectrum times that of the kernel samples."""
+    """Harmonic extension sampled at radius*e^{i theta_j} by trapezoid
+    quadrature of the Poisson kernel: u's half spectrum times the rule's."""
     _require_circle(u)
     if not 0 <= radius < 1:
         raise DomainError("extension radius must lie in [0, 1)")
     n = u.grid.size
-    m = max(n, 1 << max(10, math.ceil(math.log2(40.0 / (1.0 - radius)))))
-    if m > 1 << 22:
-        raise StepSizeError("radius too close to 1 for stable quadrature")
-    phi = PeriodicGrid(math.pi, m).nodes
-    # P(r, t) = (1 - r^2) / (2 pi (1 - 2 r cos t + r^2)) at distances t
-    pk = (1.0 - radius**2) / (2.0 * math.pi * (1.0 - 2.0 * radius * np.cos(phi)
-                                               + radius**2))
-    weights = np.fft.rfft(np.roll(pk, -(m // 2)))[: n // 2 + 1].real * (2.0 * math.pi / m)
-    return _half_to_samples(u.half_spectrum() * weights, n)
+    return _half_to_samples(u.half_spectrum() * _poisson_weights(n, [radius], [1.0]), n)
 
 
 def dtn_poisson(u: PeriodicFunction) -> PeriodicFunction:
     """Radial difference quotient (u(p) - u_D((1-delta)p))/delta of the
     Poisson-quadrature extension at each delta of DTN_DELTA_SEQ,
-    Richardson-extrapolated to delta = 0."""
+    Richardson-extrapolated to delta = 0: the cubic through the quotients
+    is sum_j lam_j q_j there (lam_j the Lagrange weights at 0), so the whole
+    route is one multiplier on u's half spectrum."""
     _require_circle(u)
     deltas = np.array(DTN_DELTA_SEQ)
-    quots = np.array([(u.samples - poisson_extension(u, 1.0 - d)) / d
-                      for d in deltas])
-    # difference quotient is analytic in delta: fit and evaluate at 0
-    coeffs = np.polynomial.polynomial.polyfit(deltas, quots, deltas.size - 1)
-    return PeriodicFunction(u.grid, coeffs[0])
+    coef = np.array([math.prod(e / (e - d) for e in deltas if e != d) for d in deltas]) / deltas
+    mult = coef.sum() - _poisson_weights(u.grid.size, 1.0 - deltas, coef)
+    return PeriodicFunction.from_half_spectrum(u.grid, u.half_spectrum() * mult)
 
 
 def half_lap_pv_circle(u: PeriodicFunction, x: float) -> float:

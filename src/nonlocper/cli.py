@@ -52,16 +52,17 @@ class ConfigError(Exception):
 
 
 # what a bad input raises, in whichever layer notices it: the CLI, an input
-# check of the library, the file system, or the decoding of a config file
+# check of the library, the file system, the decoding of a config file, or
+# an allocation that the inputs make too large
 _CONFIG_ERRORS = (ConfigError, DomainError, OSError, json.JSONDecodeError,
-                  UnicodeDecodeError)
+                  UnicodeDecodeError, MemoryError)
 
 
 def _exit_code(exc: Exception) -> int:
     """The exit code of a failed run, after its one-line message on stderr:
     2 for a bad input, 3 for any other NonlocError (a numerical failure)."""
     if isinstance(exc, _CONFIG_ERRORS):
-        print(f"configuration error: {exc}", file=sys.stderr)
+        print(f"configuration error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"numerical failure: {exc}", file=sys.stderr)
     return EXIT_NUMERICAL

@@ -150,10 +150,13 @@ def _each_start(integral: Callable) -> Callable:
     """tail_integral(a) for a float or an array a from integral(self, flat),
     which maps a 1-D array of starts to the integrals from each: an array
     keeps its shape, and a float gives the float that the array call gives
-    for it, since each start is reduced on its own."""
+    for it, since each start is reduced on its own.  A start that is
+    negative or NaN raises DomainError, in every family."""
     @functools.wraps(integral)
     def tail_integral(self, a):
         a = np.asarray(a, dtype=float)
+        if not np.all(a >= 0.0):
+            raise DomainError("the tail integral starts at a >= 0")
         out = integral(self, a.ravel())
         return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
     return tail_integral
@@ -223,8 +226,6 @@ class Kernel:
         decays like t^(-1-2s), and it needs a finite Lambda_hi (see
         _exp_sinh_rule).  At a = 0 it is tanh-sinh on [0, 1] plus exp-sinh
         from 1.  The starts go in row blocks, one profile call per block."""
-        if np.any(a < 0.0):
-            raise DomainError("the tail integral starts at a >= 0")
         if self.support is not None:
             out = _tanh_sinh(self, a, self.support)
         elif not math.isfinite(self.Lambda_hi):
@@ -712,15 +713,19 @@ def _sine_part(a: np.ndarray, p: float) -> np.ndarray:
     """int_a^inf (x - a) x^(-p) sin x dx = Im[-e^(ia) a^(2-p) F(a)] for an
     array 0 < a < 100, with F read from the table of p (_sine_table): per
     point one log, a panel index, a 16-term row dot (np.vecdot, so no value
-    depends on the batch), sin a, cos a and one power."""
+    depends on the batch), sin a, cos a and one power.  The powers and the
+    gathered table rows are built in row blocks of _BLOCK powers."""
     coeffs = _sine_table(p)
     v = np.log(a) - _SINE_V0
     panel = np.minimum(np.maximum(v, 0.0), _SINE_PANELS - 1).astype(np.intp)
-    powers = np.empty((a.size, _SINE_NODES))
-    powers[:, 0] = 1.0
-    powers[:, 1:] = np.clip(2.0 * (v - panel) - 1.0, -1.0, 1.0)[:, None]
-    np.cumprod(powers, axis=1, out=powers)
-    re, im = np.vecdot(powers[:, None, :], coeffs[panel]).T
+    x = np.clip(2.0 * (v - panel) - 1.0, -1.0, 1.0)
+    parts = np.empty((2, a.size))
+    for blk in _row_blocks(a.size, _SINE_NODES):
+        powers = np.repeat(x[blk, None], _SINE_NODES, axis=1)
+        powers[:, 0] = 1.0
+        np.cumprod(powers, axis=1, out=powers)
+        parts[:, blk] = np.vecdot(powers[:, None, :], coeffs[panel[blk]]).T
+    re, im = parts
     return -a ** (2.0 - p) * (np.sin(a) * re + np.cos(a) * im)
 
 

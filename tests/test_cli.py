@@ -508,6 +508,21 @@ class TestExitCodeContract:
         assert err.startswith("configuration error")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("exc,message", [
+        (MemoryError(), "MemoryError"),
+        (MemoryError("Unable to allocate 1.2 GiB"), "Unable to allocate 1.2 GiB")],
+        ids=["bare", "numpy-style"])
+    def test_allocation_failure_exits_2(self, tmp_path, capsys, monkeypatch, exc, message):
+        # inputs whose work does not fit in memory are a bad input, not a crash
+        def exhausted(config, out):
+            raise exc
+        monkeypatch.setitem(cli.COMMANDS, "regularity",
+                            (exhausted, cli.COMMANDS["regularity"][1]))
+        code = run_cli(["regularity", "--s", 0.2, "--beta", 0.4, "--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err == f"configuration error: {message}\n"
+
     def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_bytes(b'\xff{"s": 0.2, "beta": 0.4}')

@@ -5,6 +5,7 @@ there, and every tail_integral takes an array in one call, element for
 element the float that a call on that start alone gives."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,11 +170,16 @@ class TestVectorTailIntegral:
             k.tail_integral(a)
         assert str(batch.value) == str(alone.value)
 
-    @pytest.mark.parametrize("name", ["delaunay", "custom-support"])
+    @pytest.mark.parametrize("name", ["delaunay", "custom-support", "compact",
+                                      "laplace-of-delaunay", "sinetail-0.5"])
     def test_negative_start_in_an_array_raises(self, name):
+        # every family, in _each_start: a NaN start fails a >= 0 too
         kernel = _TAILS[name][0]
-        with pytest.raises(nl.DomainError):
-            kernel.tail_integral(np.array([1.0, -1.0]))
+        for bad in (-1.0, math.nan):
+            with pytest.raises(nl.DomainError, match="starts at a >= 0"):
+                kernel.tail_integral(np.array([1.0, bad]))
+            with pytest.raises(nl.DomainError, match="starts at a >= 0"):
+                kernel.tail_integral(bad)
 
 
 class TestOneTailCall:
@@ -244,3 +250,28 @@ class TestRuleNodeCap:
         monkeypatch.setattr(kernels, "_MAX_RULE_NODES", n - 1)
         with pytest.raises(nl.DomainError, match="symbol rule on a support"):
             op._support_panels(_COMPACT.support, _COMPACT.breaks, xi_max)
+
+
+class TestSinePartBlocks:
+    """SineTail's near profile builds its (points x 16) powers and gathered
+    table rows in row blocks: memory stays O(points), and each value is the
+    one a call on that point alone gives."""
+
+    def test_blocks_keep_each_value(self):
+        a = np.geomspace(1e-4, 99.0, 3001)
+        p = 3.0
+        whole = kernels._sine_part(a, p)
+        alone = np.concatenate([kernels._sine_part(a[i:i + 1], p) for i in range(a.size)])
+        assert np.array_equal(whole, alone)
+
+    def test_peak_memory_is_a_few_arrays(self):
+        a = np.geomspace(1e-4, 99.0, 100_000)
+        kernels._sine_part(a[:8], 3.0)  # the table of p is built outside
+        tracemalloc.start()
+        try:
+            kernels._sine_part(a, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole (points x 16) powers and (points x 2 x 16) rows took 52x
+        assert peak < 12 * a.nbytes

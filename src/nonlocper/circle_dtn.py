@@ -82,16 +82,19 @@ def dtn_poisson(u: PeriodicFunction) -> PeriodicFunction:
     return PeriodicFunction.from_half_spectrum(u.grid, u.half_spectrum() * mult)
 
 
-def half_lap_pv_circle(u: PeriodicFunction, x: float) -> float:
-    """(1/pi) P.V. integral of (u(p) - u(q))/|p - q|^2 over the circle,
-    folded to the regular second-difference form on (0, pi), with the chord
+def half_lap_pv_circle(u: PeriodicFunction, x):
+    """(1/pi) P.V. integral of (u(p) - u(q))/|p - q|^2 over the circle at a
+    point or an array of them (a scalar x gives a float), folded to the
+    regular second-difference form on (0, pi), with the chord
     |p - q|^2 = 2 - 2cos t written as 4 sin^2(t/2) to avoid cancellation:
 
         int_0^pi (2u(x) - u(x+t) - u(x-t)) / (4 pi sin^2(t/2)) dt.
     """
     _require_circle(u)
-    return float(_pv_fold(u, [x], lambda t: 1.0 / (4.0 * math.pi * np.sin(0.5 * t) ** 2),
-                          (), 0.5)[0])
+    x = np.asarray(x, dtype=float)
+    out = _pv_fold(u, x.ravel(), lambda t: 1.0 / (4.0 * math.pi * np.sin(0.5 * t) ** 2),
+                   (), 0.5)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 @functools.cache

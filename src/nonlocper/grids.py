@@ -231,14 +231,13 @@ def decay_exponent(u: PeriodicFunction) -> float:
     """Least-squares decay rate of |u_k| ~ k^(-r) over 2 <= k <= N/2.
 
     A smoothness diagnostic: returns the fitted r, using only modes whose
-    magnitude sits above the double-precision noise floor.
+    magnitude sits above the double-precision noise floor, COEFF_NOISE_FLOOR
+    times the largest |u_k|, so that c u gives the fit of u.
     """
     lo, hi = 2, u.grid.size // 2
-    ks = np.arange(lo, hi + 1)
-    mags = np.abs(u.half_spectrum()[lo:])
-    keep = mags > COEFF_NOISE_FLOOR
-    if np.count_nonzero(keep) < 8:
-        raise DegenerateFitError(
-            f"only {np.count_nonzero(keep)} modes above noise floor in [{lo}, {hi}]")
-    slope = np.polyfit(np.log(ks[keep]), np.log(mags[keep]), 1)[0]
+    amp = np.abs(u.half_spectrum())
+    keep = lo + np.flatnonzero(amp[lo:] > COEFF_NOISE_FLOOR * amp.max())
+    if keep.size < 8:
+        raise DegenerateFitError(f"only {keep.size} modes above noise floor in [{lo}, {hi}]")
+    slope = np.polyfit(np.log(keep), np.log(amp[keep]), 1)[0]
     return float(-slope)

@@ -319,10 +319,12 @@ def minimize(cfg: MinimizeConfig) -> MinimizeResult:
 
 
 def max_principle_probe(kernel: Kernel, v: PeriodicFunction, x0: float) -> float:
-    """Operator value at an interior zero of an odd, nonpositive-on-(0, L)
-    test function.  For admissible kernels the value must be strictly
-    positive unless v vanishes identically."""
+    """Operator value at an interior zero x0 of an odd, nonpositive-on-(0, L)
+    test function; x0 outside (0, L) raises DomainError before v is checked.
+    For admissible kernels the value is strictly positive unless v = 0."""
     L, n = v.grid.half_period, v.grid.size
+    if not 0.0 < x0 < L:
+        raise DomainError(f"x0 = {x0:g} must lie inside (0, L) = (0, {L:g})")
     scale = max(1.0, float(np.max(np.abs(v.samples))))
     fine = v.refine(8 * n).samples  # v at spacing L/(4N); node 4N is x = 0
     right, left = np.append(fine[4 * n:], fine[0]), fine[4 * n::-1]
@@ -331,8 +333,6 @@ def max_principle_probe(kernel: Kernel, v: PeriodicFunction, x0: float) -> float
         raise HypothesisViolationError(f"oddness defect {odd_defect:g}")
     if float(np.max(right[1:-1])) > 1e-12 * scale:
         raise HypothesisViolationError("v must be nonpositive on (0, L)")
-    if not 0.0 < x0 < L:
-        raise HypothesisViolationError("probe point must lie inside (0, L)")
     if abs(v.eval(x0)) > 1e-10 * scale:
         raise HypothesisViolationError("v(x0) must vanish")
     return apply_pv(kernel, v, x0)

@@ -270,11 +270,11 @@ def apply_spectral(sym: SymbolTable, u: PeriodicFunction) -> PeriodicFunction:
     return PeriodicFunction.from_half_spectrum(u.grid, u.half_spectrum() * sym.values)
 
 
-PV_EPS_SEQ = (1e-2, 1e-3, 1e-4)  # where the graded panels of each PV estimate start
+PV_EPS_SEQ = (1e-2, 1e-3, 1e-4)  # pivots of the PV estimates at L = pi, scaled by L/pi
 PV_STABILITY_TOL = 1e-6
 PV_PLAN_BYTES = 64 << 20  # cap on the arrays of the cached PV plans, least recent dropped
 _PV_NODES = 12  # Gauss-Legendre nodes per graded panel of the PV rules
-_PV_DEPTH = 12  # halvings of the graded panels below each eps, at least
+_PV_DEPTH = 12  # halvings of the graded panels below each pivot, at least
 _PV_END_NODES = 20  # Gauss-Legendre nodes of the power-substitution panel
 _PV_SWITCH = 1e-3  # z_switch / L: below it the second difference comes from its Taylor series
 _PV_PLANS: dict = {}  # (build function, *key) -> plan, least recently used first
@@ -299,16 +299,18 @@ def _pv_plan(build, *key) -> tuple:
 
 def _pv_panels(L: float, breakpoints: tuple) -> list:
     """(a, z, wz) per eps rule: Gauss-Legendre panels halving from L down to
-    eps and on to a = eps 2^-J, J >= _PV_DEPTH chosen so that no breakpoint
-    lies below a."""
+    the pivot eps L/pi and on to a = eps (L/pi) 2^-J, J >= _PV_DEPTH chosen
+    so that no breakpoint lies below a.  Without breakpoints the plan is a
+    dilation of the one at L = pi."""
     lowest = min(breakpoints, default=math.inf)
     rules = []
     for eps in PV_EPS_SEQ:
+        pivot = eps * (L / math.pi)
         depth = _PV_DEPTH
-        while eps * 2.0 ** -depth >= lowest:
+        while pivot * 2.0 ** -depth >= lowest:
             depth += 1
-        a = eps * 2.0 ** -depth
-        bounds = [eps * 2.0 ** -j for j in range(depth, -1, -1)]
+        a = pivot * 2.0 ** -depth
+        bounds = [pivot * 2.0 ** -j for j in range(depth, -1, -1)]
         while bounds[-1] < L:
             bounds.append(min(2.0 * bounds[-1], L))
         bounds = sorted(set(bounds) | {b for b in breakpoints if a < b < L})
@@ -332,14 +334,14 @@ def _pv_free(L: float, n_modes: int, breakpoints: tuple) -> tuple:
 
 
 def _pv_rule(L: float, breakpoints: tuple, s: float) -> tuple:
-    """The s tier of the PV plan: (zs, w, n_small, segs, z2, powers).  Each
+    """The s tier of the PV plan: (zs, weights, n_small, powers).  Each
     rule of _pv_panels gains a panel on (0, a) in v on (0, 1), z = a v^q,
     q = 1/(2 - 2s): the leading z^(1-2s) term of z^2 Kbar(z) for a kernel
     of order s is then constant in v, so nothing near 0 is dropped.  zs
-    holds the n_small nodes below z_switch, rule after rule, then the
-    direct ones, rule i's on zs[n_small:][segs[i]]; w their weights.
-    z2 = zs[:n_small]^2, and row 3i + m - 1 of powers holds z^(2m-2)
-    (m = 1, 2, 3) on rule i's small nodes and 0 elsewhere."""
+    holds the n_small nodes below z_switch, then the direct ones, each part
+    rule after rule; row i of weights holds rule i's weights on its nodes
+    and 0 elsewhere.  The columns of powers are 1, z^2 and z^4 on the
+    small nodes."""
     q = 0.5 / (1.0 - s)
     v, wv = _gl_panels([0.0, 1.0], _PV_END_NODES)
     rules = _pv_panels(L, breakpoints)
@@ -347,32 +349,28 @@ def _pv_rule(L: float, breakpoints: tuple, s: float) -> tuple:
     w = np.concatenate([np.concatenate([a * q * v ** (q - 1.0) * wv, wz]) for a, _, wz in rules])
     rule = np.repeat(np.arange(len(rules)), [v.size + z.size for _, z, _ in rules])
     small = zs < _PV_SWITCH * L
-    order = np.argsort(np.where(small, rule, rule + len(rules)), kind="stable")
-    zs, w, rule, n_small = zs[order], w[order], rule[order], int(np.count_nonzero(small))
-    bounds = np.searchsorted(rule[n_small:], np.arange(len(rules) + 1))
-    segs = tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    order = np.argsort(~small, kind="stable")
+    zs, n_small = zs[order], int(np.count_nonzero(small))
+    weights = np.where(rule[order] == np.arange(len(rules))[:, None], w[order], 0.0)
     z2 = zs[:n_small] ** 2
-    powers = np.zeros((3 * len(rules), n_small))
     with np.errstate(over="ignore"):  # z^4 overflows once 1e-3 L passes about 1e77
-        for m in range(3):
-            powers[3 * rule[:n_small] + m, np.arange(n_small)] = z2**m
-    return zs, w, n_small, segs, z2, powers
+        powers = np.stack([np.ones_like(z2), z2, z2 * z2], axis=1)
+    return zs, weights, n_small, powers
 
 
 def _pv_weights(u: PeriodicFunction, kbar, breakpoints, s: float) -> tuple:
-    """(wd, segs, moments, taylor, cos_large) of one fold: kbar once on every
-    node of the s tier, wd = w kbar on the direct nodes, moments[i, m - 1]
-    the sum of w kbar z^2m over rule i's small nodes by one product with
-    powers, and the s-free tier."""
+    """(wd, moments, taylor, cos_large) of one fold: kbar once on every
+    node of the s tier, wd = weights kbar on the direct nodes, one row per
+    eps rule, moments[i, m - 1] the sum of row i's weights kbar z^2m over
+    the small nodes, by one product of weights kbar z^2 with powers, and
+    the s-free tier."""
     L = u.grid.half_period
-    if PV_EPS_SEQ[0] >= L:
-        raise DomainError(f"the half period must exceed the first eps, {PV_EPS_SEQ[0]:g}")
-    zs, w, n_small, segs, z2, powers = _pv_plan(_pv_rule, L, tuple(breakpoints), s)
+    zs, weights, n_small, powers = _pv_plan(_pv_rule, L, tuple(breakpoints), s)
     with np.errstate(over="ignore", invalid="ignore"):
-        wk = w * kbar(zs)
-        moments = (powers @ (wk[:n_small] * z2)).reshape(len(segs), 3)
+        wk = weights * kbar(zs)
+        moments = (wk[:, :n_small] * powers[:, 1]) @ powers
     if not np.isfinite(moments).all():
-        bad = ~np.isfinite(wk[:n_small])
+        bad = ~np.isfinite(wk[:, :n_small]).all(axis=0)
         if bad.any():
             # kbar ~ z^(-1-2s) overflows at the smallest nodes for s beyond
             # about 0.98, and z = a v^q underflows to 0 for s beyond about 0.996
@@ -380,7 +378,7 @@ def _pv_weights(u: PeriodicFunction, kbar, breakpoints, s: float) -> tuple:
                                    f"principal-value node z = {np.min(zs[:n_small][bad]):.3g}")
         # sum wk z^6 overflows for half periods beyond about 1e64 (fraclap 0.5)
         raise IntegrationError(f"principal-value moments overflow at half period {L:g}")
-    return (wk[n_small:], segs, moments,
+    return (wk[:, n_small:], moments,
             *_pv_plan(_pv_free, L, u.grid.size // 2 + 1, tuple(breakpoints)))
 
 
@@ -406,10 +404,10 @@ def _pv_fold(u: PeriodicFunction, xs, kbar, breakpoints, s: float) -> np.ndarray
     """int_0^L (2u(x) - u(x+z) - u(x-z)) kbar(z) dz at every x in xs, for a
     kbar of order s (kbar(z) ~ z^(-1-2s) at 0), on the PV plan, whose panels
     never straddle a breakpoint of kbar.  Each eps rule of PV_EPS_SEQ is one
-    estimate: the direct second difference on its direct nodes, and below
-    z_switch its even Taylor series, exact to rounding there, against the
-    moments.  u's tables take EVAL_BLOCK points at a time."""
-    wd, segs, moments, taylor, cos_large = _pv_weights(u, kbar, breakpoints, s)
+    estimate, one row of the weights: the direct second difference on its
+    direct nodes, and below z_switch its even Taylor series, exact to
+    rounding there, against the moments.  u's tables take EVAL_BLOCK points at a time."""
+    wd, moments, taylor, cos_large = _pv_weights(u, kbar, breakpoints, s)
     xs = np.asarray(xs, dtype=float)
     out = np.empty(xs.size)
     for i in range(0, xs.size, EVAL_BLOCK):
@@ -420,8 +418,7 @@ def _pv_fold(u: PeriodicFunction, xs, kbar, breakpoints, s: float) -> np.ndarray
         # is -2 sum_m u^(2m)(x) z^2m / (2m)!, u^(2m)(x) = sum_k a_k(x) (-omega_k^2)^m
         modes = u.modes(x)
         diff = 2.0 * (ux - cos_large @ modes.T)
-        direct = np.array([wd[seg] @ diff[seg] for seg in segs])
-        out[i:i + EVAL_BLOCK] = _pv_settle(u, x, direct - moments @ (modes @ taylor).T)
+        out[i:i + EVAL_BLOCK] = _pv_settle(u, x, wd @ diff - moments @ (modes @ taylor).T)
     return out
 
 
@@ -430,13 +427,12 @@ def _pv_fold_grid(u: PeriodicFunction, kbar, breakpoints, s: float) -> np.ndarra
     x is one inverse FFT of u's half spectrum times cos(omega z) per direct
     node z, batched in kernels._row_blocks, and u'', u'''' and u^(6) are
     three more: evaluations of u, never a transform of the weights."""
-    wd, segs, moments, taylor, cos_large = _pv_weights(u, kbar, breakpoints, s)
+    wd, moments, taylor, cos_large = _pv_weights(u, kbar, breakpoints, s)
     n, half = u.grid.size, u.half_spectrum()
-    rules = np.array([np.pad(wd[seg], (seg.start, wd.size - seg.stop)) for seg in segs])
     vals = -(moments @ _half_to_samples(taylor.T * half, n))
-    for blk in _row_blocks(wd.size, n):
+    for blk in _row_blocks(wd.shape[1], n):
         shifted = _half_to_samples(cos_large[blk] * half, n)  # (u(x + z) + u(x - z)) / 2
-        vals += rules[:, blk] @ (2.0 * (u.samples - shifted))
+        vals += wd[:, blk] @ (2.0 * (u.samples - shifted))
     return _pv_settle(u, u.grid.nodes, vals)
 
 

@@ -194,6 +194,26 @@ def poisson_extension(u, radius: float) -> np.ndarray:
     return conv[:: m // n]
 
 
+def bo_wave(grid, c: float, x0: float) -> tuple:
+    """(wave, multiplier) of the periodic Benjamin-Ono wave on grid: the
+    positive solution of |D|u + u = lambda u^2 with int |u|^3/3 = c, for
+    L > pi.  u = alpha P_r(kappa (x - x0)), with P_r(t) = (1 - r^2)/(1 - 2r cos t
+    + r^2) the Poisson kernel (Fourier coefficients r^|k|), kappa = pi/L and
+    (1 + r^2)/(1 - r^2) = L/pi: then |D|P_r = P_r^2 - (L/pi) P_r in t, so
+    lambda = kappa/alpha.  alpha is fixed by the grid trapezoid of the
+    constraint, exact to rounding for the analytic P_r."""
+    import math
+
+    from nonlocper import PeriodicFunction
+
+    L = grid.half_period
+    a = L / math.pi
+    r = math.sqrt((a - 1.0) / (a + 1.0))
+    poisson = (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(math.pi * (grid.nodes - x0) / L) + r * r)
+    alpha = (3.0 * c / (2.0 * L / grid.size * np.sum(poisson**3))) ** (1.0 / 3.0)
+    return PeriodicFunction(grid, alpha * poisson), math.pi / L / alpha
+
+
 def disk_energy(u) -> float:
     """E_disk of nonlocper.energy_identity_check, one radius at a time: the
     radial and angular derivatives of the harmonic extension by two N-point
@@ -259,7 +279,12 @@ def line_rule(s: float) -> tuple:
 
 
 def pv_rule(L: float, n_modes: int, breakpoints: tuple, s: float) -> tuple:
-    """(zs, w, cuts, cos_large, z2, powers) of nonlocper.operator._pv_rule."""
+    """(zs, weights, cuts, cos_large, powers) of nonlocper.operator._pv_rule,
+    rule after rule: cuts holds (start, switch, stop) of each rule's nodes,
+    the first switch - start of them below z_switch; weights one row per
+    rule; powers the columns 1, z^2, z^4 at every node."""
+    import math
+
     from scipy.linalg import block_diag
 
     from nonlocper.operator import PV_EPS_SEQ
@@ -271,11 +296,12 @@ def pv_rule(L: float, n_modes: int, breakpoints: tuple, s: float) -> tuple:
     z_switch = 1e-3 * L
     zs, w, cuts, start = [], [], [], 0
     for eps in PV_EPS_SEQ:
+        pivot = eps * (L / math.pi)
         depth = 12
-        while breakpoints and eps * 2.0 ** -depth >= min(breakpoints):
+        while breakpoints and pivot * 2.0 ** -depth >= min(breakpoints):
             depth += 1
-        a = eps * 2.0 ** -depth
-        bounds = [eps * 2.0 ** -j for j in range(depth, -1, -1)]
+        a = pivot * 2.0 ** -depth
+        bounds = [pivot * 2.0 ** -j for j in range(depth, -1, -1)]
         while bounds[-1] < L:
             bounds.append(min(2.0 * bounds[-1], L))
         bounds = np.array(sorted(set(bounds) | {b for b in breakpoints if a < b < L}))
@@ -287,17 +313,15 @@ def pv_rule(L: float, n_modes: int, breakpoints: tuple, s: float) -> tuple:
         stop = start + zs[-1].size
         cuts.append((start, start + int(np.searchsorted(zs[-1], z_switch)), stop))
         start = stop
-    zs, w = np.concatenate(zs), np.concatenate(w)
-    blocks = []
+    zs = np.concatenate(zs)
+    weights = block_diag(*(row[None, :] for row in w))
+    z2 = zs**2
     with np.errstate(over="ignore"):
-        for start, switch, _ in cuts:
-            z2 = zs[start:switch] ** 2
-            blocks.append(np.stack([np.ones_like(z2), z2, z2 ** 2]))
+        powers = np.column_stack([np.ones_like(z2), z2, z2 * z2])
     large = np.concatenate([zs[switch:stop] for _, switch, stop in cuts])
     cos_large = np.outer(large, np.pi * np.arange(n_modes) / L)
     np.cos(cos_large, out=cos_large)
-    z2 = np.concatenate([block[1] for block in blocks])
-    return zs, w, tuple(cuts), cos_large, z2, block_diag(*blocks)
+    return zs, weights, tuple(cuts), cos_large, powers
 
 
 def pv_fold(u, xs, kbar, breakpoints, s: float) -> np.ndarray:
@@ -313,24 +337,25 @@ def pv_fold(u, xs, kbar, breakpoints, s: float) -> np.ndarray:
         return np.concatenate([pv_fold(u, xs[i:i + EVAL_BLOCK], kbar, breakpoints, s)
                                for i in range(0, xs.size, EVAL_BLOCK)])
     omega = u.grid.frequencies()
-    zs, w, cuts, cos_large, z2, powers = pv_rule(L, omega.size, tuple(breakpoints), s)
-    wk = w * kbar(zs)
-    moments = powers @ (np.concatenate([wk[start:switch] for start, switch, _ in cuts]) * z2)
+    zs, weights, cuts, cos_large, powers = pv_rule(L, omega.size, tuple(breakpoints), s)
+    small = np.concatenate([np.arange(start, switch) for start, switch, _ in cuts])
+    direct = np.concatenate([np.arange(switch, stop) for _, switch, stop in cuts])
+    wk = weights * kbar(zs)
+    # in C order, as the library's weights: BLAS rounds a transposed
+    # operand, which wk[:, idx] is, differently
+    wd, ws = (np.ascontiguousarray(wk[:, idx]) for idx in (direct, small))
+    moments = (ws * zs[small] ** 2) @ powers[small]
     ux = u.eval(xs)
     modes = u.modes(xs)
     diff = 2.0 * (ux - cos_large @ modes.T)
     d2 = -omega**2
     derivs = modes @ np.column_stack([d2, d2**2 / 12.0, d2**3 / 360.0])
-    series = moments.reshape(len(cuts), 3) @ derivs.T
-    vals, row = [], 0
-    for (start, switch, stop), corr in zip(cuts, series):
-        vals.append(wk[switch:stop] @ diff[row:row + stop - switch] - corr)
-        row += stop - switch
+    vals = wd @ diff - moments @ derivs.T
     spread = np.max(np.abs(np.diff(vals, axis=0)), axis=0, initial=0.0)
     bad = np.flatnonzero(spread > PV_STABILITY_TOL * np.maximum(1.0, np.abs(vals[-1])))
     if bad.size:
         raise IntegrationError(f"principal value unstable across PV_EPS_SEQ at "
-                               f"x={xs[bad[0]]:g}: {[float(v[bad[0]]) for v in vals]}")
+                               f"x={xs[bad[0]]:g}: {vals[:, bad[0]].tolist()}")
     return vals[-1]
 
 

@@ -65,6 +65,19 @@ class TestPvOnCircle:
             assert nl.half_lap_pv_circle(u, float(x)) == pytest.approx(
                 float(direct.eval(x)), abs=1e-5)
 
+    def test_array_of_points_in_one_fold(self):
+        # a scalar gives a float, an array the values at its points, each
+        # the one-point value to rounding
+        u = boundary()
+        xs = np.linspace(-math.pi, math.pi, 9)[:-1].reshape(2, 4)
+        single = nl.half_lap_pv_circle(u, 0.3)
+        assert type(single) is float
+        many = nl.half_lap_pv_circle(u, xs)
+        assert many.shape == (2, 4)
+        each = np.array([[nl.half_lap_pv_circle(u, x) for x in row] for row in xs])
+        assert np.max(np.abs(many - each)) <= 1e-13
+        assert np.max(np.abs(many - nl.dtn_multiplier(u).eval(xs.ravel()).reshape(2, 4))) < 1e-12
+
 
 class TestWrappedIdentity:
     def test_gap_small(self):

@@ -586,17 +586,10 @@ class TestExitCodeContract:
          ["energy", "--kernel", "fraclap", "--s", 0.5, "--function", "u.csv"], None),
         ({"functions": {"f": "u.csv", "g": "u.csv", "h": "u.csv", "k": "u.csv"}},
          ["riesz"], None),
-        ({"grid": {"L": 0.005, "N": 64}},
-         ["apply", "--kernel", "fraclap", "--s", 0.5, "--function", "u.csv",
-          "--mode", "pv"], None),
-        ({"grid": {"L": 0.005, "N": 64}},
-         ["maxprinciple", "--kernel", "fraclap", "--s", 0.5], None),
     ], ids=["riesz-functions-without-g-h", "compact-empty-profile",
             "laplace-empty-profile", "constraint-without-gtilde", "seed-not-integer",
             "seed-negative", "laplace-one-node-profile", "nonlinearity-unknown-key",
-            "nonlinearity-without-name", "riesz-functions-unknown-key",
-            "apply-pv-half-period-below-first-eps",
-            "maxprinciple-half-period-below-first-eps"])
+            "nonlinearity-without-name", "riesz-functions-unknown-key"])
     def test_config_inputs_that_reach_the_commands_exit_2(
             self, tmp_path, capsys, monkeypatch, config, args, seed):
         monkeypatch.delenv("NONLOC_SEED", raising=False)
@@ -611,6 +604,29 @@ class TestExitCodeContract:
         assert code == cli.EXIT_CONFIG
         assert err.startswith("configuration error")
         assert "numerical failure" not in err and "Traceback" not in err
+
+    def test_apply_pv_below_the_first_eps_exits_0(self, tmp_path, monkeypatch):
+        # the PV pivots scale with L, so a half period below the first eps,
+        # 0.01 at L = pi, is no longer rejected: pv matches spectral
+        half = 0.005
+        x = np.linspace(-half, half, 65)[:-1]
+        np.savetxt(tmp_path / "u.csv", np.column_stack([x, np.exp(np.cos(np.pi * x / half))]),
+                   delimiter=",", header="x,u", comments="")
+        monkeypatch.chdir(tmp_path)
+        applied = {}
+        for mode in ("pv", "spectral"):
+            assert run_cli(["apply", "--kernel", "fraclap", "--s", 0.5, "--L", half, "--N", 64,
+                            "--function", "u.csv", "--mode", mode,
+                            "--out", tmp_path / mode]) == cli.EXIT_OK
+            applied[mode] = np.loadtxt(tmp_path / mode / "applied.csv", delimiter=",",
+                                       skiprows=1)[:, 1]
+        scale = np.max(np.abs(applied["spectral"]))
+        assert np.max(np.abs(applied["pv"] - applied["spectral"])) <= 1e-12 * scale
+
+    def test_maxprinciple_below_the_first_eps_exits_0(self, tmp_path):
+        assert run_cli(["maxprinciple", "--kernel", "fraclap", "--s", 0.5, "--L", 0.005,
+                        "--N", 64, "--out", tmp_path]) == cli.EXIT_OK
+        assert load_report(tmp_path, "maxprinciple")["result"]["strictly_positive"]
 
     @pytest.mark.parametrize("blocker,args", [
         ("symbol.csv", ["symbol", "--kernel", "fraclap", "--s", 0.5, "--L", L, "--N", 64]),

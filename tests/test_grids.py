@@ -165,6 +165,19 @@ class TestDiagnostics:
         r = nl.decay_exponent(u)
         assert 1.5 < r < 2.2
 
+    @pytest.mark.parametrize("c", [1e-12, 1e12])
+    def test_decay_exponent_is_scale_free(self, c):
+        # the noise floor is read relative to the largest |u_k|: at 1e-12 u
+        # an absolute floor of 1e-13 left fewer than 8 modes to fit.  The
+        # modes near the floor carry the rounding of c u's transform, 2e-9
+        # of the fit
+        g = make_grid(L=math.pi, N=256)
+        u = nl.PeriodicFunction.from_callable(g, lambda x: np.abs(np.sin(0.5 * x)) ** 3.5)
+        r = nl.decay_exponent(u)
+        assert r == pytest.approx(4.4844, abs=1e-4)
+        assert nl.decay_exponent(nl.PeriodicFunction(g, c * u.samples)) == pytest.approx(
+            r, rel=1e-8)
+
     def test_decay_exponent_degenerate(self):
         g = make_grid()
         u = nl.PeriodicFunction.from_callable(g, np.cos)  # band-limited

@@ -334,6 +334,46 @@ class TestMinimize:
         assert energies[0] == pytest.approx(-2.55739749481477, rel=1e-12)
 
 
+class TestBenjaminOnoWave:
+    """For fraclap 1/2 and benjamin_ono_type(2) the minimizer at level c is
+    the exact periodic wave for L > pi (Amick & Toland, Acta Math. 167,
+    1991) and the constant (3c/2L)^(1/3) below."""
+
+    @staticmethod
+    def run(L, n, start):
+        g = nl.PeriodicGrid(L, n)
+        sym = nl.symbol_of_kernel(nl.FractionalKernel(0.5), g)
+        u0 = 1.0 + np.cos(math.pi * g.nodes / L)
+        if start == "noisy":
+            u0 = u0 + 0.1 * np.random.default_rng(1).standard_normal(n)
+        res = nl.minimize(nl.MinimizeConfig(sym=sym, nl=nl.benjamin_ono_type(2.0),
+                                            initial=nl.PeriodicFunction(g, u0), c=5.0))
+        assert res.converged
+        return res
+
+    # measured: profile 2.5e-9 to 1.3e-8 of max(wave), multiplier 1.4e-10 to
+    # 1.1e-9; the grad_tol of the descent sets both
+    @pytest.mark.parametrize("start", ["smooth", "noisy"])
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("periods", [1.2, 2.0, 4.0])
+    def test_matches_the_exact_wave(self, periods, n, start):
+        from _oracles import bo_wave
+
+        res = self.run(periods * math.pi, n, start)
+        wave, lam = bo_wave(res.u.grid, 5.0, res.diagnostics.center)
+        err = np.max(np.abs(res.u.samples - wave.samples)) / np.max(wave.samples)
+        assert err <= 5e-8
+        assert abs(res.multiplier - lam) <= 1e-8
+
+    @pytest.mark.parametrize("start", ["smooth", "noisy"])
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_below_pi_is_the_constant(self, n, start):
+        # measured 4.2e-8 to 5.1e-8 off the constant
+        L = 0.8 * math.pi
+        res = self.run(L, n, start)
+        assert np.max(np.abs(res.u.samples - (1.5 * 5.0 / L) ** (1.0 / 3.0))) <= 1e-6
+
+
 class TestMaxPrinciple:
     def test_positive_at_interior_zero(self):
         g = nl.PeriodicGrid(math.pi, 128)
@@ -352,6 +392,14 @@ class TestMaxPrinciple:
             g, lambda x: -np.sin(2 * x) ** 2 * np.sin(x))
         val = nl.max_principle_probe(nl.FractionalKernel(0.5), v, math.pi / 2)
         assert val == pytest.approx(1.5, rel=1e-9)
+
+    @pytest.mark.parametrize("x0", [0.0, math.pi, -1.0, 5.0, math.nan])
+    def test_probe_point_outside_raises_domain_error(self, x0):
+        # the probe point is checked first, even on a v that breaks the hypotheses
+        g = nl.PeriodicGrid(math.pi, 128)
+        not_odd = nl.PeriodicFunction.from_callable(g, lambda x: -np.cos(x) ** 2)
+        with pytest.raises(nl.DomainError, match="x0"):
+            nl.max_principle_probe(nl.FractionalKernel(0.5), not_odd, x0)
 
     def test_hypothesis_violations(self):
         g = nl.PeriodicGrid(math.pi, 128)

@@ -327,12 +327,15 @@ class TestApplyPV:
         k = nl.FractionalKernel(0.5)
         assert nl.apply_pv(k, u, 0.7) == pytest.approx(math.cos(0.7), abs=1e-9)
 
-    def test_bad_eps_seq(self):
-        # the first eps rule starts at 1e-2, which must lie inside (0, L)
-        g = nl.PeriodicGrid(5e-3, 64)
-        u = nl.PeriodicFunction.from_callable(g, lambda x: np.cos(np.pi * x / 5e-3))
-        with pytest.raises(nl.DomainError):
-            nl.apply_pv(nl.FractionalKernel(0.5), u, 0.0)
+    def test_half_period_below_the_first_eps(self):
+        # the pivots scale with L: at L = 5e-3 the first rule starts at
+        # 1e-2 L/pi, and (-Delta)^(1/2) cos(pi x/L) = (pi/L) cos(pi x/L)
+        L = 5e-3
+        g = nl.PeriodicGrid(L, 64)
+        u = nl.PeriodicFunction.from_callable(g, lambda x: np.cos(np.pi * x / L))
+        for x in (0.0, 0.3 * L):
+            assert nl.apply_pv(nl.FractionalKernel(0.5), u, x) == pytest.approx(
+                np.pi / L * math.cos(np.pi * x / L), rel=1e-12, abs=1e-12 * np.pi / L)
 
     def test_indicator_kernel_breakpoint_handling(self):
         # bounded kernel with a wrap jump inside (0, L): PV must still agree
@@ -427,6 +430,47 @@ def test_pv_names_the_order_and_node_where_the_kernel_overflows():
         math.cos(0.3), abs=1e-12)
 
 
+def scaled_compact(L):
+    t = np.array([1e-3, 0.5, 1.5]) * (L / math.pi)
+    return nl.CompactKernel(t, [1.0, 0.6, 0.0], s=0.5)
+
+
+# |PV - spectral| / max|spectral| at N = 64 for modes <= 6 reads 2e-16 to
+# 7.8e-14 at every half period: the plan has no preferred length
+@pytest.mark.parametrize("L", [1e-6, 1e-3, 5e-3, 0.5, math.pi, 50.0, 1e4])
+@pytest.mark.parametrize("name", ["fraclap-0.3", "fraclap-0.8", "delaunay", "compact"])
+def test_pv_matches_spectral_at_every_half_period(name, L):
+    kernel = {"fraclap-0.3": nl.FractionalKernel(0.3), "fraclap-0.8": nl.FractionalKernel(0.8),
+              "delaunay": nl.DelaunayKernel(2, 0.5, 1.0), "compact": scaled_compact(L)}[name]
+    g = nl.PeriodicGrid(L, 64)
+    rng = np.random.default_rng(1)
+    u = band_limited(g, rng, k_max=6)
+    spec = nl.apply_spectral(nl.symbol_of_kernel(kernel, g), u)
+    tol = 5e-13 * np.max(np.abs(spec.samples))
+    assert np.max(np.abs(nl.apply_pv_grid(kernel, u).samples - spec.samples)) <= tol
+    wk = nl.wrap_kernel(kernel, L)
+    xs = rng.uniform(-L, L, 4)
+    pts = [nl.apply_pv(kernel, u, x, wrapped=wk) for x in xs]
+    assert np.max(np.abs(pts - spec.eval(xs))) <= tol
+
+
+@pytest.mark.parametrize("L", [1e-3, 0.05, 2.0, 40.0])
+@pytest.mark.parametrize("s", [0.3, 0.8])
+def test_fractional_pv_scales_with_the_half_period(s, L):
+    # u(x) = f(pi x/L) on (-L, L): the operator of order s gives
+    # (pi/L)^(2s) times its value for f on (-pi, pi) at the mapped point
+    def f(y):
+        return np.cos(y) + 0.3 * np.sin(2 * y) + 0.2 * np.cos(5 * y)
+
+    kernel = nl.FractionalKernel(s)
+    ys = np.array([-2.0, 0.3, 1.7, 2.9])
+    ref = nl.PeriodicFunction.from_callable(nl.PeriodicGrid(math.pi, 64), f)
+    u = nl.PeriodicFunction.from_callable(nl.PeriodicGrid(L, 64), lambda x: f(np.pi * x / L))
+    want = (math.pi / L) ** (2 * s) * np.array([nl.apply_pv(kernel, ref, y) for y in ys])
+    got = np.array([nl.apply_pv(kernel, u, y * L / math.pi) for y in ys])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
 class TestPVRule:
     """The PV plan in two tiers, in one store capped in bytes: the s-free
     tier (Taylor columns and cos table) per (L, N/2 + 1, breakpoints) and
@@ -463,32 +507,46 @@ class TestPVRule:
 
     def test_cached_arrays_are_read_only(self):
         taylor, cos_large = op._pv_plan(op._pv_free, math.pi, 33, (0.5,))
-        zs, w, n_small, segs, z2, powers = op._pv_plan(op._pv_rule, math.pi, (0.5,), 0.5)
-        for a in (taylor, cos_large, zs, w, z2, powers):
+        zs, weights, n_small, powers = op._pv_plan(op._pv_rule, math.pi, (0.5,), 0.5)
+        for a in (taylor, cos_large, zs, weights, powers):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
-        # the nodes below z_switch, then the direct ones in rule segments;
-        # each rule's nodes ascend and its direct ones start at z_switch
+        # the nodes below z_switch, then the direct ones, each part rule
+        # after rule; one row of weights per rule, nonzero on its nodes alone
         direct = zs[n_small:]
-        assert segs[0].start == 0 and segs[-1].stop == direct.size
-        assert all(a.stop == b.start for a, b in zip(segs, segs[1:]))
+        assert weights.shape == (len(op.PV_EPS_SEQ), zs.size)
+        assert np.all(np.count_nonzero(weights, axis=0) == 1)
+        rule = np.argmax(weights != 0.0, axis=0)
+        assert np.all(np.diff(rule[:n_small]) >= 0) and np.all(np.diff(rule[n_small:]) >= 0)
         assert taylor.shape == (33, 3) and cos_large.shape == (direct.size, 33)
-        assert np.all(zs[:n_small] < 1e-3 * math.pi)
-        for i, seg in enumerate(segs):
-            assert direct[seg][0] >= 1e-3 * math.pi
-            assert np.all(np.diff(direct[seg]) > 0)
-            small = zs[:n_small][powers[3 * i] == 1.0]
-            assert small.size and np.all(np.diff(small) > 0)
-        # one row per rule and power, one column per node below z_switch
-        assert np.array_equal(z2, zs[:n_small] ** 2)
-        assert powers.shape == (9, n_small)
+        assert np.all(zs[:n_small] < 1e-3 * math.pi) and np.all(direct >= 1e-3 * math.pi)
+        # each rule's nodes ascend in both parts
+        for row in weights != 0.0:
+            for part in (zs[:n_small][row[:n_small]], direct[row[n_small:]]):
+                assert part.size and np.all(np.diff(part) > 0)
+        # one row per node below z_switch, one column per power 1, z^2, z^4
+        z2 = zs[:n_small] ** 2
+        assert powers.shape == (n_small, 3)
+        assert np.array_equal(powers, np.column_stack([np.ones(n_small), z2, z2 * z2]))
+
+    @pytest.mark.parametrize("L", [1e-6, 5e-3, 2.0, 1e4])
+    def test_plan_without_breakpoints_is_a_dilation(self, L):
+        # the pivots eps L/pi scale with L like z_switch and the panels
+        # above them, so the nodes and weights are those at L = pi, times L/pi
+        zs, weights, n_small, _ = op._pv_rule(L, (), 0.5)
+        zp, wp, n_pi, _ = op._pv_rule(math.pi, (), 0.5)
+        assert n_small == n_pi and zs.size == zp.size == 924
+        assert np.allclose(zs, zp * (L / math.pi), rtol=1e-13, atol=0.0)
+        assert np.allclose(weights, wp * (L / math.pi), rtol=1e-13, atol=0.0)
 
     def test_cache_is_bounded(self, monkeypatch):
-        # at N = 256 the s-free tier takes 0.39 MB and an s tier 59 kB: 1 MiB
-        # holds the s-free tier, in use on every call, and the newest 11 orders
+        # at N = 256 the s-free tier takes 0.39 MB and an s tier 43 kB: the
+        # cap holds the s-free tier, in use on every call, and the newest 11 orders
         self.clear()
-        monkeypatch.setattr(op, "PV_PLAN_BYTES", 1 << 20)
+        free = sum(a.nbytes for a in op._pv_free(math.pi, 129, ()))
+        tier = sum(a.nbytes for a in op._pv_rule(math.pi, (), 0.5) if isinstance(a, np.ndarray))
+        monkeypatch.setattr(op, "PV_PLAN_BYTES", free + 11 * tier + tier // 2)
         u = nl.PeriodicFunction.from_callable(nl.PeriodicGrid(math.pi, 256), np.cos)
         for s in np.linspace(0.1, 0.9, 13):
             op._pv_fold(u, [0.3], nl.FractionalKernel(s), (), s)
